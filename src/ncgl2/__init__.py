@@ -2,9 +2,10 @@
 
 The package is organized bottom up:
 
+  linalg     sparse vectors {key: coefficient} and the one accumulate()
+             that adds into them, and exact linear algebra over Fraction
   ncalg      free algebra on a, b, c, d, D, Di with the defining rewrite
              system, normal forms, and the Hopf structure
-  linalg     exact linear algebra over Fraction
   weights    the weight monoid Lambda, its star involutions and two orders
   comodules  finite dimensional right comodules and maps between them
   standard   the named comodules V, R, S^yV, T^yV, M, nabla, Delta, L

@@ -45,12 +45,13 @@ from .ncalg import (
     Word,
     coproduct,
     enumerate_basis,
-    normal_form_word,
+    normal_form,
     word_key,
 )
 from .weights import LambdaWord, Weight, is_dominant
 from .comodules import Comodule, comodule_from_regular, generated_subcomodule
 from . import linalg
+from .linalg import accumulate
 
 __all__ = [
     "TriangularQuotient",
@@ -115,92 +116,67 @@ class TriangularQuotient:
         return key
 
     def project(self, element: NCElement) -> dict:
-        out: dict = {}
-        for word, coeff in element.items():
-            key = self.project_word(word)
-            if key is None:
-                continue
-            value = out.get(key, _ZERO) + coeff
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
-        return out
+        projected = ((self.project_word(word), coeff) for word, coeff in element.items())
+        return accumulate({}, ((key, coeff) for key, coeff in projected if key is not None))
 
     def grouplike(self, t: Weight):
-        """The character key g_t; every integral weight t = (i, j) has one."""
-        raise NotImplementedError
+        """The character key g_t, the image of a^i d^j for t = (i, j).
+
+        a and d survive in every quotient and their images are invertible,
+        so every integral weight has one.
+        """
+        key = self.one_key
+        for letter, power in (("a", t.i), ("d", t.j)):
+            s, word = self._letter_image[letter]
+            if power < 0:
+                s, word = -s, tuple(self._inverses[x] for x in reversed(word))
+            for _ in range(abs(power)):
+                key = self.multiply(key, (s, word))
+        return key
 
     def __repr__(self):
         return f"TriangularQuotient({self.name})"
 
 
-class _LowerBorel(TriangularQuotient):
-    def __init__(self):
-        super().__init__(
-            name="B",
-            killed=("b",),
-            letter_image={
-                "a": (1, ()),
-                "b": None,
-                "c": (0, ("c",)),
-                "d": (0, ("d",)),
-                "D": (1, ("d",)),
-                "Di": (-1, ("di",)),
-            },
-            inverses={"d": "di", "di": "d"},
-        )
-
-    def grouplike(self, t: Weight):
-        word = ("d",) * t.j if t.j >= 0 else ("di",) * (-t.j)
-        return (t.i, word)
-
-
-class _UpperBorel(TriangularQuotient):
-    def __init__(self):
-        super().__init__(
-            name="B+",
-            killed=("c",),
-            letter_image={
-                "a": (0, ("a",)),
-                "b": (0, ("b",)),
-                "c": None,
-                "d": (1, ()),
-                "D": (1, ("a",)),
-                "Di": (-1, ("ai",)),
-            },
-            inverses={"a": "ai", "ai": "a"},
-        )
-
-    def grouplike(self, t: Weight):
-        word = ("a",) * t.i if t.i >= 0 else ("ai",) * (-t.i)
-        return (t.j, word)
-
-
-class _Torus(TriangularQuotient):
-    def __init__(self):
-        super().__init__(
-            name="T",
-            killed=("b", "c"),
-            letter_image={
-                "a": (1, ()),
-                "b": None,
-                "c": None,
-                "d": (0, ("d",)),
-                "D": (1, ("d",)),
-                "Di": (-1, ("di",)),
-            },
-            inverses={"d": "di", "di": "d"},
-        )
-
-    def grouplike(self, t: Weight):
-        word = ("d",) * t.j if t.j >= 0 else ("di",) * (-t.j)
-        return (t.i, word)
-
-
-BOREL_LOWER = _LowerBorel()
-BOREL_UPPER = _UpperBorel()
-TORUS = _Torus()
+BOREL_LOWER = TriangularQuotient(
+    name="B",
+    killed=("b",),
+    letter_image={
+        "a": (1, ()),
+        "b": None,
+        "c": (0, ("c",)),
+        "d": (0, ("d",)),
+        "D": (1, ("d",)),
+        "Di": (-1, ("di",)),
+    },
+    inverses={"d": "di", "di": "d"},
+)
+BOREL_UPPER = TriangularQuotient(
+    name="B+",
+    killed=("c",),
+    letter_image={
+        "a": (0, ("a",)),
+        "b": (0, ("b",)),
+        "c": None,
+        "d": (1, ()),
+        "D": (1, ("a",)),
+        "Di": (-1, ("ai",)),
+    },
+    inverses={"a": "ai", "ai": "a"},
+)
+TORUS = TriangularQuotient(
+    name="T",
+    killed=("b", "c"),
+    letter_image={
+        "a": (1, ()),
+        "b": None,
+        "c": None,
+        "d": (0, ("d",)),
+        "D": (1, ("d",)),
+        "Di": (-1, ("di",)),
+    },
+    inverses={"d": "di", "di": "d"},
+)
 
 
 _PSI_SWAP = {"a": "d", "d": "a", "b": "c", "c": "b", "D": "D", "Di": "Di"}
@@ -210,18 +186,11 @@ def psi(element: NCElement) -> NCElement:
     """The diagram flip: the Hopf automorphism a <-> d, b <-> c, delta fixed.
 
     It is an involution and exchanges the two triangular quotients, so it
-    transports lower semi-invariants to upper ones.
+    transports lower semi-invariants to upper ones.  The letter swap is a
+    bijection on words, so the swapped terms never collide.
     """
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in element.items():
-        swapped = tuple(_PSI_SWAP[letter] for letter in word)
-        for nw, c in normal_form_word(swapped).items():
-            value = acc.get(nw, _ZERO) + coeff * c
-            if value:
-                acc[nw] = value
-            else:
-                acc.pop(nw, None)
-    return NCElement._raw(acc)
+    swapped = {tuple(_PSI_SWAP[letter] for letter in word): c for word, c in element.items()}
+    return NCElement._raw(normal_form(swapped))
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +210,8 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
         rows: dict = {}
         for i in range(X.dim):
             for key, coeff in quotient.project(X.coaction[i][j]).items():
-                row = rows.setdefault(key, {})
-                row[i] = row.get(i, _ZERO) + coeff
-        row = rows.setdefault(g, {})
-        row[j] = row.get(j, _ZERO) - _ONE
+                rows.setdefault(key, {})[i] = coeff
+        accumulate(rows.setdefault(g, {}), ((j, -_ONE),))
         equations.extend(rows.values())
     return linalg.nullspace_sparse(equations, X.dim)
 
@@ -303,14 +270,10 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
         expansion = coproduct(NCElement._raw({w: _ONE}))
         for (u, v), coeff in expansion.items():
             key = BOREL_LOWER.project_word(v)
-            if key is None:
-                continue
-            row = rows.setdefault((u, key), {})
-            row[k] = row.get(k, _ZERO) + coeff
+            if key is not None:
+                accumulate(rows.setdefault((u, key), {}), ((k, coeff),))
     for w in words:
-        row = rows.setdefault((w, g), {})
-        k = index[w]
-        row[k] = row.get(k, _ZERO) - _ONE
+        accumulate(rows.setdefault((w, g), {}), ((index[w], -_ONE),))
     basis = linalg.nullspace_sparse(list(rows.values()), len(words))
     out = []
     for vec in basis:
@@ -370,16 +333,9 @@ def left_semi_invariance_check(
 ) -> bool:
     """Check (pi_Q (x) 1) Delta(f) = g_t (x) f, the left-handed eigencondition."""
     g = quotient.grouplike(t)
-    lhs: dict = {}
-    for (u, v), coeff in coproduct(element).items():
-        key = quotient.project_word(u)
-        if key is None:
-            continue
-        value = lhs.get((key, v), _ZERO) + coeff
-        if value:
-            lhs[(key, v)] = value
-        else:
-            lhs.pop((key, v), None)
+    pairs = coproduct(element).items()
+    projected = ((quotient.project_word(u), v, coeff) for (u, v), coeff in pairs)
+    lhs = accumulate({}, (((key, v), coeff) for key, v, coeff in projected if key is not None))
     rhs = {(g, w): coeff for w, coeff in element.items()}
     return lhs == rhs
 

@@ -132,6 +132,7 @@ def _suite_layers(bounds: dict) -> list[dict]:
 
 
 def _suite_multisets(bounds: dict) -> list[dict]:
+    from .linalg import accumulate
     from .standard import (
         char_M,
         char_delta,
@@ -184,16 +185,12 @@ def _suite_multisets(bounds: dict) -> list[dict]:
             dims = False
         cn: dict = {}
         for mu, k in N.items():
-            for w, m in char_nabla(mu).items():
-                cn[w] = cn.get(w, 0) + k * m
+            accumulate(cn, ((w, k * m) for w, m in char_nabla(mu).items()))
         cd: dict = {}
         for mu, k in D.items():
-            for w, m in char_delta(mu).items():
-                cd[w] = cd.get(w, 0) + k * m
+            accumulate(cd, ((w, k * m) for w, m in char_delta(mu).items()))
         target = char_M(lam)
-        if {w: m for w, m in cn.items() if m} != target:
-            chars = False
-        if {w: m for w, m in cd.items() if m} != target:
+        if cn != target or cd != target:
             chars = False
         for mu in N:
             if mu != lam and not mu.lt1(lam):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .linalg import accumulate
 from .ncalg import (
     NCElement,
     TensorElement,
@@ -228,33 +229,27 @@ def left_dual(X: Comodule) -> Comodule:
 
 def torus_project(element: NCElement) -> dict[Weight, Fraction]:
     """Image of an element in the torus quotient, as a Laurent polynomial."""
-    out: dict[Weight, Fraction] = {}
-    for word, coeff in element.items():
-        i = j = 0
-        dead = False
-        for letter in word:
-            if letter in ("b", "c"):
-                dead = True
-                break
-            if letter == "a":
-                i += 1
-            elif letter == "d":
-                j += 1
-            elif letter == "D":
-                i += 1
-                j += 1
-            else:
-                i -= 1
-                j -= 1
-        if dead:
-            continue
-        w = Weight(i, j)
-        value = out.get(w, Fraction(0)) + coeff
-        if value:
-            out[w] = value
+    projected = ((_torus_weight(word), coeff) for word, coeff in element.items())
+    return accumulate({}, ((w, coeff) for w, coeff in projected if w is not None))
+
+
+def _torus_weight(word) -> Weight | None:
+    """Torus weight of a monomial; None when b or c kills it."""
+    i = j = 0
+    for letter in word:
+        if letter in ("b", "c"):
+            return None
+        if letter == "a":
+            i += 1
+        elif letter == "d":
+            j += 1
+        elif letter == "D":
+            i += 1
+            j += 1
         else:
-            out.pop(w, None)
-    return out
+            i -= 1
+            j -= 1
+    return Weight(i, j)
 
 
 def torus_diagonal_weights(X: Comodule) -> list[Weight] | None:
@@ -279,10 +274,7 @@ def weight_decomposition(X: Comodule) -> dict[Weight, int]:
     """Multiplicities of torus weights; their total equals the dimension."""
     diagonal = torus_diagonal_weights(X)
     if diagonal is not None:
-        out: dict[Weight, int] = {}
-        for w in diagonal:
-            out[w] = out.get(w, 0) + 1
-        return out
+        return accumulate({}, ((w, 1) for w in diagonal))
     projected = [
         [torus_project(X.coaction[i][j]) for j in range(X.dim)] for i in range(X.dim)
     ]
@@ -297,10 +289,8 @@ def weight_decomposition(X: Comodule) -> dict[Weight, int]:
             per_word: dict[Weight, dict[int, Fraction]] = {}
             for i in range(X.dim):
                 for w, c in projected[i][j].items():
-                    row = per_word.setdefault(w, {})
-                    row[i] = row.get(i, Fraction(0)) + c
-            row = per_word.setdefault(t, {})
-            row[j] = row.get(j, Fraction(0)) - 1
+                    per_word.setdefault(w, {})[i] = c
+            accumulate(per_word.setdefault(t, {}), ((j, Fraction(-1)),))
             equations.extend(per_word[w] for w in sorted(per_word, key=weight_key))
         mult = len(linalg.nullspace_sparse(equations, X.dim))
         if mult:
@@ -323,16 +313,14 @@ def lowest_weight(X: Comodule) -> tuple[Weight, int]:
 
 
 def char_mul(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for w1, m1 in c1.items():
-        for w2, m2 in c2.items():
-            w = Weight(w1.i + w2.i, w1.j + w2.j)
-            value = out.get(w, 0) + m1 * m2
-            if value:
-                out[w] = value
-            else:
-                out.pop(w, None)
-    return out
+    return accumulate(
+        {},
+        (
+            (Weight(w1.i + w2.i, w1.j + w2.j), m1 * m2)
+            for w1, m1 in c1.items()
+            for w2, m2 in c2.items()
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +356,15 @@ def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> lis
                 var = var_index.get((k, i))
                 if var is None:
                     continue
+                # var differs per k and w per entry, so (w, var) is new here
                 for w, c in Y.coaction[k][m].items():
-                    row = per_word.setdefault(w, {})
-                    value = row.get(var, Fraction(0)) + c
-                    if value:
-                        row[var] = value
-                    else:
-                        row.pop(var, None)
+                    per_word.setdefault(w, {})[var] = c
             for j in range(X.dim):
                 var = var_index.get((m, j))
                 if var is None:
                     continue
                 for w, c in X.coaction[i][j].items():
-                    row = per_word.setdefault(w, {})
-                    value = row.get(var, Fraction(0)) - c
-                    if value:
-                        row[var] = value
-                    else:
-                        row.pop(var, None)
+                    accumulate(per_word.setdefault(w, {}), ((var, -c),))
             equations.extend(per_word[w] for w in sorted(per_word, key=word_key) if per_word[w])
     solutions = linalg.nullspace_sparse(equations, len(allowed))
     maps = []
@@ -573,17 +552,8 @@ def _coproduct_components(element: NCElement) -> list[tuple[tuple, NCElement]]:
     """Delta(element) grouped by the left leg: [(word, right component)]."""
     grouped: dict[tuple, dict[tuple, Fraction]] = {}
     for (w1, w2), coeff in coproduct(element).items():
-        row = grouped.setdefault(w1, {})
-        value = row.get(w2, Fraction(0)) + coeff
-        if value:
-            row[w2] = value
-        else:
-            row.pop(w2, None)
-    out = []
-    for w1 in sorted(grouped, key=word_key):
-        if grouped[w1]:
-            out.append((w1, NCElement(grouped[w1])))
-    return out
+        grouped.setdefault(w1, {})[w2] = coeff
+    return [(w1, NCElement(grouped[w1])) for w1 in sorted(grouped, key=word_key)]
 
 
 def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list[NCElement]]:

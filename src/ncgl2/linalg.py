@@ -1,4 +1,10 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra over Fraction, and the sparse vector kernel.
+
+A sparse vector is a dict mapping keys (words, tensor keys, column
+indices, weights) to coefficients, and it never stores a zero
+coefficient, so that equal vectors are equal dicts.  accumulate() is the
+one place that adds into such a dict; every layer above builds its
+linear combinations with it.
 
 Dense routines take lists of rows; the sparse solver takes equations as
 dicts mapping column index to coefficient.  Reduced row echelon form is
@@ -11,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
+    "accumulate",
     "rref",
     "rank",
     "nullspace",
@@ -26,6 +33,29 @@ __all__ = [
 
 Vector = list
 Matrix = list
+
+
+def accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into the sparse vector acc, in place.
+
+    A key whose sum becomes zero is deleted and a zero pair adds no key.
+    Returns acc.
+
+    >>> accumulate({"x": 1, "y": 2}, [("x", -1), ("z", 0), ("y", 3)])
+    {'y': 5}
+    """
+    for key, coeff in pairs:
+        old = acc.get(key)
+        if old is None:
+            if coeff:
+                acc[key] = coeff
+        else:
+            value = old + coeff
+            if value:
+                acc[key] = value
+            else:
+                del acc[key]
+    return acc
 
 
 def _clean_rows(rows: Iterable[Sequence]) -> list[list[Fraction]]:
@@ -207,25 +237,15 @@ def nullspace_sparse(equations: list[dict[int, Fraction]], nvars: int) -> list[l
                 inv = Fraction(1) / row[lead]
                 echelon[lead] = {k: v * inv for k, v in row.items()}
                 break
-            factor = row[lead]
-            for k, v in known.items():
-                value = row.get(k, Fraction(0)) - factor * v
-                if value:
-                    row[k] = value
-                else:
-                    row.pop(k, None)
+            factor = -row[lead]
+            accumulate(row, ((k, factor * v) for k, v in known.items()))
     # back substitution to full reduction
     for lead in sorted(echelon, reverse=True):
         row = echelon[lead]
         for other_lead, other in echelon.items():
             if other_lead < lead and lead in other:
-                factor = other[lead]
-                for k, v in row.items():
-                    value = other.get(k, Fraction(0)) - factor * v
-                    if value:
-                        other[k] = value
-                    else:
-                        other.pop(k, None)
+                factor = -other[lead]
+                accumulate(other, ((k, factor * v) for k, v in row.items()))
     pivot_set = set(echelon)
     basis = []
     for free in range(nvars):

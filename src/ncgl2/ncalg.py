@@ -19,7 +19,9 @@ to Fractions.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
+
+from .linalg import accumulate
 
 __all__ = [
     "LETTERS",
@@ -139,12 +141,7 @@ def normal_form_word(word: Word) -> dict[Word, Fraction]:
             continue
         acc: dict[Word, Fraction] = {}
         for cw, rc in children:
-            for nw, coeff in _NF_CACHE[cw].items():
-                value = acc.get(nw, Fraction(0)) + rc * coeff
-                if value:
-                    acc[nw] = value
-                else:
-                    acc.pop(nw, None)
+            accumulate(acc, ((nw, rc * coeff) for nw, coeff in _NF_CACHE[cw].items()))
         _NF_CACHE[w] = acc
         stack.pop()
     return _NF_CACHE[word]
@@ -155,25 +152,90 @@ def normal_form(terms: Mapping[Word, Fraction | int]) -> dict[Word, Fraction]:
     acc: dict[Word, Fraction] = {}
     for word, coeff in terms.items():
         coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        for nw, c in normal_form_word(tuple(word)).items():
-            value = acc.get(nw, Fraction(0)) + coeff * c
-            if value:
-                acc[nw] = value
-            else:
-                acc.pop(nw, None)
+        if coeff:
+            accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(tuple(word)).items()))
     return acc
 
 
-class NCElement:
+class _SparseElement:
+    """Linear arithmetic shared by NCElement and TensorElement.
+
+    A subclass stores its normal terms in _terms, says which values it
+    can be combined with (_coerce), how to build a sibling from terms
+    (_new), and how to multiply two of them (_product).  _arity is None
+    for algebra elements; only elements of equal arity combine.
+    """
+
+    __slots__ = ("_terms",)
+    _arity = None
+
+    def items(self):
+        return self._terms.items()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _peer(self, other):
+        other = self._coerce(other)
+        if other is not NotImplemented and other._arity != self._arity:
+            raise ValueError(f"cannot combine arity {self._arity} with arity {other._arity}")
+        return other
+
+    def __add__(self, other):
+        other = self._peer(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(accumulate(dict(self._terms), other._terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._peer(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._peer(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            scalar = Fraction(other)
+            return self._new({k: c * scalar for k, c in self._terms.items()} if scalar else {})
+        other = self._peer(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._new(self._product(other))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._arity == other._arity and self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+
+class NCElement(_SparseElement):
     """An element of O, stored as {normal word: Fraction}.
 
     Supports +, -, * (with elements and scalars), integer powers, and
     exact equality.  Instances are immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Word, Fraction | int] | None = None):
         self._terms = normal_form(terms or {})
@@ -184,76 +246,34 @@ class NCElement:
         el._terms = normal_terms
         return el
 
+    def _new(self, terms: dict[Word, Fraction]) -> "NCElement":
+        return NCElement._raw(terms)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, NCElement):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return NCElement._raw({(): Fraction(value)} if value else {})
+        return NotImplemented
+
+    def _product(self, other: "NCElement") -> dict[Word, Fraction]:
+        acc: dict[Word, Fraction] = {}
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                coeff = c1 * c2
+                accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(w1 + w2).items()))
+        return acc
+
     @property
     def terms(self) -> dict[Word, Fraction]:
         return dict(self._terms)
 
-    def items(self):
-        return self._terms.items()
-
     def coefficient(self, word: Word) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def support(self) -> list[Word]:
         return sorted(self._terms, key=word_key)
-
-    def __add__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._terms)
-        for w, c in other._terms.items():
-            value = acc.get(w, Fraction(0)) + c
-            if value:
-                acc[w] = value
-            else:
-                acc.pop(w, None)
-        return NCElement._raw(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCElement._raw({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            if not scalar:
-                return NCElement._raw({})
-            return NCElement._raw({w: c * scalar for w, c in self._terms.items()})
-        if isinstance(other, NCElement):
-            acc: dict[Word, Fraction] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    coeff = c1 * c2
-                    for nw, c in normal_form_word(w1 + w2).items():
-                        value = acc.get(nw, Fraction(0)) + coeff * c
-                        if value:
-                            acc[nw] = value
-                        else:
-                            acc.pop(nw, None)
-            return NCElement._raw(acc)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -263,30 +283,11 @@ class NCElement:
             result = result * self
         return result
 
-    def __eq__(self, other):
-        other = _as_element(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self):
         return f"NCElement({render_element(self)!r})"
 
     def __str__(self):
         return render_element(self)
-
-
-def _as_element(value) -> "NCElement":
-    if isinstance(value, NCElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        if value == 0:
-            return NCElement._raw({})
-        return NCElement._raw({(): Fraction(value)})
-    return NotImplemented
 
 
 def one() -> NCElement:
@@ -451,30 +452,24 @@ _ANTIPODE_INV_LETTER: dict[str, dict[Word, int]] = {
 }
 
 
-class TensorElement:
+class TensorElement(_SparseElement):
     """An element of a tensor power of O: {tuple of words: Fraction}.
 
     Keys are k-tuples of normal words, one per tensor leg.  The arity is
     fixed per instance.
     """
 
-    __slots__ = ("_arity", "_terms")
+    __slots__ = ("_arity",)
 
     def __init__(self, arity: int, terms: Mapping[tuple, Fraction | int] | None = None):
         self._arity = arity
         acc: dict[tuple, Fraction] = {}
         for key, coeff in (terms or {}).items():
+            if len(key) != arity:
+                raise ValueError(f"tensor key {key!r} does not have {arity} legs")
             coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            assert len(key) == arity
-            expansion = [normal_form_word(tuple(w)) for w in key]
-            for combo, c in _expand(expansion):
-                value = acc.get(combo, Fraction(0)) + coeff * c
-                if value:
-                    acc[combo] = value
-                else:
-                    acc.pop(combo, None)
+            if coeff:
+                accumulate(acc, _expand([normal_form_word(tuple(w)) for w in key], coeff))
         self._terms = acc
 
     @classmethod
@@ -484,80 +479,31 @@ class TensorElement:
         el._terms = terms
         return el
 
+    def _new(self, terms: dict[tuple, Fraction]) -> "TensorElement":
+        return TensorElement._raw(self._arity, terms)
+
+    @staticmethod
+    def _coerce(value):
+        return value if isinstance(value, TensorElement) else NotImplemented
+
+    def _product(self, other: "TensorElement") -> dict[tuple, Fraction]:
+        acc: dict[tuple, Fraction] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                expansion = [normal_form_word(w1 + w2) for w1, w2 in zip(k1, k2)]
+                accumulate(acc, _expand(expansion, c1 * c2))
+        return acc
+
     @property
     def arity(self) -> int:
         return self._arity
 
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "TensorElement"):
-        assert self._arity == other._arity
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            value = acc.get(key, Fraction(0)) + c
-            if value:
-                acc[key] = value
-            else:
-                acc.pop(key, None)
-        return TensorElement._raw(self._arity, acc)
-
-    def __neg__(self):
-        return TensorElement._raw(self._arity, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "TensorElement"):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            if not scalar:
-                return TensorElement._raw(self._arity, {})
-            return TensorElement._raw(
-                self._arity, {k: c * scalar for k, c in self._terms.items()}
-            )
-        if isinstance(other, TensorElement):
-            assert self._arity == other._arity
-            acc: dict[tuple, Fraction] = {}
-            for k1, c1 in self._terms.items():
-                for k2, c2 in other._terms.items():
-                    coeff = c1 * c2
-                    expansion = [
-                        normal_form_word(w1 + w2) for w1, w2 in zip(k1, k2)
-                    ]
-                    for combo, c in _expand(expansion):
-                        value = acc.get(combo, Fraction(0)) + coeff * c
-                        if value:
-                            acc[combo] = value
-                        else:
-                            acc.pop(combo, None)
-            return TensorElement._raw(self._arity, acc)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def leg(self, index: int) -> "NCElement":
         """Collapse to the given leg; only valid when all other legs are 1."""
-        acc: dict[Word, Fraction] = {}
-        for key, c in self._terms.items():
-            for j, w in enumerate(key):
-                if j != index and w != ():
-                    raise ValueError("tensor element is not concentrated in one leg")
-            acc[key[index]] = acc.get(key[index], Fraction(0)) + c
-        return NCElement._raw({w: c for w, c in acc.items() if c})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self._arity == other._arity
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self._arity, frozenset(self._terms.items())))
+        for key in self._terms:
+            if any(w for j, w in enumerate(key) if j != index):
+                raise ValueError("tensor element is not concentrated in one leg")
+        return NCElement._raw(accumulate({}, ((key[index], c) for key, c in self._terms.items())))
 
     def __repr__(self):
         parts = []
@@ -568,26 +514,20 @@ class TensorElement:
         return "TensorElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _expand(factors: list[dict[Word, Fraction]]) -> Iterator[tuple[tuple, Fraction]]:
-    """Cartesian expansion of per-leg normal forms."""
-    combos: list[tuple[tuple, Fraction]] = [((), Fraction(1))]
+def _expand(factors: list[dict[Word, Fraction]], scale: Fraction) -> list[tuple[tuple, Fraction]]:
+    """Cartesian expansion of per-leg normal forms, times scale."""
+    combos: list[tuple[tuple, Fraction]] = [((), scale)]
     for factor in factors:
         combos = [
             (key + (w,), c * cw) for key, c in combos for w, cw in factor.items()
         ]
-    return iter(combos)
+    return combos
 
 
 def tensor_of(*elements: NCElement) -> TensorElement:
     """Tensor product of algebra elements as a TensorElement."""
-    acc: dict[tuple, Fraction] = {(): Fraction(1)}
-    for el in elements:
-        acc = {
-            key + (w,): c * cw
-            for key, c in acc.items()
-            for w, cw in el.items()
-        }
-    return TensorElement._raw(len(elements), {k: c for k, c in acc.items() if c})
+    terms = _expand([el._terms for el in elements], Fraction(1))
+    return TensorElement._raw(len(elements), dict(terms))
 
 
 def coproduct(element: NCElement) -> TensorElement:
@@ -599,81 +539,48 @@ def _coproduct_word(word: Word) -> dict[tuple[Word, Word], Fraction]:
     pairs: dict[tuple[Word, Word], Fraction] = {((), ()): Fraction(1)}
     for letter in word:
         nxt: dict[tuple[Word, Word], Fraction] = {}
+        images = _COPROD_LETTER[letter].items()
         for (u1, u2), c in pairs.items():
-            for (v1, v2), cl in _COPROD_LETTER[letter].items():
-                key = (u1 + v1, u2 + v2)
-                value = nxt.get(key, Fraction(0)) + c * cl
-                if value:
-                    nxt[key] = value
-                else:
-                    nxt.pop(key, None)
+            accumulate(nxt, (((u1 + v1, u2 + v2), c * cl) for (v1, v2), cl in images))
         pairs = nxt
     return pairs
 
 
-def _coproduct_element(element: NCElement) -> TensorElement:
+def _coproduct_at(terms: Iterable[tuple[tuple, Fraction]], leg: int) -> dict[tuple, Fraction]:
+    """Coproduct applied to the given leg of tensor keys, in normal form."""
     acc: dict[tuple, Fraction] = {}
-    for word, coeff in element.items():
-        for (w1, w2), c in _coproduct_word(word).items():
-            nf1 = normal_form_word(w1)
-            nf2 = normal_form_word(w2)
-            for n1, c1 in nf1.items():
-                for n2, c2 in nf2.items():
-                    key = (n1, n2)
-                    value = acc.get(key, Fraction(0)) + coeff * c * c1 * c2
-                    if value:
-                        acc[key] = value
-                    else:
-                        acc.pop(key, None)
-    return TensorElement._raw(2, acc)
+    for key, coeff in terms:
+        head, tail = key[:leg], key[leg + 1 :]
+        for (w1, w2), c in _coproduct_word(key[leg]).items():
+            expansion = _expand([normal_form_word(w1), normal_form_word(w2)], coeff * c)
+            accumulate(acc, ((head + pair + tail, value) for pair, value in expansion))
+    return acc
+
+
+def _coproduct_element(element: NCElement) -> TensorElement:
+    return TensorElement._raw(2, _coproduct_at((((w,), c) for w, c in element.items()), 0))
 
 
 def coproduct_leg(tensor: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one leg of a tensor element."""
-    acc: dict[tuple, Fraction] = {}
-    for key, coeff in tensor.items():
-        for (w1, w2), c in _coproduct_word(key[leg]).items():
-            for n1, c1 in normal_form_word(w1).items():
-                for n2, c2 in normal_form_word(w2).items():
-                    new_key = key[:leg] + (n1, n2) + key[leg + 1 :]
-                    value = acc.get(new_key, Fraction(0)) + coeff * c * c1 * c2
-                    if value:
-                        acc[new_key] = value
-                    else:
-                        acc.pop(new_key, None)
-    return TensorElement._raw(tensor.arity + 1, acc)
+    return TensorElement._raw(tensor.arity + 1, _coproduct_at(tensor.items(), leg))
+
+
+def _counit_word(word: Word) -> int:
+    value = 1
+    for letter in word:
+        value *= _COUNIT_LETTER[letter]
+    return value
 
 
 def counit(element: NCElement) -> Fraction:
-    total = Fraction(0)
-    for word, coeff in element.items():
-        value = coeff
-        for letter in word:
-            value *= _COUNIT_LETTER[letter]
-            if not value:
-                break
-        total += value
-    return total
+    return sum((coeff * _counit_word(word) for word, coeff in element.items()), Fraction(0))
 
 
 def counit_leg(tensor: TensorElement, leg: int) -> TensorElement:
     """Apply the counit to one leg, dropping it."""
-    acc: dict[tuple, Fraction] = {}
-    for key, coeff in tensor.items():
-        value = coeff
-        for letter in key[leg]:
-            value *= _COUNIT_LETTER[letter]
-            if not value:
-                break
-        if not value:
-            continue
-        new_key = key[:leg] + key[leg + 1 :]
-        total = acc.get(new_key, Fraction(0)) + value
-        if total:
-            acc[new_key] = total
-        else:
-            acc.pop(new_key, None)
-    return TensorElement._raw(tensor.arity - 1, acc)
+    pairs = ((key[:leg] + key[leg + 1 :], c * _counit_word(key[leg])) for key, c in tensor.items())
+    return TensorElement._raw(tensor.arity - 1, accumulate({}, pairs))
 
 
 def _anti_hom(element: NCElement, letter_images: dict[str, dict[Word, int]]) -> NCElement:
@@ -684,12 +591,7 @@ def _anti_hom(element: NCElement, letter_images: dict[str, dict[Word, int]]) -> 
             factor = factor * NCElement._raw(
                 {w: Fraction(c) for w, c in letter_images[letter].items()}
             )
-        for w, c in factor.items():
-            value = result.get(w, Fraction(0)) + coeff * c
-            if value:
-                result[w] = value
-            else:
-                result.pop(w, None)
+        accumulate(result, ((w, coeff * c) for w, c in factor.items()))
     return NCElement._raw(result)
 
 
@@ -707,13 +609,8 @@ def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
     acc: dict[tuple, Fraction] = {}
     for key, coeff in tensor.items():
         image = antipode(NCElement._raw({key[leg]: Fraction(1)}))
-        for w, c in image.items():
-            new_key = key[:leg] + (w,) + key[leg + 1 :]
-            value = acc.get(new_key, Fraction(0)) + coeff * c
-            if value:
-                acc[new_key] = value
-            else:
-                acc.pop(new_key, None)
+        head, tail = key[:leg], key[leg + 1 :]
+        accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
     return TensorElement._raw(tensor.arity, acc)
 
 
@@ -721,15 +618,8 @@ def multiply_legs(tensor: TensorElement) -> NCElement:
     """Multiply all legs together in order (the convolution product step)."""
     acc: dict[Word, Fraction] = {}
     for key, coeff in tensor.items():
-        concatenated = ()
-        for w in key:
-            concatenated = concatenated + w
-        for nw, c in normal_form_word(concatenated).items():
-            value = acc.get(nw, Fraction(0)) + coeff * c
-            if value:
-                acc[nw] = value
-            else:
-                acc.pop(nw, None)
+        concatenated = sum(key, ())
+        accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(concatenated).items()))
     return NCElement._raw(acc)
 
 

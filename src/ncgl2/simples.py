@@ -43,6 +43,7 @@ from fractions import Fraction
 from .weights import LambdaWord, Weight
 from .comodules import Comodule, char_mul, tensor_many, trivial
 from . import linalg
+from .linalg import accumulate
 
 __all__ = [
     "BlockExpression",
@@ -148,10 +149,6 @@ def split_segments(lam: LambdaWord):
                 current.append(value)
             elif current:
                 segments.append(tuple(current))
-                connectors.append(pending_delta)
-                current = [value]
-            elif segments:
-                segments.append(tuple(current)) if current else None
                 connectors.append(pending_delta)
                 current = [value]
             else:
@@ -507,19 +504,16 @@ def _apply_operator(poly: dict, pairs) -> dict:
     """
     out: dict = {}
     for mono, coeff in poly.items():
-        for o, i in pairs:
-            if mono[i] == 0:
-                continue
-            new = list(mono)
-            new[i] -= 1
-            new[o] += 1
-            key = tuple(new)
-            value = out.get(key, _ZERO) + coeff * mono[i]
-            if value:
-                out[key] = value
-            else:
-                out.pop(key, None)
+        accumulate(out, ((_shift(mono, o, i), coeff * mono[i]) for o, i in pairs if mono[i]))
     return out
+
+
+def _shift(mono: tuple, o: int, i: int) -> tuple:
+    """The monomial with one power moved from variable i to variable o."""
+    new = list(mono)
+    new[i] -= 1
+    new[o] += 1
+    return tuple(new)
 
 
 def sl2_commutation_check(max_exp: int = 4) -> bool:

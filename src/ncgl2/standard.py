@@ -55,6 +55,7 @@ from .comodules import (
     trivial,
 )
 from . import linalg
+from .linalg import accumulate
 
 __all__ = [
     "build_V",
@@ -133,13 +134,12 @@ def build_SymV(y: int) -> Comodule:
         rows = (0,) * (y - k) + (1,) * k
         entries = []
         for l in range(y + 1):
-            terms: dict[tuple[str, ...], Fraction] = {}
-            for cols in product((0, 1), repeat=y):
-                if sum(cols) != l:
-                    continue
-                word = tuple(letters[rows[t]][cols[t]] for t in range(y))
-                terms[word] = terms.get(word, _ZERO) + _ONE
-            entries.append(NCElement(terms))
+            words = (
+                tuple(letters[rows[t]][cols[t]] for t in range(y))
+                for cols in product((0, 1), repeat=y)
+                if sum(cols) == l
+            )
+            entries.append(NCElement(accumulate({}, ((word, _ONE) for word in words))))
         coaction.append(tuple(entries))
     return Comodule(labels, tuple(coaction))
 

@@ -1,10 +1,14 @@
 """Exact rational linear algebra."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import ncgl2
 from ncgl2.linalg import (
+    accumulate,
     identity,
     mat_mul,
     mat_vec,
@@ -18,6 +22,42 @@ from ncgl2.linalg import (
 )
 
 F = Fraction
+
+
+def test_accumulate_cancelling_pair_deletes_key():
+    acc = {"x": F(1, 2), "y": F(1)}
+    accumulate(acc, [("x", F(-1, 2))])
+    assert acc == {"y": F(1)}
+
+
+def test_accumulate_zero_pair_adds_no_key():
+    assert accumulate({}, [("x", F(0)), ("y", 0)]) == {}
+
+
+def test_accumulate_mutates_and_returns_same_dict():
+    acc = {"x": F(1)}
+    assert accumulate(acc, iter([("x", F(2)), ("z", F(-3))])) is acc
+    assert acc == {"x": F(3), "z": F(-3)}
+
+
+def test_accumulate_tuple_keys_and_int_coefficients():
+    acc = accumulate({}, [((1, ("a",)), 2), ((1, ("a",)), 3), ((0, ()), -1), ((0, ()), 1)])
+    assert acc == {(1, ("a",)): 5}
+    assert type(acc[(1, ("a",))]) is int
+
+
+def test_accumulate_is_the_only_accumulation_loop():
+    # Hand-written "add into a dict with a zero default" loops bypass the
+    # no-stored-zero rule; accumulate() is the one place that adds.
+    pattern = re.compile(r"\.get\([^()]*(?:\([^()]*\))?[^()]*,\s*(?:0|Fraction\(0\)|_ZERO)\)\s*[+-]")
+    package = Path(ncgl2.__file__).parent
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
 
 
 def test_rref_known():

@@ -14,6 +14,7 @@ from ncgl2.ncalg import (
     RULES,
     ExprSyntaxError,
     NCElement,
+    TensorElement,
     antipode,
     antipode_inv,
     check_confluence,
@@ -34,6 +35,7 @@ from ncgl2.ncalg import (
     render_element,
     render_word,
     antipode_leg,
+    tensor_of,
 )
 
 
@@ -207,6 +209,38 @@ class TestHopf:
         x = element("a*b")
         y = element("c + d")
         assert antipode(x * y) == antipode(y) * antipode(x)
+
+
+class TestTensorElement:
+    def test_arithmetic_matches_legwise_products(self):
+        a, b, d = gen("a"), gen("b"), gen("d")
+        x = tensor_of(a, b)
+        y = tensor_of(d, a)
+        assert x * y == tensor_of(a * d, b * a)
+        assert x + y - y == x
+        assert -x + x == TensorElement(2)
+        assert 2 * x == x + x == x * Fraction(2)
+        assert x * 0 == TensorElement(2)
+        assert hash(x + y) == hash(y + x)
+
+    def test_init_normalizes_each_leg(self):
+        t = TensorElement(2, {(("d", "a"), ("c", "a")): 3})
+        assert t == tensor_of(element("b*c + D"), element("a*c")) * 3
+
+    def test_mixed_arity_raises_value_error(self):
+        two = tensor_of(gen("a"), gen("b"))
+        three = tensor_of(gen("a"), gen("b"), gen("c"))
+        with pytest.raises(ValueError):
+            two + three
+        with pytest.raises(ValueError):
+            two - three
+        with pytest.raises(ValueError):
+            two * three
+        assert two != three
+
+    def test_key_length_must_match_arity(self):
+        with pytest.raises(ValueError):
+            TensorElement(2, {(("a",),): 1})
 
 
 # ---------------------------------------------------------------------------
