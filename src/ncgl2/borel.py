@@ -48,7 +48,7 @@ from .ncalg import (
     normal_form,
     word_key,
 )
-from .weights import LambdaWord, Weight, is_dominant
+from .weights import Weight
 from .comodules import Comodule, comodule_from_regular, generated_subcomodule
 from . import linalg
 from .linalg import accumulate

@@ -17,7 +17,6 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 __all__ = ["SUITE_NAMES", "run_check_suite"]
 

@@ -42,7 +42,6 @@ from .ncalg import (
 )
 from .weights import (
     LambdaSyntaxError,
-    LambdaWord,
     parse_lambda,
     parse_weight,
     render_weight,
@@ -180,7 +179,7 @@ def _run(args, config) -> tuple[dict, int]:
         }, 0
 
     if args.verb == "simple":
-        from .simples import classify, classify_crosscheck
+        from .simples import classify_crosscheck
 
         lam = parse_lambda(args.lam)
         report = classify_crosscheck(lam)

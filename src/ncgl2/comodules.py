@@ -72,7 +72,8 @@ class Comodule:
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         rows = tuple(tuple(entry for entry in row) for row in coaction)
-        assert len(rows) == self.dim and all(len(row) == self.dim for row in rows)
+        if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
+            raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         self.coaction = rows
 
     def entry(self, i: int, j: int) -> NCElement:
@@ -91,11 +92,13 @@ class ComoduleMap:
         self.source = source
         self.target = target
         rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        assert len(rows) == target.dim and all(len(row) == source.dim for row in rows)
+        if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
+            raise ValueError(f"map matrix must be {target.dim} x {source.dim}")
         self.matrix = rows
 
     def apply(self, vector: Sequence) -> list[Fraction]:
-        assert len(vector) == self.source.dim
+        if len(vector) != self.source.dim:
+            raise ValueError(f"vector must have length {self.source.dim}")
         return [
             sum((row[i] * Fraction(vector[i]) for i in range(self.source.dim)), Fraction(0))
             for row in self.matrix
@@ -103,7 +106,8 @@ class ComoduleMap:
 
     def compose(self, other: "ComoduleMap") -> "ComoduleMap":
         """self after other."""
-        assert other.target is self.source or other.target.dim == self.source.dim
+        if other.target is not self.source and other.target.dim != self.source.dim:
+            raise ValueError("cannot compose: target and source dimensions differ")
         product = linalg.mat_mul(self.matrix, other.matrix)
         return ComoduleMap(other.source, self.target, product)
 
@@ -202,10 +206,14 @@ def tensor_many(factors: Sequence[Comodule]) -> Comodule:
 
 
 def right_dual(X: Comodule) -> Comodule:
-    """The dual comodule with coaction entries S(C[j][i])."""
+    """The dual comodule with coaction entries S(C[j][i]).
+
+    All entries share one rewrite memo, dropped on return (see left_dual).
+    """
     labels = tuple(f"{l}*" for l in X.labels)
+    memo: dict = {}
     coaction = [
-        [antipode(X.coaction[j][i]) for j in range(X.dim)] for i in range(X.dim)
+        [antipode(X.coaction[j][i], memo) for j in range(X.dim)] for i in range(X.dim)
     ]
     return Comodule(labels, coaction)
 
@@ -216,10 +224,17 @@ def left_dual(X: Comodule) -> Comodule:
     The determinant is not central, so the two duals are genuinely
     different twists: left_dual(V) is isomorphic to V # R^-1 while
     right_dual(V) is isomorphic to R^-1 # V.
+
+    The entries are S^-1(C[j][i]).  S^-1 sends every letter to one signed
+    word, so each word of an entry is rewritten once.  The entries of one
+    dual share many intermediate words, so all of them share one rewrite
+    memo, which is dropped on return: the global normal-form cache is
+    read but never grows here.
     """
     labels = tuple(f"*{l}" for l in X.labels)
+    memo: dict = {}
     coaction = [
-        [antipode_inv(X.coaction[j][i]) for j in range(X.dim)] for i in range(X.dim)
+        [antipode_inv(X.coaction[j][i], memo) for j in range(X.dim)] for i in range(X.dim)
     ]
     return Comodule(labels, coaction)
 
@@ -296,7 +311,8 @@ def weight_decomposition(X: Comodule) -> dict[Weight, int]:
         if mult:
             out[t] = mult
             total += mult
-    assert total == X.dim, "torus action is not semisimple on this basis"
+    if total != X.dim:
+        raise RuntimeError("torus action is not semisimple on this basis")
     return out
 
 
@@ -348,7 +364,10 @@ def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> lis
     else:
         allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim)]
     var_index = {pair: n for n, pair in enumerate(allowed)}
+    # repeated equations are dropped here, keeping first occurrences in
+    # order; the reduced echelon form, and so the basis, is unchanged
     equations: list[dict[int, Fraction]] = []
+    seen: set[frozenset] = set()
     for i in range(X.dim):
         for m in range(Y.dim):
             per_word: dict[tuple, dict[int, Fraction]] = {}
@@ -365,7 +384,11 @@ def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> lis
                     continue
                 for w, c in X.coaction[i][j].items():
                     accumulate(per_word.setdefault(w, {}), ((var, -c),))
-            equations.extend(per_word[w] for w in sorted(per_word, key=word_key) if per_word[w])
+            for w in sorted(per_word, key=word_key):
+                key = frozenset(per_word[w].items())
+                if key and key not in seen:
+                    seen.add(key)
+                    equations.append(per_word[w])
     solutions = linalg.nullspace_sparse(equations, len(allowed))
     maps = []
     for sol in solutions:
@@ -496,7 +519,8 @@ def generated_subcomodule(X: Comodule, vector: Sequence) -> tuple[Comodule, Como
             for _, component in _coaction_components(X, row):
                 if echelon.insert(component):
                     grew = True
-        assert len(echelon) <= X.dim
+        if len(echelon) > X.dim:
+            raise RuntimeError("closure grew past the dimension of the comodule")
     return subspace_comodule(X, echelon.basis())
 
 
@@ -578,7 +602,8 @@ def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list
     for p, row in enumerate(basis):
         for w1, component in _coproduct_components(row):
             coords = echelon.coordinates(component)
-            assert coords is not None, "closure failed to capture a component"
+            if coords is None:
+                raise RuntimeError("closure failed to capture a component")
             for q in range(n):
                 if coords[q]:
                     coaction[p][q] = coaction[p][q] + NCElement({w1: coords[q]})

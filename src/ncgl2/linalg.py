@@ -142,7 +142,8 @@ def mat_mul(A: Iterable[Sequence], B: Iterable[Sequence]) -> list[list[Fraction]
     B = _clean_rows(B)
     if not A:
         return []
-    assert not B or len(A[0]) == len(B)
+    if B and len(A[0]) != len(B):
+        raise ValueError("cannot multiply: inner dimensions differ")
     ncols = len(B[0]) if B else 0
     return [
         [sum((arow[k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(ncols)]

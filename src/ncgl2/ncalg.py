@@ -114,37 +114,52 @@ _NF_CACHE: dict[Word, dict[Word, Fraction]] = {}
 def normal_form_word(word: Word) -> dict[Word, Fraction]:
     """Normal form of a single word as a dict of normal words to Fractions.
 
-    Iterative so that long reduction chains cannot overflow the stack;
-    every intermediate word is cached.
+    Every intermediate word of the reduction is cached in _NF_CACHE.
     """
-    word = tuple(word)
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
+    return _reduce(tuple(word), _NF_CACHE)
+
+
+def _reduce(word: Word, memo: dict[Word, dict[Word, Fraction]]) -> dict[Word, Fraction]:
+    """Normal form of word, storing every intermediate word in memo.
+
+    Reads _NF_CACHE first, then memo, and writes new entries only into
+    memo, so a caller can keep the intermediates of long one-off words
+    out of the global cache.  Iterative so that long reduction chains
+    cannot overflow the stack.
+    """
+    cache = _NF_CACHE
+    found = cache.get(word)
+    if found is None:
+        found = memo.get(word)
+    if found is not None:
+        return found
     stack = [word]
     while stack:
         w = stack[-1]
-        if w in _NF_CACHE:
+        if w in cache or w in memo:
             stack.pop()
             continue
         redex = _first_redex(w)
         if redex is None:
-            _NF_CACHE[w] = {w: Fraction(1)}
+            memo[w] = {w: Fraction(1)}
             stack.pop()
             continue
         i, length, rhs = redex
         prefix, suffix = w[:i], w[i + length :]
         children = [(prefix + rw + suffix, rc) for rw, rc in rhs.items()]
-        missing = [cw for cw, _ in children if cw not in _NF_CACHE]
+        missing = [cw for cw, _ in children if cw not in cache and cw not in memo]
         if missing:
             stack.extend(missing)
             continue
         acc: dict[Word, Fraction] = {}
         for cw, rc in children:
-            accumulate(acc, ((nw, rc * coeff) for nw, coeff in _NF_CACHE[cw].items()))
-        _NF_CACHE[w] = acc
+            nf = cache.get(cw)
+            if nf is None:
+                nf = memo[cw]
+            accumulate(acc, ((nw, rc * coeff) for nw, coeff in nf.items()))
+        memo[w] = acc
         stack.pop()
-    return _NF_CACHE[word]
+    return memo[word]
 
 
 def normal_form(terms: Mapping[Word, Fraction | int]) -> dict[Word, Fraction]:
@@ -411,7 +426,8 @@ def check_confluence() -> dict:
 
 
 def _apply_rule_at(word: Word, pos: int, lhs: Word, rhs: dict[Word, int]):
-    assert word[pos : pos + len(lhs)] == lhs
+    if word[pos : pos + len(lhs)] != lhs:
+        raise RuntimeError(f"rule {lhs!r} does not occur in {word!r} at {pos}")
     prefix, suffix = word[:pos], word[pos + len(lhs) :]
     return {prefix + rw + suffix: Fraction(rc) for rw, rc in rhs.items()}
 
@@ -431,24 +447,25 @@ _COPROD_LETTER: dict[str, dict[tuple[Word, Word], int]] = {
 
 _COUNIT_LETTER = {"a": 1, "b": 0, "c": 0, "d": 1, "D": 1, "Di": 1}
 
-# Antipode of a single letter; an algebra anti-homomorphism on words.
-_ANTIPODE_LETTER: dict[str, dict[Word, int]] = {
-    "a": {("Di", "d"): 1},
-    "b": {("Di", "b"): -1},
-    "c": {("Di", "c"): -1},
-    "d": {("Di", "a"): 1},
-    "D": {("Di",): 1},
-    "Di": {("D",): 1},
+# Antipode of a single letter, one signed word each: (sign, word).  S is
+# an algebra anti-homomorphism on words.
+_ANTIPODE_LETTER: dict[str, tuple[int, Word]] = {
+    "a": (1, ("Di", "d")),
+    "b": (-1, ("Di", "b")),
+    "c": (-1, ("Di", "c")),
+    "d": (1, ("Di", "a")),
+    "D": (1, ("Di",)),
+    "Di": (1, ("D",)),
 }
 
 # Inverse antipode: the determinant factor moves to the other side.
-_ANTIPODE_INV_LETTER: dict[str, dict[Word, int]] = {
-    "a": {("d", "Di"): 1},
-    "b": {("b", "Di"): -1},
-    "c": {("c", "Di"): -1},
-    "d": {("a", "Di"): 1},
-    "D": {("Di",): 1},
-    "Di": {("D",): 1},
+_ANTIPODE_INV_LETTER: dict[str, tuple[int, Word]] = {
+    "a": (1, ("d", "Di")),
+    "b": (-1, ("b", "Di")),
+    "c": (-1, ("c", "Di")),
+    "d": (1, ("a", "Di")),
+    "D": (1, ("Di",)),
+    "Di": (1, ("D",)),
 }
 
 
@@ -583,32 +600,58 @@ def counit_leg(tensor: TensorElement, leg: int) -> TensorElement:
     return TensorElement._raw(tensor.arity - 1, accumulate({}, pairs))
 
 
-def _anti_hom(element: NCElement, letter_images: dict[str, dict[Word, int]]) -> NCElement:
+def _anti_hom(
+    element: NCElement,
+    letter_images: dict[str, tuple[int, Word]],
+    memo: dict[Word, dict[Word, Fraction]],
+) -> NCElement:
+    """The anti-homomorphism given by single signed-word letter images.
+
+    Each letter x has the image s(x) * w(x) for one word w(x) and a sign
+    s(x), so the image of x1...xn is s(x1)...s(xn) times the normal form
+    of the one word w(xn)...w(x1): each word of the element is rewritten
+    once.  The intermediates of that rewrite go into memo, not into
+    _NF_CACHE.
+    """
     result: dict[Word, Fraction] = {}
     for word, coeff in element.items():
-        factor = one()
+        image: Word = ()
         for letter in reversed(word):
-            factor = factor * NCElement._raw(
-                {w: Fraction(c) for w, c in letter_images[letter].items()}
-            )
-        accumulate(result, ((w, coeff * c) for w, c in factor.items()))
+            sign, letter_word = letter_images[letter]
+            image += letter_word
+            if sign < 0:
+                coeff = -coeff
+        accumulate(result, ((w, coeff * c) for w, c in _reduce(image, memo).items()))
     return NCElement._raw(result)
 
 
-def antipode(element: NCElement) -> NCElement:
-    """The antipode S, an algebra anti-homomorphism."""
-    return _anti_hom(element, _ANTIPODE_LETTER)
+def antipode(element: NCElement, memo: dict | None = None) -> NCElement:
+    """The antipode S, an algebra anti-homomorphism.
+
+    Every letter maps to one signed word (a -> Di*d, b -> -Di*b, ...), so
+    each word of the element costs one rewrite.  memo holds the
+    intermediate words of those rewrites; pass one dict to share them
+    across related calls, and drop it afterwards.  A fresh dict is used
+    when memo is None.  _NF_CACHE is read, never written.
+    """
+    return _anti_hom(element, _ANTIPODE_LETTER, {} if memo is None else memo)
 
 
-def antipode_inv(element: NCElement) -> NCElement:
-    """The inverse of the antipode, also an anti-homomorphism."""
-    return _anti_hom(element, _ANTIPODE_INV_LETTER)
+def antipode_inv(element: NCElement, memo: dict | None = None) -> NCElement:
+    """The inverse of the antipode, also an anti-homomorphism.
+
+    Every letter maps to one signed word (a -> d*Di, b -> -b*Di, ...);
+    memo works as in antipode.
+    """
+    return _anti_hom(element, _ANTIPODE_INV_LETTER, {} if memo is None else memo)
 
 
 def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
+    """Apply the antipode to one leg; all terms share one rewrite memo."""
+    memo: dict[Word, dict[Word, Fraction]] = {}
     acc: dict[tuple, Fraction] = {}
     for key, coeff in tensor.items():
-        image = antipode(NCElement._raw({key[leg]: Fraction(1)}))
+        image = antipode(NCElement._raw({key[leg]: Fraction(1)}), memo)
         head, tail = key[:leg], key[leg + 1 :]
         accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
     return TensorElement._raw(tensor.arity, acc)

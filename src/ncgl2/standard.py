@@ -39,7 +39,6 @@ from .weights import (
     LambdaWord,
     Weight,
     parse_lambda,
-    weight_key,
 )
 from .comodules import (
     Comodule,

@@ -20,7 +20,7 @@ that each strictly drop ell.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Weight",

@@ -32,16 +32,19 @@ from ncgl2.comodules import (
     verify_comodule,
     weight_decomposition,
 )
-from ncgl2.ncalg import gen, parse_expression
+from ncgl2 import ncalg
+from ncgl2.ncalg import gen, one, parse_expression
 from ncgl2.standard import (
     build_R,
     build_SymV,
     build_V,
+    build_nabla,
     coevaluation_map,
     evaluation_map,
     sym_power_via_quotient,
 )
-from ncgl2.weights import Weight
+from ncgl2.weights import Weight, parse_lambda
+from test_ncalg import ANTIPODE_IMAGES, ANTIPODE_INV_IMAGES, letter_by_letter
 
 
 V = build_V()
@@ -202,6 +205,71 @@ class TestDuals:
         assert weight_decomposition(dd) == weight_decomposition(V)
         assert not are_isomorphic(dd, V)
         assert hom_space(V, dd) == []
+
+
+    @pytest.mark.parametrize("lam", ["d^3", "d.Di.d^2"])
+    def test_left_dual_matches_letter_by_letter_oracle(self, lam):
+        N = build_nabla(parse_lambda(lam))
+        dual = left_dual(N)
+        for i in range(N.dim):
+            for j in range(N.dim):
+                assert dual.coaction[i][j] == letter_by_letter(N.coaction[j][i], ANTIPODE_INV_IMAGES)
+
+    def test_right_dual_matches_letter_by_letter_oracle(self):
+        dual = right_dual(W)
+        for i in range(W.dim):
+            for j in range(W.dim):
+                assert dual.coaction[i][j] == letter_by_letter(W.coaction[j][i], ANTIPODE_IMAGES)
+
+    def test_duals_do_not_grow_the_global_cache(self):
+        # the rewrites of one dual share a memo that is dropped afterwards
+        X = build_nabla(parse_lambda("d^4"))
+        before = len(ncalg._NF_CACHE)
+        left_dual(X)
+        right_dual(X)
+        assert len(ncalg._NF_CACHE) == before
+
+
+class TestInvariantChecks:
+    def test_ragged_coaction_raises_value_error(self):
+        with pytest.raises(ValueError):
+            Comodule(("x", "y"), [[one(), one()], [one()]])
+
+    def test_map_shape_and_compose_raise_value_error(self):
+        with pytest.raises(ValueError):
+            ComoduleMap(V, V, [[1, 0]])
+        with pytest.raises(ValueError):
+            ComoduleMap(V, V, [[1, 0], [0, 1]]).apply([1])
+        to_line = ComoduleMap(V, trivial(), [[0, 0]])
+        with pytest.raises(ValueError):
+            to_line.compose(to_line)
+
+    def test_shape_check_runs_under_python_optimize(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ncgl2
+
+        code = (
+            "from ncgl2.comodules import Comodule\n"
+            "from ncgl2.ncalg import one\n"
+            "try:\n"
+            "    Comodule(('x', 'y'), [[one(), one()], [one()]])\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        src = str(Path(ncgl2.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ValueError\n"
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 """Exact rational linear algebra."""
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +57,18 @@ def test_accumulate_is_the_only_accumulation_loop():
         for path in sorted(package.glob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements; invariant checks must raise
+    package = Path(ncgl2.__file__).parent
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
     ]
     assert hits == []
 

@@ -43,6 +43,22 @@ def element(text: str) -> NCElement:
     return parse_expression(text)
 
 
+# S and S^-1 of each generator, as expressions
+ANTIPODE_IMAGES = {"a": "Di*d", "b": "-Di*b", "c": "-Di*c", "d": "Di*a", "D": "Di", "Di": "D"}
+ANTIPODE_INV_IMAGES = {"a": "d*Di", "b": "-b*Di", "c": "-c*Di", "d": "a*Di", "D": "Di", "Di": "D"}
+
+
+def letter_by_letter(el: NCElement, images: dict[str, str]) -> NCElement:
+    """Oracle for S and S^-1: the product of the letter images, right to left."""
+    result = NCElement({})
+    for word, coeff in el.items():
+        factor = one()
+        for letter in reversed(word):
+            factor = factor * element(images[letter])
+        result = result + factor * coeff
+    return result
+
+
 # ---------------------------------------------------------------------------
 # rewriting
 
@@ -209,6 +225,24 @@ class TestHopf:
         x = element("a*b")
         y = element("c + d")
         assert antipode(x * y) == antipode(y) * antipode(x)
+
+    def test_antipode_matches_letter_by_letter_oracle(self):
+        for word in enumerate_basis(5):
+            el = NCElement({word: Fraction(1)})
+            assert antipode(el) == letter_by_letter(el, ANTIPODE_IMAGES), word
+            assert antipode_inv(el) == letter_by_letter(el, ANTIPODE_INV_IMAGES), word
+
+    def test_antipode_inv_inverts_antipode_up_to_length_5(self):
+        for word in enumerate_basis(5):
+            el = NCElement({word: Fraction(1)})
+            assert antipode_inv(antipode(el)) == el, word
+
+    def test_antipode_of_a_sum_with_a_shared_memo(self):
+        el = element("3/2*a*b*c - d*Di*a + 2")
+        memo = {}
+        first = antipode_inv(el, memo)
+        assert antipode_inv(el, memo) == first == letter_by_letter(el, ANTIPODE_INV_IMAGES)
+        assert all(type(c) is Fraction for _, c in first.items())
 
 
 class TestTensorElement:
