@@ -3,7 +3,8 @@
 The package is organized bottom up:
 
   linalg     sparse vectors {key: coefficient} and the one accumulate()
-             that adds into them, and exact linear algebra over Fraction
+             that adds into them, fraction-free sparse elimination, and
+             dense exact linear algebra over Fraction
   ncalg      free algebra on a, b, c, d, D, Di with the defining rewrite
              system, normal forms, and the Hopf structure
   weights    the weight monoid Lambda, its star involutions and two orders
@@ -40,6 +41,7 @@ from .weights import (
 from .comodules import (
     Comodule,
     ComoduleMap,
+    VerificationError,
     are_isomorphic,
     hom_space,
     left_dual,
@@ -92,6 +94,7 @@ __all__ = [
     "pi_below",
     "Comodule",
     "ComoduleMap",
+    "VerificationError",
     "are_isomorphic",
     "hom_space",
     "left_dual",

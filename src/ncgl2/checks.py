@@ -16,8 +16,6 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = ["SUITE_NAMES", "run_check_suite"]
 
 
@@ -73,7 +71,7 @@ def _suite_hopf(bounds: dict) -> list[dict]:
     basis = enumerate_basis(n)
     coassoc = counit_ax = conv = inv = True
     for w in basis:
-        el = NCElement({w: Fraction(1)})
+        el = NCElement({w: 1})
         two = coproduct(el)
         left = coproduct_leg(two, 0)
         right = coproduct_leg(two, 1)

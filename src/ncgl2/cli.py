@@ -33,6 +33,7 @@ import os
 import sys
 import time
 
+from .comodules import VerificationError
 from .ncalg import (
     ExprSyntaxError,
     enumerate_basis,
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"ncgl2: {exc.args[0]}", file=sys.stderr)
         return 2
+    except VerificationError as exc:
+        print(f"ncgl2: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .ncalg import (
 from .weights import Weight, weight_key
 
 __all__ = [
+    "VerificationError",
     "Comodule",
     "ComoduleMap",
     "comodule_axiom_failures",
@@ -61,6 +62,14 @@ __all__ = [
     "map_to_json",
     "map_from_json",
 ]
+
+
+class VerificationError(ValueError):
+    """An exact computation contradicts a claim it was meant to verify.
+
+    A ValueError subclass, so callers that catch ValueError still do; the
+    command line tool exits 1 on it, not 2 as on a usage error.
+    """
 
 
 class Comodule:
@@ -305,7 +314,7 @@ def weight_decomposition(X: Comodule) -> dict[Weight, int]:
             for i in range(X.dim):
                 for w, c in projected[i][j].items():
                     per_word.setdefault(w, {})[i] = c
-            accumulate(per_word.setdefault(t, {}), ((j, Fraction(-1)),))
+            accumulate(per_word.setdefault(t, {}), ((j, -1),))
             equations.extend(per_word[w] for w in sorted(per_word, key=weight_key))
         mult = len(linalg.nullspace_sparse(equations, X.dim))
         if mult:
@@ -400,7 +409,14 @@ def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> lis
 
 
 def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
-    """Whether some comodule map X -> Y is invertible."""
+    """Whether some comodule map X -> Y is invertible.
+
+    Exact when Hom(X, Y) has dimension at most 1, since every map is then a
+    multiple of the one basis map.  Otherwise an invertible combination
+    may exist even if no basis map is invertible, and 32 seeded random
+    combinations are tried; when none is invertible the answer is unknown
+    and RuntimeError is raised instead of a possibly wrong False.
+    """
     if X.dim != Y.dim:
         return False
     if X.dim == 0:
@@ -409,13 +425,12 @@ def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
     for f in maps:
         if f.is_isomorphism():
             return True
-    # an invertible combination may exist even if no basis map is invertible
+    if len(maps) <= 1:
+        return False
     import random
 
     rng = random.Random(20260818)
     for _ in range(32):
-        if not maps:
-            return False
         matrix = [[Fraction(0)] * X.dim for _ in range(Y.dim)]
         for f in maps:
             weight = rng.randint(-4, 4)
@@ -424,7 +439,10 @@ def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
                     matrix[k][i] += weight * f.matrix[k][i]
         if linalg.rank(matrix) == X.dim:
             return True
-    return False
+    raise RuntimeError(
+        f"inconclusive: Hom has dimension {len(maps)} and no basis map or "
+        "seeded combination of them is invertible"
+    )
 
 
 # ---------------------------------------------------------------------------

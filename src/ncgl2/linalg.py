@@ -1,4 +1,4 @@
-"""Exact linear algebra over Fraction, and the sparse vector kernel.
+"""Exact linear algebra, and the sparse vector kernel.
 
 A sparse vector is a dict mapping keys (words, tensor keys, column
 indices, weights) to coefficients, and it never stores a zero
@@ -6,14 +6,18 @@ coefficient, so that equal vectors are equal dicts.  accumulate() is the
 one place that adds into such a dict; every layer above builds its
 linear combinations with it.
 
-Dense routines take lists of rows; the sparse solver takes equations as
-dicts mapping column index to coefficient.  Reduced row echelon form is
-unique, which makes subspace comparisons canonical.
+Dense routines take lists of rows and work over Fraction.  The sparse
+solver takes equations as dicts mapping column index to coefficient, an
+int, or a Fraction only downstream of a non-integral input, and
+eliminates over the integers; it divides only to write out its basis.
+Both return Fractions.  Reduced row echelon form is unique, which makes
+subspace comparisons canonical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -221,42 +225,69 @@ class Echelon:
         return [list(row) for row in self.rows]
 
 
-def nullspace_sparse(equations: list[dict[int, Fraction]], nvars: int) -> list[list[Fraction]]:
+def nullspace_sparse(
+    equations: list[dict[int, int | Fraction]], nvars: int
+) -> list[list[Fraction]]:
     """Basis of the solution space of sparse homogeneous equations.
 
-    Each equation maps a variable index to its coefficient.  Gaussian
-    elimination keeps rows sparse; the returned basis is the same dense
+    Each equation maps a variable index to its coefficient, an int, or a
+    Fraction only downstream of a non-integral input.  Elimination is
+    fraction-free (Bareiss, Math. Comp. 22, 1968): each equation's
+    denominators are cleared, and a row with entry r at a pivot column is
+    reduced against the pivot row p, whose entry there is q, as
+    (q*row - r*p) / g with g = gcd(r, q), after which the gcd content of
+    the row is divided out.  The forward pass and the back substitution
+    both work this way, so rows stay integral and small.  Only writing
+    out the basis divides: the returned Fractions are the same dense
     reduced basis nullspace() would produce.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for eq in equations:
-        row = {k: Fraction(v) for k, v in eq.items() if v}
+        scale = lcm(*(v.denominator for v in eq.values()))
+        row = {k: v.numerator * (scale // v.denominator) for k, v in eq.items() if v}
         while row:
             lead = min(row)
             known = echelon.get(lead)
             if known is None:
-                inv = Fraction(1) / row[lead]
-                echelon[lead] = {k: v * inv for k, v in row.items()}
+                _remove_content(row)
+                echelon[lead] = row
                 break
-            factor = -row[lead]
-            accumulate(row, ((k, factor * v) for k, v in known.items()))
+            _eliminate(row, known, lead)
     # back substitution to full reduction
     for lead in sorted(echelon, reverse=True):
         row = echelon[lead]
         for other_lead, other in echelon.items():
             if other_lead < lead and lead in other:
-                factor = -other[lead]
-                accumulate(other, ((k, factor * v) for k, v in row.items()))
-    pivot_set = set(echelon)
+                _eliminate(other, row, lead)
     basis = []
     for free in range(nvars):
-        if free in pivot_set:
+        if free in echelon:
             continue
         vec = [Fraction(0)] * nvars
         vec[free] = Fraction(1)
         for lead, row in echelon.items():
             coeff = row.get(free)
             if coeff:
-                vec[lead] = -coeff
+                vec[lead] = Fraction(-coeff, row[lead])
         basis.append(vec)
     return basis
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> None:
+    """Cancel row's entry at lead against pivot, in place, over the integers."""
+    g = gcd(row[lead], pivot[lead])
+    factor = row[lead] // g
+    scale = pivot[lead] // g
+    if scale != 1:
+        for k in row:
+            row[k] *= scale
+    accumulate(row, ((k, -factor * v) for k, v in pivot.items()))
+    _remove_content(row)
+
+
+def _remove_content(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    content = gcd(*row.values())
+    if content > 1:
+        for k in row:
+            row[k] //= content

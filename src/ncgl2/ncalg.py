@@ -13,7 +13,11 @@ b*c + D
 D
 
 Words are tuples of letter names, elements are dicts mapping normal words
-to Fractions.  All arithmetic is exact.
+to coefficients.  Every coefficient of the rewrite rules, the coproduct
+and the antipode is an integer, so a coefficient is an int, or a Fraction
+only downstream of a non-integral input such as a parsed 3/2.  Outside
+scalars enter through _exact, which turns an integral Fraction into an
+int.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ ROW = {"a": 1, "b": 1, "c": 2, "d": 2}
 COL = {"a": 1, "b": 2, "c": 1, "d": 2}
 
 Word = tuple  # tuple of letter names
+Coeff = int | Fraction  # a Fraction only downstream of a non-integral input
 
 # The ten oriented rules.  Left sides are words, right sides map words to
 # integer coefficients.  Each rule strictly decreases the deglex order.
@@ -108,18 +113,26 @@ def is_normal_word(word: Word) -> bool:
     return _first_redex(word) is None
 
 
-_NF_CACHE: dict[Word, dict[Word, Fraction]] = {}
+_NF_CACHE: dict[Word, dict[Word, int]] = {}
 
 
-def normal_form_word(word: Word) -> dict[Word, Fraction]:
-    """Normal form of a single word as a dict of normal words to Fractions.
+def _exact(value) -> Coeff:
+    """value as an int when it is integral, otherwise as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def normal_form_word(word: Word) -> dict[Word, int]:
+    """Normal form of a single word as a dict of normal words to ints.
 
     Every intermediate word of the reduction is cached in _NF_CACHE.
     """
     return _reduce(tuple(word), _NF_CACHE)
 
 
-def _reduce(word: Word, memo: dict[Word, dict[Word, Fraction]]) -> dict[Word, Fraction]:
+def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
     """Normal form of word, storing every intermediate word in memo.
 
     Reads _NF_CACHE first, then memo, and writes new entries only into
@@ -141,7 +154,7 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, Fraction]]) -> dict[Word, Fr
             continue
         redex = _first_redex(w)
         if redex is None:
-            memo[w] = {w: Fraction(1)}
+            memo[w] = {w: 1}
             stack.pop()
             continue
         i, length, rhs = redex
@@ -151,7 +164,7 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, Fraction]]) -> dict[Word, Fr
         if missing:
             stack.extend(missing)
             continue
-        acc: dict[Word, Fraction] = {}
+        acc: dict[Word, int] = {}
         for cw, rc in children:
             nf = cache.get(cw)
             if nf is None:
@@ -162,11 +175,11 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, Fraction]]) -> dict[Word, Fr
     return memo[word]
 
 
-def normal_form(terms: Mapping[Word, Fraction | int]) -> dict[Word, Fraction]:
+def normal_form(terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
     """Normal form of a linear combination {word: coefficient}."""
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Coeff] = {}
     for word, coeff in terms.items():
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if coeff:
             accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(tuple(word)).items()))
     return acc
@@ -221,7 +234,7 @@ class _SparseElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
+            scalar = _exact(other)
             return self._new({k: c * scalar for k, c in self._terms.items()} if scalar else {})
         other = self._peer(other)
         if other is NotImplemented:
@@ -244,24 +257,25 @@ class _SparseElement:
 
 
 class NCElement(_SparseElement):
-    """An element of O, stored as {normal word: Fraction}.
+    """An element of O, stored as {normal word: coefficient}.
 
-    Supports +, -, * (with elements and scalars), integer powers, and
-    exact equality.  Instances are immutable.
+    Coefficients are ints, or Fractions only downstream of a non-integral
+    input.  Supports +, -, * (with elements and scalars), integer powers,
+    and exact equality.  Instances are immutable.
     """
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, Fraction | int] | None = None):
+    def __init__(self, terms: Mapping[Word, Coeff] | None = None):
         self._terms = normal_form(terms or {})
 
     @classmethod
-    def _raw(cls, normal_terms: dict[Word, Fraction]) -> "NCElement":
+    def _raw(cls, normal_terms: dict[Word, Coeff]) -> "NCElement":
         el = object.__new__(cls)
         el._terms = normal_terms
         return el
 
-    def _new(self, terms: dict[Word, Fraction]) -> "NCElement":
+    def _new(self, terms: dict[Word, Coeff]) -> "NCElement":
         return NCElement._raw(terms)
 
     @staticmethod
@@ -269,11 +283,11 @@ class NCElement(_SparseElement):
         if isinstance(value, NCElement):
             return value
         if isinstance(value, (int, Fraction)):
-            return NCElement._raw({(): Fraction(value)} if value else {})
+            return NCElement._raw({(): _exact(value)} if value else {})
         return NotImplemented
 
-    def _product(self, other: "NCElement") -> dict[Word, Fraction]:
-        acc: dict[Word, Fraction] = {}
+    def _product(self, other: "NCElement") -> dict[Word, Coeff]:
+        acc: dict[Word, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 coeff = c1 * c2
@@ -281,11 +295,11 @@ class NCElement(_SparseElement):
         return acc
 
     @property
-    def terms(self) -> dict[Word, Fraction]:
+    def terms(self) -> dict[Word, Coeff]:
         return dict(self._terms)
 
-    def coefficient(self, word: Word) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
+    def coefficient(self, word: Word) -> Coeff:
+        return self._terms.get(tuple(word), 0)
 
     def support(self) -> list[Word]:
         return sorted(self._terms, key=word_key)
@@ -306,13 +320,13 @@ class NCElement(_SparseElement):
 
 
 def one() -> NCElement:
-    return NCElement._raw({(): Fraction(1)})
+    return NCElement._raw({(): 1})
 
 
 def gen(letter: str) -> NCElement:
     if letter not in LETTER_ORDER:
         raise ValueError(f"unknown generator {letter!r}")
-    return NCElement._raw({(letter,): Fraction(1)})
+    return NCElement._raw({(letter,): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +443,7 @@ def _apply_rule_at(word: Word, pos: int, lhs: Word, rhs: dict[Word, int]):
     if word[pos : pos + len(lhs)] != lhs:
         raise RuntimeError(f"rule {lhs!r} does not occur in {word!r} at {pos}")
     prefix, suffix = word[:pos], word[pos + len(lhs) :]
-    return {prefix + rw + suffix: Fraction(rc) for rw, rc in rhs.items()}
+    return {prefix + rw + suffix: rc for rw, rc in rhs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -470,41 +484,42 @@ _ANTIPODE_INV_LETTER: dict[str, tuple[int, Word]] = {
 
 
 class TensorElement(_SparseElement):
-    """An element of a tensor power of O: {tuple of words: Fraction}.
+    """An element of a tensor power of O: {tuple of words: coefficient}.
 
     Keys are k-tuples of normal words, one per tensor leg.  The arity is
-    fixed per instance.
+    fixed per instance.  Coefficients are ints, or Fractions only
+    downstream of a non-integral input.
     """
 
     __slots__ = ("_arity",)
 
-    def __init__(self, arity: int, terms: Mapping[tuple, Fraction | int] | None = None):
+    def __init__(self, arity: int, terms: Mapping[tuple, Coeff] | None = None):
         self._arity = arity
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, Coeff] = {}
         for key, coeff in (terms or {}).items():
             if len(key) != arity:
                 raise ValueError(f"tensor key {key!r} does not have {arity} legs")
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if coeff:
                 accumulate(acc, _expand([normal_form_word(tuple(w)) for w in key], coeff))
         self._terms = acc
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[tuple, Fraction]) -> "TensorElement":
+    def _raw(cls, arity: int, terms: dict[tuple, Coeff]) -> "TensorElement":
         el = object.__new__(cls)
         el._arity = arity
         el._terms = terms
         return el
 
-    def _new(self, terms: dict[tuple, Fraction]) -> "TensorElement":
+    def _new(self, terms: dict[tuple, Coeff]) -> "TensorElement":
         return TensorElement._raw(self._arity, terms)
 
     @staticmethod
     def _coerce(value):
         return value if isinstance(value, TensorElement) else NotImplemented
 
-    def _product(self, other: "TensorElement") -> dict[tuple, Fraction]:
-        acc: dict[tuple, Fraction] = {}
+    def _product(self, other: "TensorElement") -> dict[tuple, Coeff]:
+        acc: dict[tuple, Coeff] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 expansion = [normal_form_word(w1 + w2) for w1, w2 in zip(k1, k2)]
@@ -531,9 +546,9 @@ class TensorElement(_SparseElement):
         return "TensorElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _expand(factors: list[dict[Word, Fraction]], scale: Fraction) -> list[tuple[tuple, Fraction]]:
+def _expand(factors: list[dict[Word, Coeff]], scale: Coeff) -> list[tuple[tuple, Coeff]]:
     """Cartesian expansion of per-leg normal forms, times scale."""
-    combos: list[tuple[tuple, Fraction]] = [((), scale)]
+    combos: list[tuple[tuple, Coeff]] = [((), scale)]
     for factor in factors:
         combos = [
             (key + (w,), c * cw) for key, c in combos for w, cw in factor.items()
@@ -543,7 +558,7 @@ def _expand(factors: list[dict[Word, Fraction]], scale: Fraction) -> list[tuple[
 
 def tensor_of(*elements: NCElement) -> TensorElement:
     """Tensor product of algebra elements as a TensorElement."""
-    terms = _expand([el._terms for el in elements], Fraction(1))
+    terms = _expand([el._terms for el in elements], 1)
     return TensorElement._raw(len(elements), dict(terms))
 
 
@@ -552,10 +567,10 @@ def coproduct(element: NCElement) -> TensorElement:
     return _coproduct_element(element)
 
 
-def _coproduct_word(word: Word) -> dict[tuple[Word, Word], Fraction]:
-    pairs: dict[tuple[Word, Word], Fraction] = {((), ()): Fraction(1)}
+def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
+    pairs: dict[tuple[Word, Word], int] = {((), ()): 1}
     for letter in word:
-        nxt: dict[tuple[Word, Word], Fraction] = {}
+        nxt: dict[tuple[Word, Word], int] = {}
         images = _COPROD_LETTER[letter].items()
         for (u1, u2), c in pairs.items():
             accumulate(nxt, (((u1 + v1, u2 + v2), c * cl) for (v1, v2), cl in images))
@@ -563,9 +578,9 @@ def _coproduct_word(word: Word) -> dict[tuple[Word, Word], Fraction]:
     return pairs
 
 
-def _coproduct_at(terms: Iterable[tuple[tuple, Fraction]], leg: int) -> dict[tuple, Fraction]:
+def _coproduct_at(terms: Iterable[tuple[tuple, Coeff]], leg: int) -> dict[tuple, Coeff]:
     """Coproduct applied to the given leg of tensor keys, in normal form."""
-    acc: dict[tuple, Fraction] = {}
+    acc: dict[tuple, Coeff] = {}
     for key, coeff in terms:
         head, tail = key[:leg], key[leg + 1 :]
         for (w1, w2), c in _coproduct_word(key[leg]).items():
@@ -590,8 +605,8 @@ def _counit_word(word: Word) -> int:
     return value
 
 
-def counit(element: NCElement) -> Fraction:
-    return sum((coeff * _counit_word(word) for word, coeff in element.items()), Fraction(0))
+def counit(element: NCElement) -> Coeff:
+    return sum(coeff * _counit_word(word) for word, coeff in element.items())
 
 
 def counit_leg(tensor: TensorElement, leg: int) -> TensorElement:
@@ -603,7 +618,7 @@ def counit_leg(tensor: TensorElement, leg: int) -> TensorElement:
 def _anti_hom(
     element: NCElement,
     letter_images: dict[str, tuple[int, Word]],
-    memo: dict[Word, dict[Word, Fraction]],
+    memo: dict[Word, dict[Word, int]],
 ) -> NCElement:
     """The anti-homomorphism given by single signed-word letter images.
 
@@ -613,7 +628,7 @@ def _anti_hom(
     once.  The intermediates of that rewrite go into memo, not into
     _NF_CACHE.
     """
-    result: dict[Word, Fraction] = {}
+    result: dict[Word, Coeff] = {}
     for word, coeff in element.items():
         image: Word = ()
         for letter in reversed(word):
@@ -648,10 +663,10 @@ def antipode_inv(element: NCElement, memo: dict | None = None) -> NCElement:
 
 def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
     """Apply the antipode to one leg; all terms share one rewrite memo."""
-    memo: dict[Word, dict[Word, Fraction]] = {}
-    acc: dict[tuple, Fraction] = {}
+    memo: dict[Word, dict[Word, int]] = {}
+    acc: dict[tuple, Coeff] = {}
     for key, coeff in tensor.items():
-        image = antipode(NCElement._raw({key[leg]: Fraction(1)}), memo)
+        image = antipode(NCElement._raw({key[leg]: 1}), memo)
         head, tail = key[:leg], key[leg + 1 :]
         accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
     return TensorElement._raw(tensor.arity, acc)
@@ -659,7 +674,7 @@ def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
 
 def multiply_legs(tensor: TensorElement) -> NCElement:
     """Multiply all legs together in order (the convolution product step)."""
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Coeff] = {}
     for key, coeff in tensor.items():
         concatenated = sum(key, ())
         accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(concatenated).items()))
@@ -670,10 +685,10 @@ def grouplike_words(max_len: int) -> list[Word]:
     """Normal words g with coproduct g # g and counit 1."""
     found = []
     for word in enumerate_basis(max_len):
-        el = NCElement._raw({word: Fraction(1)})
+        el = NCElement._raw({word: 1})
         if counit(el) != 1:
             continue
-        if _coproduct_element(el) == TensorElement._raw(2, {(word, word): Fraction(1)}):
+        if _coproduct_element(el) == TensorElement._raw(2, {(word, word): 1}):
             found.append(word)
     return found
 
@@ -740,10 +755,10 @@ class _Parser:
 
     def parse_expr(self) -> NCElement:
         result = NCElement._raw({})
-        sign = Fraction(1)
+        sign = 1
         kind, _, _ = self.peek()
         if kind in ("+", "-"):
-            sign = Fraction(-1) if kind == "-" else Fraction(1)
+            sign = -1 if kind == "-" else 1
             self.advance()
         result = result + self.parse_term() * sign
         while True:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .weights import LambdaWord, Weight
-from .comodules import Comodule, char_mul, tensor_many, trivial
+from .comodules import Comodule, VerificationError, char_mul, tensor_many, trivial
 from . import linalg
 from .linalg import accumulate
 
@@ -65,7 +65,7 @@ _ONE = Fraction(1)
 Factor = tuple[str, int]
 
 
-class ClassifierError(ValueError):
+class ClassifierError(VerificationError):
     """Raised when a classifier invariant fails (an internal contradiction)."""
 
 

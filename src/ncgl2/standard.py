@@ -43,6 +43,7 @@ from .weights import (
 from .comodules import (
     Comodule,
     ComoduleMap,
+    VerificationError,
     char_mul,
     generated_subcomodule,
     hom_space,
@@ -106,9 +107,9 @@ def build_V() -> Comodule:
 def build_R(k: int = 1) -> Comodule:
     """The determinant line R^k; k may be negative (then delta^{-|k|} coacts)."""
     if k >= 0:
-        element = NCElement({("D",) * k: _ONE})
+        element = NCElement({("D",) * k: 1})
     else:
-        element = NCElement({("Di",) * (-k): _ONE})
+        element = NCElement({("Di",) * (-k): 1})
     label = "r" if k == 1 else f"r{k}"
     return Comodule((label,), ((element,),))
 
@@ -138,7 +139,7 @@ def build_SymV(y: int) -> Comodule:
                 for cols in product((0, 1), repeat=y)
                 if sum(cols) == l
             )
-            entries.append(NCElement(accumulate({}, ((word, _ONE) for word in words))))
+            entries.append(NCElement(accumulate({}, ((word, 1) for word in words))))
         coaction.append(tuple(entries))
     return Comodule(labels, tuple(coaction))
 
@@ -288,13 +289,15 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
 
     The hom space is required to be exactly one dimensional; the generator is
     scaled so that the coefficient between the two weight-wt(lam) basis
-    vectors equals 1.  Its image is the simple socle L(lam).
+    vectors equals 1.  Its image is the simple socle L(lam).  Raises
+    VerificationError when the hom space has another dimension or the map
+    vanishes on the top line.
     """
     Delta = build_delta(lam)
     Nabla = build_nabla(lam)
     maps = hom_space(Delta, Nabla)
     if len(maps) != 1:
-        raise ValueError(
+        raise VerificationError(
             f"Hom(Delta, nabla) for {lam} has dimension {len(maps)}, expected 1"
         )
     f = maps[0]
@@ -303,7 +306,7 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     dst = _weight_index(Nabla, top)
     scale = f.matrix[dst][src]
     if scale == 0:
-        raise ValueError(f"canonical map for {lam} vanishes on the top weight line")
+        raise VerificationError(f"canonical map for {lam} vanishes on the top weight line")
     matrix = tuple(tuple(entry / scale for entry in row) for row in f.matrix)
     return ComoduleMap(Delta, Nabla, matrix)
 
@@ -327,7 +330,7 @@ def build_L(lam: LambdaWord):
         [gen_incl.matrix[r][c] for r in range(Nabla.dim)] for c in range(generated.dim)
     ]
     if not linalg.same_row_space(image_rows, gen_rows):
-        raise ValueError(
+        raise VerificationError(
             f"image of the canonical map for {lam} is not generated by the top line"
         )
     return L, incl

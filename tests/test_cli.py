@@ -180,6 +180,17 @@ class TestErrors:
     def test_no_argv_shows_usage(self, capsys):
         assert main([]) == 2
 
+    def test_failed_claim_exits_one(self, capsys, monkeypatch):
+        # a second hom map breaks the claim dim Hom(Delta, nabla) = 1
+        import ncgl2.standard
+
+        real = ncgl2.standard.hom_space
+        monkeypatch.setattr(ncgl2.standard, "hom_space", lambda X, Y: real(X, Y) * 2)
+        assert main(["nabla", "d"]) == 1
+        assert "expected 1" in capsys.readouterr().err
+        assert main(["nf", "d**a"]) == 2
+        assert main(["check", "nonsense", "--len", "1"]) == 2
+
     def test_failing_verification_exit_code(self, capsys):
         # the simple verb reports and exits nonzero if inconsistent; on a
         # consistent label it exits zero (guards the exit-code contract)

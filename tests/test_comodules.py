@@ -33,7 +33,7 @@ from ncgl2.comodules import (
     weight_decomposition,
 )
 from ncgl2 import ncalg
-from ncgl2.ncalg import gen, one, parse_expression
+from ncgl2.ncalg import NCElement, gen, one, parse_expression
 from ncgl2.standard import (
     build_R,
     build_SymV,
@@ -49,6 +49,20 @@ from test_ncalg import ANTIPODE_IMAGES, ANTIPODE_INV_IMAGES, letter_by_letter
 
 V = build_V()
 W = tensor(V, V)
+
+
+def direct_sum(*parts: Comodule) -> Comodule:
+    """The block-diagonal comodule of the parts."""
+    offsets = [0]
+    for part in parts:
+        offsets.append(offsets[-1] + part.dim)
+    coaction = [[NCElement({}) for _ in range(offsets[-1])] for _ in range(offsets[-1])]
+    for part, start in zip(parts, offsets):
+        for i in range(part.dim):
+            for j in range(part.dim):
+                coaction[start + i][start + j] = part.coaction[i][j]
+    labels = [f"{n}.{label}" for n, part in enumerate(parts) for label in part.labels]
+    return Comodule(labels, coaction)
 DET_LINE = [[Fraction(0), Fraction(1), Fraction(-1), Fraction(0)]]
 
 
@@ -174,6 +188,25 @@ class TestHom:
     def test_are_isomorphic_negative(self):
         assert not are_isomorphic(V, build_SymV(2))
         assert not are_isomorphic(W, tensor(V, build_R(1)))
+
+    def test_are_isomorphic_through_a_combination(self):
+        # Hom(V+V, V+V) is M_2(k): four basis maps of rank 2, none invertible
+        VV = direct_sum(V, V)
+        maps = hom_space(VV, VV)
+        assert len(maps) == 4
+        assert not any(f.is_isomorphism() for f in maps)
+        assert are_isomorphic(VV, VV)
+
+    def test_are_isomorphic_inconclusive_raises(self):
+        # Hom(R+R+V, V+V) = Hom(V, V+V): every map has rank 2 of 4, so no
+        # combination is invertible and the seeded search cannot decide
+        X = direct_sum(build_R(1), build_R(1), V)
+        Y = direct_sum(V, V)
+        maps = hom_space(X, Y)
+        assert len(maps) == 2
+        assert all(f.rank() == 2 for f in maps)
+        with pytest.raises(RuntimeError, match="inconclusive"):
+            are_isomorphic(X, Y)
 
 
 class TestDuals:

@@ -1,10 +1,12 @@
 """Exact rational linear algebra."""
 
 import ast
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncgl2
@@ -121,6 +123,60 @@ def test_nullspace_sparse_matches_dense():
     sparse_basis = nullspace_sparse(rows, 3)
     dense_basis = nullspace(dense)
     assert same_row_space(sparse_basis, dense_basis)
+
+
+def random_sparse_system(rng: random.Random) -> tuple[list[dict], int]:
+    """A sparse system with int and rational entries and awkward rows."""
+    nvars = rng.randint(1, 9)
+    equations: list[dict] = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.1:
+            equations.append(rng.choice([{}, {rng.randrange(nvars): 0}]))
+        elif kind < 0.25 and equations:
+            equations.append(dict(rng.choice(equations)))
+        else:
+            row: dict = {}
+            for k in rng.sample(range(nvars), rng.randint(1, min(nvars, 4))):
+                value = rng.choice([v for v in range(-7, 8) if v])
+                if rng.random() < 0.3:
+                    value = F(value, rng.randint(2, 9))
+                row[k] = value
+            if rng.random() < 0.3:
+                factor = rng.choice([-6, -2, 4, 15])
+                row = {k: v * factor for k, v in row.items()}
+            equations.append(row)
+    return equations, nvars
+
+
+def dense_rows(equations: list[dict], nvars: int) -> list[list[F]]:
+    return [[F(eq.get(k, 0)) for k in range(nvars)] for eq in equations]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nullspace_sparse_equals_dense_on_random_systems(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        equations, nvars = random_sparse_system(rng)
+        sparse_basis = nullspace_sparse([dict(eq) for eq in equations], nvars)
+        assert sparse_basis == nullspace(dense_rows(equations, nvars), nvars), equations
+        assert all(type(x) is F for vec in sparse_basis for x in vec)
+
+
+def test_nullspace_sparse_edge_systems():
+    cases = [
+        ([], 3),
+        ([{}, {1: 0}], 2),
+        ([{0: -4, 2: 6}, {0: -4, 2: 6}, {1: F(-3, 2), 2: F(9, 4)}], 3),
+        ([{0: 6, 1: 10, 2: 14}, {1: -9, 2: 21}], 4),
+        ([{0: F(2), 1: -2}, {0: 3, 1: 3}], 2),
+    ]
+    for equations, nvars in cases:
+        sparse_basis = nullspace_sparse(equations, nvars)
+        assert sparse_basis == nullspace(dense_rows(equations, nvars), nvars)
+        assert all(type(x) is F for vec in sparse_basis for x in vec)
+    assert nullspace_sparse([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert nullspace_sparse([], 0) == []
 
 
 SMALL = st.integers(min_value=-4, max_value=4).map(F)

@@ -242,7 +242,35 @@ class TestHopf:
         memo = {}
         first = antipode_inv(el, memo)
         assert antipode_inv(el, memo) == first == letter_by_letter(el, ANTIPODE_INV_IMAGES)
-        assert all(type(c) is Fraction for _, c in first.items())
+        assert all(type(c) in (int, Fraction) for _, c in first.items())
+        integral = antipode_inv(element("-d*Di*a + 2"), memo)
+        assert not integral.is_zero()
+        assert all(type(c) is int for _, c in integral.items())
+
+    def test_integral_inputs_keep_int_coefficients(self):
+        def ints(x):
+            return all(type(c) is int for _, c in x.items())
+
+        a, d = gen("a"), gen("d")
+        for word in enumerate_basis(4):
+            el = NCElement({word: Fraction(1)})
+            two = coproduct(el)
+            legged = antipode_leg(two, 0)
+            results = (
+                el,
+                two,
+                coproduct_leg(two, 1),
+                antipode(el),
+                antipode_inv(el),
+                legged,
+                multiply_legs(legged),
+                d * el * a,
+                el * el,
+                tensor_of(el, a * d),
+            )
+            assert all(ints(x) for x in results), word
+        assert parse_expression("3/2*a") * 2 == 3 * gen("a")
+        assert ints(parse_expression("6/3*a") + 1)
 
 
 class TestTensorElement:

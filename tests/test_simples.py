@@ -1,8 +1,18 @@
 """The block classifier for simple comodules and the differential oracle."""
 
-import pytest
+from fractions import Fraction as F
 
-from ncgl2.comodules import are_isomorphic, left_dual, weight_decomposition
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncgl2.comodules import (
+    VerificationError,
+    are_isomorphic,
+    generated_subcomodule,
+    left_dual,
+    torus_diagonal_weights,
+    weight_decomposition,
+)
 from ncgl2.simples import (
     BlockExpression,
     ClassifierError,
@@ -16,7 +26,7 @@ from ncgl2.simples import (
     split_segments,
     validate_adjacency,
 )
-from ncgl2.standard import build_L
+from ncgl2.standard import build_L, canonical_map
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
 
 
@@ -98,6 +108,8 @@ class TestClassifier:
             validate_adjacency(expr.factors)  # must not raise
 
     def test_adjacency_violations_raise(self):
+        assert issubclass(ClassifierError, VerificationError)
+        assert issubclass(VerificationError, ValueError)
         with pytest.raises(ClassifierError):
             validate_adjacency((("T", 1), ("S", 3)))
         with pytest.raises(ClassifierError):
@@ -133,6 +145,19 @@ class TestCrosscheck:
         for l in enumerate_lambda(3):
             L, _ = build_L(l)
             assert block_char(classify(l)) == weight_decomposition(L)
+
+    @given(st.sampled_from(enumerate_lambda(5)))
+    @settings(max_examples=25, deadline=None)
+    def test_three_way_agreement(self, l):
+        # the classifier, the rank of the canonical map (integer sparse
+        # solver) and the subcomodule of nabla generated by its top-weight
+        # vector (dense Fraction echelon, no sparse solver) agree
+        f = canonical_map(l)
+        nabla = f.target
+        top = [F(0)] * nabla.dim
+        top[torus_diagonal_weights(nabla).index(l.wt())] = F(1)
+        generated, _ = generated_subcomodule(nabla, top)
+        assert classify(l).dim == f.rank() == generated.dim, str(l)
 
     def test_simple_dual_statement(self):
         # duality permutes the simples by the star map
