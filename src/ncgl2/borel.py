@@ -42,6 +42,7 @@ from itertools import product
 from .ncalg import (
     NCElement,
     Word,
+    column_weight,
     coproduct,
     enumerate_basis,
     normal_form,
@@ -259,8 +260,17 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
     quotient; solutions transform like the character g_t under the right
     B-coaction.  Returns a reduced basis, deterministic in the graded word
     order.
+
+    Only the normal words of column weight t enter the system, which is
+    exact.  The right leg v of every coproduct term of a word w has the
+    column weight of w (see `column_weight`), and so does its key pi_B(v);
+    g_t has weight t.  So for the part f' of f in the other weights the
+    equation says (1 (x) pi_B) Delta(f') = 0, and the counit, which
+    factors through pi_B, turns that into f' = 0.  What is left is the
+    system in the weight-t words, whose reduced basis is the full system's
+    basis with the zero coordinates dropped.
     """
-    words = enumerate_basis(n)
+    words = [w for w in enumerate_basis(n) if column_weight(w) == t]
     index = {w: k for k, w in enumerate(words)}
     g = BOREL_LOWER.grouplike(t)
     rows: dict = {}

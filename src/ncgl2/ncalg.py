@@ -38,6 +38,7 @@ __all__ = [
     "normal_form_word",
     "is_normal_word",
     "word_key",
+    "column_weight",
     "render_word",
     "render_element",
     "parse_expression",
@@ -67,6 +68,16 @@ LETTER_ORDER = {letter: index for index, letter in enumerate(LETTERS)}
 ROW = {"a": 1, "b": 1, "c": 2, "d": 2}
 COL = {"a": 1, "b": 2, "c": 1, "d": 2}
 
+# Column weight of each letter, summed over a word by column_weight.
+_COLUMN_WEIGHT = {
+    "a": (1, 0),
+    "b": (0, 1),
+    "c": (1, 0),
+    "d": (0, 1),
+    "D": (1, 1),
+    "Di": (-1, -1),
+}
+
 Word = tuple  # tuple of letter names
 Coeff = int | Fraction  # a Fraction only downstream of a non-integral input
 
@@ -95,6 +106,25 @@ _MAX_LHS_LEN = max(_LHS_BY_LENGTH)
 def word_key(word: Word) -> tuple:
     """Sort key realizing the deglex order: length first, then letters."""
     return (len(word), tuple(LETTER_ORDER[letter] for letter in word))
+
+
+def column_weight(word: Word) -> tuple[int, int]:
+    """Sum of the letters' column weights; a^i d^j has column weight (i, j).
+
+    Every rewrite rule preserves it, and so does the right leg of the
+    coproduct, since Delta(x_ij) = sum_k x_ik (x) x_kj keeps the column j on
+    the right.  So each term (u, v) of the coproduct of a normal word w has
+    column_weight(v) == column_weight(w).
+
+    >>> column_weight(("a", "Di", "b"))
+    (0, 0)
+    """
+    i = j = 0
+    for letter in word:
+        di, dj = _COLUMN_WEIGHT[letter]
+        i += di
+        j += dj
+    return (i, j)
 
 
 def _first_redex(word: Word):

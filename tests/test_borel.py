@@ -1,5 +1,6 @@
 """Triangular quotients, semi-invariants, and truncated induction."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,15 @@ from ncgl2.borel import (
     semi_invariants,
     subrep_containment_test,
 )
+from ncgl2 import linalg
 from ncgl2.comodules import comodule_from_regular, tensor
+from ncgl2.linalg import accumulate
 from ncgl2.ncalg import (
     LETTERS,
+    RULES,
     NCElement,
+    column_weight,
+    coproduct,
     enumerate_basis,
     gen,
     normal_form_word,
@@ -34,6 +40,30 @@ from ncgl2.weights import Weight, enumerate_lambda, parse_lambda, parse_weight
 
 
 QUOTIENTS = (BOREL_LOWER, BOREL_UPPER, TORUS)
+
+
+@functools.cache
+def _coproduct_rows(n: int) -> dict:
+    """The rows of (1 (x) pi_B) Delta over all words of length <= n."""
+    rows: dict = {}
+    for k, w in enumerate(enumerate_basis(n)):
+        for (u, v), coeff in coproduct(NCElement._raw({w: 1})).items():
+            key = BOREL_LOWER.project_word(v)
+            if key is not None:
+                accumulate(rows.setdefault((u, key), {}), ((k, coeff),))
+    return rows
+
+
+def induced_full_system(t: Weight, n: int) -> list[NCElement]:
+    """Oracle for induced_truncated: one system in all words of length <= n."""
+    words = enumerate_basis(n)
+    index = {w: k for k, w in enumerate(words)}
+    g = BOREL_LOWER.grouplike(t)
+    rows = {key: dict(row) for key, row in _coproduct_rows(n).items()}
+    for w in words:
+        accumulate(rows.setdefault((w, g), {}), ((index[w], -1),))
+    basis = linalg.nullspace_sparse(list(rows.values()), len(words))
+    return [NCElement({w: vec[k] for w, k in index.items() if vec[k]}) for vec in basis]
 
 
 class TestQuotients:
@@ -160,7 +190,7 @@ class TestInduction:
         for i in range(-2, 3):
             for j in range(-2, 3):
                 t = Weight(i, j)
-                for n in range(4):
+                for n in range(5):
                     solved = sorted(
                         render_element(f) for f in induced_truncated(t, n)
                     )
@@ -168,6 +198,29 @@ class TestInduction:
                         render_word(w) for w in induced_predicted(t, n)
                     )
                     assert solved == predicted, (t, n)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (perfbench/NOTES.md, 'Known defect'): at a^-1 "
+        "with n = 5 the solved space is larger than the predicted one",
+    )
+    def test_predicted_matches_truncated_at_length_5(self):
+        t = parse_weight("a^-1")
+        solved = sorted(render_element(f) for f in induced_truncated(t, 5))
+        predicted = sorted(render_word(w) for w in induced_predicted(t, 5))
+        assert solved == predicted
+
+    def test_blocked_solve_equals_full_system(self):
+        for n in range(5):
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    t = Weight(i, j)
+                    assert induced_truncated(t, n) == induced_full_system(t, n), (t, n)
+
+    @pytest.mark.parametrize("text", ["a^-1", "d^2"])
+    def test_blocked_solve_equals_full_system_at_length_5(self, text):
+        t = parse_weight(text)
+        assert induced_truncated(t, 5) == induced_full_system(t, 5)
 
     def test_induced_comodule(self):
         C, basis = induced_comodule(parse_weight("d"), 1)
@@ -177,3 +230,20 @@ class TestInduction:
         assert are_isomorphic(C, build_V())
         with pytest.raises(ValueError):
             induced_comodule(parse_weight("a"), 2)
+
+
+class TestColumnWeight:
+    def test_rules_preserve_column_weight(self):
+        for lhs, rhs in RULES:
+            for word in rhs:
+                assert column_weight(word) == column_weight(lhs), (lhs, word)
+
+    def test_coproduct_right_leg_keeps_column_weight(self):
+        for w in enumerate_basis(4):
+            for (u, v), _ in coproduct(NCElement._raw({w: 1})).items():
+                assert column_weight(v) == column_weight(w), (w, u, v)
+
+    def test_torus_monomials(self):
+        for i in range(4):
+            for j in range(4):
+                assert column_weight(("a",) * i + ("d",) * j) == (i, j)
