@@ -65,7 +65,6 @@ from .standard import (
 from .borel import (
     BOREL_LOWER,
     BOREL_UPPER,
-    TORUS,
     induced_truncated,
     psi,
     semi_invariants,
@@ -114,7 +113,6 @@ __all__ = [
     "nabla_multiset",
     "BOREL_LOWER",
     "BOREL_UPPER",
-    "TORUS",
     "induced_truncated",
     "psi",
     "semi_invariants",

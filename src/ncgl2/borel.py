@@ -16,9 +16,10 @@ Each quotient therefore carries its own monomial basis:
   * O(B):  a^s . w with s an integer and w a word in c, d, d^{-1}, where
     a is central and only d and d^{-1} cancel;
   * O(B+): d^s . w with s an integer and w a word in b, a, a^{-1};
-  * O(T):  Laurent monomials a^i d^j.
+  * O(T):  Laurent monomials a^i d^j, projected by
+    `comodules.torus_project`.
 
-The module provides the projections onto these bases, the group-like
+The module provides the two triangular projections, the group-like
 characters g_t, the diagram flip psi (a Hopf automorphism exchanging the two
 triangular quotients), semi-invariant vectors of comodules, and the truncated
 induction spaces, i.e. elements of bounded length in the coordinate ring that
@@ -57,7 +58,6 @@ __all__ = [
     "TriangularQuotient",
     "BOREL_LOWER",
     "BOREL_UPPER",
-    "TORUS",
     "psi",
     "semi_invariants",
     "semi_invariant_weights",
@@ -163,19 +163,6 @@ BOREL_UPPER = TriangularQuotient(
         "Di": (-1, ("ai",)),
     },
     inverses={"a": "ai", "ai": "a"},
-)
-TORUS = TriangularQuotient(
-    name="T",
-    killed=("b", "c"),
-    letter_image={
-        "a": (1, ()),
-        "b": None,
-        "c": None,
-        "d": (0, ("d",)),
-        "D": (1, ("d",)),
-        "Di": (-1, ("di",)),
-    },
-    inverses={"d": "di", "di": "d"},
 )
 
 

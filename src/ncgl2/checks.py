@@ -2,9 +2,12 @@
 
 Each suite re-runs one family of structural facts at a configurable size
 bound and reports one result per fact: a dict with "name", "pass", and
-"details".  The suites are deliberately cross-cutting: they compare
+"details".  The suites are the acceptance criteria: they are the only
+implementation of each criterion, `ncgl2 check` runs them, and
+`tests/test_acceptance.py` wraps them at fixed bounds and asserts their
+exact results.  They are deliberately cross-cutting: they compare
 independent constructions against each other (rewriting against pattern
-counting, combinatorial multisets against comodule dimensions, the greedy
+counting, combinatorial multisets against built comodules, the greedy
 classifier against exact ranks, quantized inequalities against classical
 differential operators), so a regression anywhere in the stack trips at
 least one of them.
@@ -131,6 +134,8 @@ def _suite_layers(bounds: dict) -> list[dict]:
 def _suite_multisets(bounds: dict) -> list[dict]:
     from .linalg import accumulate
     from .standard import (
+        build_M,
+        build_nabla,
         char_M,
         char_delta,
         char_nabla,
@@ -154,20 +159,6 @@ def _suite_multisets(bounds: dict) -> list[dict]:
         _result("example-d2Did", n21 == ["d", "d^2.Di.d"], f"N(d^2.Di.d) = {n21}")
     )
 
-    def nabla_dim(lam):
-        total = 1
-        for kind, v in lam.atoms():
-            if kind == "d":
-                total *= v + 1
-        return total
-
-    def m_dim(lam):
-        total = 1
-        for kind, v in lam.atoms():
-            if kind == "d":
-                total *= 2**v
-        return total
-
     dims = chars = order = once = True
     count = 0
     for lam in enumerate_lambda(n):
@@ -176,9 +167,10 @@ def _suite_multisets(bounds: dict) -> list[dict]:
         D = delta_multiset(lam)
         if N[lam] != 1 or D[lam] != 1:
             once = False
-        if sum(nabla_dim(mu) * k for mu, k in N.items()) != m_dim(lam):
+        m_dim = build_M(lam).dim
+        if sum(build_nabla(mu).dim * k for mu, k in N.items()) != m_dim:
             dims = False
-        if sum(nabla_dim(mu.star_inv()) * k for mu, k in D.items()) != m_dim(lam):
+        if sum(build_nabla(mu.star_inv()).dim * k for mu, k in D.items()) != m_dim:
             dims = False
         cn: dict = {}
         for mu, k in N.items():
@@ -230,7 +222,7 @@ def _suite_nab(bounds: dict) -> list[dict]:
     from .borel import BOREL_UPPER, semi_invariants, subrep_containment_test
     from .comodules import torus_diagonal_weights
     from .standard import build_nabla, char_nabla
-    from .weights import enumerate_lambda
+    from .weights import Weight, enumerate_lambda
 
     n = bounds.get("len", 3)
     unique = True
@@ -239,7 +231,8 @@ def _suite_nab(bounds: dict) -> list[dict]:
         count += 1
         N = build_nabla(lam)
         top = lam.wt()
-        for t in char_nabla(lam):
+        off_support = Weight(top.i + 1, top.j + 1)
+        for t in [*char_nabla(lam), off_support]:
             d = len(semi_invariants(N, BOREL_UPPER, t))
             if d != (1 if t == top else 0):
                 unique = False
@@ -275,7 +268,7 @@ def _suite_induced(bounds: dict) -> list[dict]:
     n = bounds.get("len", 3)
     ok = True
     dominant_zero = True
-    for length in range(1, n + 1):
+    for length in range(n + 1):
         for i in range(-2, 3):
             for j in range(-2, 3):
                 t = Weight(i, j)
@@ -387,7 +380,7 @@ def _suite_poset(bounds: dict) -> list[dict]:
             if not mu.star().lt1(lam.star()):
                 star_ok = False
             for nu in letters:
-                if not (nu * mu).le1(nu * lam) or not (mu * nu).le1(lam * nu):
+                if not (nu * mu).lt1(nu * lam) or not (mu * nu).lt1(lam * nu):
                     mult_ok = False
     out = [
         _result(f"below-sets-saturated-len{n}", saturated, "closed under covers"),

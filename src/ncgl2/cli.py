@@ -17,9 +17,7 @@ Verbs:
 
 Global options: --format json|tsv|pretty (default json), --config PATH.
 A config file of key=value lines supplies default bounds (key "len");
-explicit flags win.  The environment variable NCGL2_RATIONAL_POLICY may be
-set to "exact" or "arbitrary" (both select exact rational arithmetic, the
-only implemented policy); any other value is a usage error.
+explicit flags win.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage or
 syntax errors.
@@ -33,6 +31,7 @@ import os
 import sys
 import time
 
+from .checks import SUITE_NAMES, run_check_suite
 from .comodules import VerificationError
 from .ncalg import (
     ExprSyntaxError,
@@ -87,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicted", action="store_true")
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite")
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--len", dest="length", type=int, default=None)
 
     return parser
@@ -111,7 +110,7 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
-def _default_len(args_length, config: dict, fallback: int) -> int:
+def _default_len(args_length, config: dict, fallback: int | None) -> int | None:
     if args_length is not None:
         return args_length
     if "len" in config:
@@ -248,14 +247,8 @@ def _run(args, config) -> tuple[dict, int]:
         }, 0
 
     if args.verb == "check":
-        from .checks import run_check_suite
-
-        bounds = {}
-        n = args.length
-        if n is None and "len" in config:
-            n = int(config["len"])
-        if n is not None:
-            bounds["len"] = n
+        n = _default_len(args.length, config, None)
+        bounds = {} if n is None else {"len": n}
         results = run_check_suite(args.suite, bounds)
         ok = all(r["pass"] for r in results)
         return {"suite": args.suite, "results": results, "pass": ok}, 0 if ok else 1
@@ -310,13 +303,6 @@ def _emit(payload: dict, fmt: str, started: float) -> None:
 
 def main(argv=None) -> int:
     started = time.time()
-    policy = os.environ.get("NCGL2_RATIONAL_POLICY")
-    if policy is not None and policy not in ("exact", "arbitrary"):
-        print(
-            f"ncgl2: NCGL2_RATIONAL_POLICY must be 'exact' or 'arbitrary', got {policy!r}",
-            file=sys.stderr,
-        )
-        return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -331,9 +317,6 @@ def main(argv=None) -> int:
         payload, status = _run(args, config)
     except (ExprSyntaxError, LambdaSyntaxError) as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"ncgl2: {exc.args[0]}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)

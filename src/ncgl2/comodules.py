@@ -24,6 +24,7 @@ from .ncalg import (
     counit,
     antipode,
     antipode_inv,
+    column_weight,
     one,
     tensor_of,
     word_key,
@@ -259,21 +260,9 @@ def torus_project(element: NCElement) -> dict[Weight, Fraction]:
 
 def _torus_weight(word) -> Weight | None:
     """Torus weight of a monomial; None when b or c kills it."""
-    i = j = 0
-    for letter in word:
-        if letter in ("b", "c"):
-            return None
-        if letter == "a":
-            i += 1
-        elif letter == "d":
-            j += 1
-        elif letter == "D":
-            i += 1
-            j += 1
-        else:
-            i -= 1
-            j -= 1
-    return Weight(i, j)
+    if "b" in word or "c" in word:
+        return None
+    return Weight(*column_weight(word))
 
 
 def torus_diagonal_weights(X: Comodule) -> list[Weight] | None:
@@ -351,7 +340,7 @@ def char_mul(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 # Hom spaces
 
-def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> list[ComoduleMap]:
+def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     """Basis of the space of comodule maps X -> Y.
 
     The intertwining condition, entrywise over normal words, is a sparse
@@ -360,11 +349,8 @@ def hom_space(X: Comodule, Y: Comodule, use_weight_blocking: bool = True) -> lis
     excluded up front.
     """
     allowed: list[tuple[int, int]] = []
-    if use_weight_blocking:
-        wx = torus_diagonal_weights(X)
-        wy = torus_diagonal_weights(Y)
-    else:
-        wx = wy = None
+    wx = torus_diagonal_weights(X)
+    wy = torus_diagonal_weights(Y)
     if wx is not None and wy is not None:
         for k in range(Y.dim):
             for i in range(X.dim):

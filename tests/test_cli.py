@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, configuration, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +126,12 @@ class TestFormats:
         code, payload = run_json(capsys, "check", "confluence", "--len", "2")
         assert "runtime" not in payload
 
+    def test_check_all_matches_frozen_output(self, capsys):
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+        code, out = run(capsys, "check", "all", "--len", "4")
+        assert code == 0
+        assert out == (reference / "check_all_len4.stdout").read_text(encoding="utf-8")
+
 
 class TestConfig:
     def test_config_sets_default_len(self, capsys, tmp_path):
@@ -164,18 +171,23 @@ class TestErrors:
         code = main(["check", "nonsense", "--len", "1"])
         assert code == 2
 
-    def test_env_policy_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("NCGL2_RATIONAL_POLICY", "float")
-        code = main(["nf", "a"])
-        out = capsys.readouterr()
-        assert code == 2
-        assert "NCGL2_RATIONAL_POLICY" in out.out + out.err
+    def test_internal_key_error_propagates(self, capsys, monkeypatch):
+        # a KeyError from inside the engine is a bug, not a usage error
+        import ncgl2.cli
 
-    def test_env_policy_exact_ok(self, capsys, monkeypatch):
-        monkeypatch.setenv("NCGL2_RATIONAL_POLICY", "exact")
-        code = main(["nf", "a"])
-        assert code == 0
-        capsys.readouterr()
+        def broken(names, bounds):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(ncgl2.cli, "run_check_suite", broken)
+        with pytest.raises(KeyError):
+            main(["check", "confluence", "--len", "1"])
+
+    def test_check_bad_config_len(self, capsys, tmp_path):
+        cfg = tmp_path / "ncgl2.cfg"
+        cfg.write_text("len = abc\n")
+        code = main(["--config", str(cfg), "check", "confluence"])
+        assert code == 2
+        assert "config len is not an integer" in capsys.readouterr().err
 
     def test_no_argv_shows_usage(self, capsys):
         assert main([]) == 2

@@ -38,12 +38,13 @@ from ncgl2.standard import (
     build_R,
     build_SymV,
     build_V,
+    build_delta,
     build_nabla,
     coevaluation_map,
     evaluation_map,
     sym_power_via_quotient,
 )
-from ncgl2.weights import Weight, parse_lambda
+from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
 from test_ncalg import ANTIPODE_IMAGES, ANTIPODE_INV_IMAGES, letter_by_letter
 
 
@@ -176,14 +177,23 @@ class TestHom:
         assert len(hom_space(W, build_SymV(2))) == 1
         assert hom_space(build_SymV(2), W) == []
 
-    def test_weight_blocking_consistency(self):
-        fast = hom_space(W, W, use_weight_blocking=True)
-        slow = hom_space(W, W, use_weight_blocking=False)
-        span_fast = [[c for row in f.matrix for c in row] for f in fast]
-        span_slow = [[c for row in f.matrix for c in row] for f in slow]
+    def test_weight_blocking_consistency(self, monkeypatch):
+        # hiding the torus weights forces the unblocked system over all
+        # matrix entries, the path for comodules that are not torus-diagonal
+        from ncgl2 import comodules
         from ncgl2.linalg import same_row_space
 
-        assert same_row_space(span_fast, span_slow)
+        labels = list(enumerate_lambda(2))
+        pairs = [(W, W)] + [
+            (build_delta(lam), build_nabla(mu)) for lam in labels for mu in labels
+        ]
+        blocked = [hom_space(X, Y) for X, Y in pairs]
+        monkeypatch.setattr(comodules, "torus_diagonal_weights", lambda X: None)
+        for (X, Y), fast in zip(pairs, blocked):
+            slow = hom_space(X, Y)
+            span_fast = [[c for row in f.matrix for c in row] for f in fast]
+            span_slow = [[c for row in f.matrix for c in row] for f in slow]
+            assert same_row_space(span_fast, span_slow), (X.labels, Y.labels)
 
     def test_are_isomorphic_negative(self):
         assert not are_isomorphic(V, build_SymV(2))

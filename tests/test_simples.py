@@ -9,7 +9,6 @@ from ncgl2.comodules import (
     VerificationError,
     are_isomorphic,
     generated_subcomodule,
-    left_dual,
     torus_diagonal_weights,
     weight_decomposition,
 )
@@ -158,13 +157,6 @@ class TestCrosscheck:
         top[torus_diagonal_weights(nabla).index(l.wt())] = F(1)
         generated, _ = generated_subcomodule(nabla, top)
         assert classify(l).dim == f.rank() == generated.dim, str(l)
-
-    def test_simple_dual_statement(self):
-        # duality permutes the simples by the star map
-        for text in ("d^2", "d.Di.d"):
-            L, _ = build_L(lam(text))
-            Lstar, _ = build_L(lam(text).star())
-            assert are_isomorphic(left_dual(L), Lstar)
 
 
 class TestDifferentialOracle:

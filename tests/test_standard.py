@@ -6,10 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ncgl2.comodules import (
-    are_isomorphic,
     highest_weight,
     hom_space,
-    left_dual,
     tensor,
     verify_comodule,
     weight_decomposition,
@@ -157,13 +155,6 @@ class TestSimpleQuotients:
         for text in ("D", "Di", "D^2"):
             L, _ = build_L(lam(text))
             assert L.dim == 1
-
-    def test_simple_duality(self):
-        # the left dual of a simple is the simple of the starred label
-        for text in ("d", "d^2", "d.Di.d"):
-            L, _ = build_L(lam(text))
-            Lstar, _ = build_L(lam(text).star())
-            assert are_isomorphic(left_dual(L), Lstar)
 
 
 class TestMultisets:
