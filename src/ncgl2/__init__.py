@@ -3,8 +3,8 @@
 The package is organized bottom up:
 
   linalg     sparse vectors {key: coefficient} and the one accumulate()
-             that adds into them, fraction-free sparse elimination, and
-             dense exact linear algebra over Fraction
+             that adds into them, and the one fraction-free elimination,
+             with dense Fraction rows only at the API edge
   ncalg      free algebra on a, b, c, d, D, Di with the defining rewrite
              system, normal forms, and the Hopf structure
   weights    the weight monoid Lambda, its star involutions and two orders

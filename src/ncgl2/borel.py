@@ -50,7 +50,12 @@ from .ncalg import (
     word_key,
 )
 from .weights import Weight
-from .comodules import Comodule, comodule_from_regular, generated_subcomodule
+from .comodules import (
+    Comodule,
+    _eigenvector_equations,
+    comodule_from_regular,
+    generated_subcomodule,
+)
 from . import linalg
 from .linalg import accumulate
 
@@ -191,15 +196,8 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     X).  For a costandard comodule and the upper quotient the space is a
     line when t is the top weight and zero at every other weight.
     """
-    g = quotient.grouplike(t)
-    equations: list[dict[int, Fraction]] = []
-    for j in range(X.dim):
-        rows: dict = {}
-        for i in range(X.dim):
-            for key, coeff in quotient.project(X.coaction[i][j]).items():
-                rows.setdefault(key, {})[i] = coeff
-        accumulate(rows.setdefault(g, {}), ((j, -1),))
-        equations.extend(rows.values())
+    projected = [[quotient.project(entry) for entry in row] for row in X.coaction]
+    equations = _eigenvector_equations(projected, quotient.grouplike(t))
     return linalg.nullspace_sparse(equations, X.dim)
 
 

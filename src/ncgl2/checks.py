@@ -294,7 +294,7 @@ def _suite_induced(bounds: dict) -> list[dict]:
 
 
 def _suite_classifier(bounds: dict) -> list[dict]:
-    from .simples import classify, classify_crosscheck, validate_adjacency
+    from .simples import ClassifierError, classify, classify_crosscheck, validate_adjacency
     from .weights import enumerate_lambda, parse_lambda
 
     n = bounds.get("len", 4)
@@ -327,7 +327,7 @@ def _suite_classifier(bounds: dict) -> list[dict]:
     for lam in enumerate_lambda(n):
         try:
             validate_adjacency(classify(lam).factors)
-        except Exception:
+        except ClassifierError:
             table_ok = False
     out.append(
         _result(

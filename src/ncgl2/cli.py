@@ -260,7 +260,7 @@ def _flatten(payload, prefix=""):
     rows = []
     if isinstance(payload, dict):
         for key, value in payload.items():
-            rows.extend(_flatten(value, f"{prefix}{key}." if not prefix else f"{prefix}{key}."))
+            rows.extend(_flatten(value, f"{prefix}{key}."))
     elif isinstance(payload, (list, tuple)):
         rows.append((prefix.rstrip("."), ",".join(_scalar(v) for v in payload)))
     else:

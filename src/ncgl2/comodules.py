@@ -283,6 +283,25 @@ def torus_diagonal_weights(X: Comodule) -> list[Weight] | None:
     return weights
 
 
+def _eigenvector_equations(projected: list[list[dict]], target) -> list[dict[int, int]]:
+    """Equations for the vectors x whose projected coaction is target (x) x.
+
+    projected[i][j] is the coaction entry C[i][j] pushed into a quotient,
+    as {key: coefficient}.  For each j and each key the equation says
+    sum_i x_i projected[i][j][key] = x_j when key is target, and 0
+    otherwise; its unknowns are the coordinates of x.
+    """
+    equations = []
+    for j, column in enumerate(zip(*projected)):
+        rows: dict = {}
+        for i, entry in enumerate(column):
+            for key, coeff in entry.items():
+                rows.setdefault(key, {})[i] = coeff
+        accumulate(rows.setdefault(target, {}), ((j, -1),))
+        equations.extend(rows.values())
+    return equations
+
+
 def weight_decomposition(X: Comodule) -> dict[Weight, int]:
     """Multiplicities of torus weights; their total equals the dimension."""
     diagonal = torus_diagonal_weights(X)
@@ -297,14 +316,7 @@ def weight_decomposition(X: Comodule) -> dict[Weight, int]:
     out = {}
     total = 0
     for t in candidates:
-        equations = []
-        for j in range(X.dim):
-            per_word: dict[Weight, dict[int, Fraction]] = {}
-            for i in range(X.dim):
-                for w, c in projected[i][j].items():
-                    per_word.setdefault(w, {})[i] = c
-            accumulate(per_word.setdefault(t, {}), ((j, -1),))
-            equations.extend(per_word[w] for w in sorted(per_word, key=weight_key))
+        equations = _eigenvector_equations(projected, t)
         mult = len(linalg.nullspace_sparse(equations, X.dim))
         if mult:
             out[t] = mult
@@ -434,43 +446,47 @@ def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
 # ---------------------------------------------------------------------------
 # Subquotients
 
-def _coaction_components(X: Comodule, vector: Sequence[Fraction]):
-    """rho(vector) as {word: coefficient vector over the basis of X}."""
+def _coaction_components(X: Comodule, vector: dict[int, Fraction]):
+    """rho(vector) as {word: coefficient vector over the basis of X}.
+
+    The vector maps basis indices of X to coefficients.
+    """
     entries = []
     for j in range(X.dim):
         el = NCElement({})
-        for i in range(X.dim):
-            if vector[i]:
-                el = el + X.coaction[i][j] * vector[i]
+        for i, c in vector.items():
+            if c:
+                el = el + X.coaction[i][j] * c
         entries.append(el)
     words = sorted({w for el in entries for w in el.terms}, key=word_key)
     return [(w, [el.coefficient(w) for el in entries]) for w in words]
 
 
-def subspace_comodule(X: Comodule, vectors: Iterable[Sequence]) -> tuple[Comodule, ComoduleMap]:
+def subspace_comodule(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
     """The comodule on a coaction-closed subspace, with its inclusion.
 
-    Raises ValueError if the span is not closed under the coaction.
+    The vectors are dense sequences or sparse dicts over the basis of X.
+    The subcomodule's basis is the reduced echelon basis of their span, so
+    the coordinates of a vector of the span are its entries at the leading
+    columns.  Raises ValueError if the span is not closed under the
+    coaction.
     """
-    rows, pivots = linalg.rref([list(v) for v in vectors])
-    r = len(rows)
-    coaction = [[NCElement({}) for _ in range(r)] for _ in range(r)]
-    for p in range(r):
-        for w, component in _coaction_components(X, rows[p]):
-            coords = [component[pivot] for pivot in pivots]
-            rebuilt = [Fraction(0)] * X.dim
-            for q in range(r):
-                if coords[q]:
-                    for idx in range(X.dim):
-                        rebuilt[idx] += coords[q] * rows[q][idx]
-            if rebuilt != list(component):
+    echelon = linalg.Echelon(vectors)
+    rows = echelon.basis()
+    leads = [min(row) for row in rows]
+    coaction = []
+    for row in rows:
+        entries = [{} for _ in leads]
+        for w, component in _coaction_components(X, row):
+            if echelon.insert(component):
                 raise ValueError("span is not closed under the coaction")
-            for q in range(r):
-                if coords[q]:
-                    coaction[p][q] = coaction[p][q] + NCElement({w: coords[q]})
-    labels = tuple(f"u{p + 1}" for p in range(r))
+            for entry, lead in zip(entries, leads):
+                if component[lead]:
+                    entry[w] = component[lead]
+        coaction.append([NCElement(entry) for entry in entries])
+    labels = tuple(f"u{p + 1}" for p in range(len(rows)))
     sub = Comodule(labels, coaction)
-    inclusion = ComoduleMap(sub, X, [[rows[q][i] for q in range(r)] for i in range(X.dim)])
+    inclusion = ComoduleMap(sub, X, [[row.get(i, 0) for row in rows] for i in range(X.dim)])
     return sub, inclusion
 
 
@@ -502,8 +518,7 @@ def quotient(X: Comodule, vectors: Iterable[Sequence]) -> tuple[Comodule, Comodu
 def image(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The image subcomodule of the target, with its inclusion."""
     columns = [[f.matrix[k][i] for k in range(f.target.dim)] for i in range(f.source.dim)]
-    rows, _ = linalg.rref(columns)
-    return subspace_comodule(f.target, rows)
+    return subspace_comodule(f.target, columns)
 
 
 def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
@@ -514,67 +529,18 @@ def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
 
 def generated_subcomodule(X: Comodule, vector: Sequence) -> tuple[Comodule, ComoduleMap]:
     """The smallest subcomodule containing the vector."""
-    echelon = linalg.Echelon(X.dim)
-    echelon.insert([Fraction(x) for x in vector])
+    echelon = linalg.Echelon([vector])
     grew = True
     while grew:
         grew = False
-        for row in list(echelon.basis()):
+        for row in echelon.basis():
             for _, component in _coaction_components(X, row):
-                if echelon.insert(component):
-                    grew = True
-        if len(echelon) > X.dim:
-            raise RuntimeError("closure grew past the dimension of the comodule")
+                grew |= echelon.insert(component)
     return subspace_comodule(X, echelon.basis())
 
 
 # ---------------------------------------------------------------------------
 # Comodules inside the regular comodule
-
-class _RegularEchelon:
-    """Reduced echelon set of algebra elements, keyed by leading word."""
-
-    def __init__(self):
-        self.rows: dict[tuple, NCElement] = {}
-
-    def reduce(self, element: NCElement) -> NCElement:
-        while not element.is_zero():
-            lead = max(element.terms, key=word_key)
-            row = self.rows.get(lead)
-            if row is None:
-                return element
-            element = element - row * element.coefficient(lead)
-        return element
-
-    def insert(self, element: NCElement) -> bool:
-        element = self.reduce(element)
-        if element.is_zero():
-            return False
-        lead = max(element.terms, key=word_key)
-        element = element * (Fraction(1) / element.coefficient(lead))
-        for key, row in list(self.rows.items()):
-            coeff = row.coefficient(lead)
-            if coeff:
-                self.rows[key] = row - element * coeff
-        self.rows[lead] = element
-        return True
-
-    def basis(self) -> list[NCElement]:
-        return [self.rows[key] for key in sorted(self.rows, key=word_key)]
-
-    def coordinates(self, element: NCElement) -> list[Fraction] | None:
-        order = sorted(self.rows, key=word_key)
-        coords = {key: Fraction(0) for key in order}
-        while not element.is_zero():
-            lead = max(element.terms, key=word_key)
-            row = self.rows.get(lead)
-            if row is None:
-                return None
-            coeff = element.coefficient(lead)
-            coords[lead] = coeff
-            element = element - row * coeff
-        return [coords[key] for key in order]
-
 
 def _coproduct_components(element: NCElement) -> list[tuple[tuple, NCElement]]:
     """Delta(element) grouped by the left leg: [(word, right component)]."""
@@ -588,30 +554,46 @@ def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list
     """The subcomodule of O generated by the given elements.
 
     The span is closed under taking right coproduct components; the
-    returned basis elements realize the abstract comodule inside O.
+    returned basis elements realize the abstract comodule inside O.  The
+    span is row reduced with the normal words as columns in decreasing
+    deglex order, so each basis element has coefficient 1 at its largest
+    word, its leading word, and no other basis element contains that word.
+    The basis comes in increasing order of leading word.
     """
-    echelon = _RegularEchelon()
-    for element in elements:
-        echelon.insert(element)
+    words: dict[tuple, tuple] = {}
+
+    def columns(element: NCElement) -> dict[tuple, Fraction]:
+        vector = {}
+        for w, c in element.items():
+            length, letters = word_key(w)
+            column = (-length, tuple(-x for x in letters))
+            words[column] = w
+            vector[column] = c
+        return vector
+
+    echelon = linalg.Echelon(map(columns, elements))
     grew = True
     while grew:
+        rows = echelon.basis()[::-1]
+        basis = [NCElement({words[k]: c for k, c in row.items()}) for row in rows]
+        components = [_coproduct_components(element) for element in basis]
         grew = False
-        for row in echelon.basis():
-            for _, component in _coproduct_components(row):
-                if echelon.insert(component):
-                    grew = True
-    basis = echelon.basis()
-    n = len(basis)
-    coaction = [[NCElement({}) for _ in range(n)] for _ in range(n)]
-    for p, row in enumerate(basis):
-        for w1, component in _coproduct_components(row):
-            coords = echelon.coordinates(component)
-            if coords is None:
-                raise RuntimeError("closure failed to capture a component")
-            for q in range(n):
-                if coords[q]:
-                    coaction[p][q] = coaction[p][q] + NCElement({w1: coords[q]})
-    labels = tuple(f"f{p + 1}" for p in range(n))
+        for parts in components:
+            for _, part in parts:
+                grew |= echelon.insert(columns(part))
+    # the last pass added nothing, so each part is the combination of the
+    # basis given by its coefficients at the leading words
+    leads = [words[min(row)] for row in rows]
+    coaction = []
+    for parts in components:
+        entries = [{} for _ in leads]
+        for w1, part in parts:
+            for entry, lead in zip(entries, leads):
+                coeff = part.coefficient(lead)
+                if coeff:
+                    entry[w1] = coeff
+        coaction.append([NCElement(entry) for entry in entries])
+    labels = tuple(f"f{p + 1}" for p in range(len(basis)))
     return Comodule(labels, coaction), basis
 
 

@@ -6,12 +6,12 @@ coefficient, so that equal vectors are equal dicts.  accumulate() is the
 one place that adds into such a dict; every layer above builds its
 linear combinations with it.
 
-Dense routines take lists of rows and work over Fraction.  The sparse
-solver takes equations as dicts mapping column index to coefficient, an
-int, or a Fraction only downstream of a non-integral input, and
-eliminates over the integers; it divides only to write out its basis.
-Both return Fractions.  Reduced row echelon form is unique, which makes
-subspace comparisons canonical.
+There is one row reduction, the incremental Echelon.  It eliminates
+fraction-free over the integers (Bareiss, Math. Comp. 22, 1968) and
+divides only to write out its reduced basis.  rref, rank, nullspace,
+nullspace_sparse and span_contains are thin callers of it, and only the
+rows they hand back hold Fractions, dense ones at the API edge.  Reduced
+row echelon form is unique, which makes subspace comparisons canonical.
 """
 
 from __future__ import annotations
@@ -25,18 +25,13 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
-    "solve",
     "mat_mul",
-    "mat_vec",
     "identity",
     "span_contains",
     "same_row_space",
     "nullspace_sparse",
     "Echelon",
 ]
-
-Vector = list
-Matrix = list
 
 
 def accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
@@ -62,218 +57,76 @@ def accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
     return acc
 
 
-def _clean_rows(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = _clean_rows(rows)
-    pivots: list[int] = []
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    row_at = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row_at, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[row_at], mat[pivot_row] = mat[pivot_row], mat[row_at]
-        inv = Fraction(1) / mat[row_at][col]
-        mat[row_at] = [x * inv for x in mat[row_at]]
-        for r in range(len(mat)):
-            if r != row_at and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row_at])]
-        pivots.append(col)
-        row_at += 1
-        if row_at == len(mat):
-            break
-    return mat[:row_at], pivots
-
-
-def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0}, one vector per free column, in column order."""
-    mat = _clean_rows(rows)
-    if ncols is None:
-        if not mat:
-            raise ValueError("ncols is required for an empty system")
-        ncols = len(mat[0])
-    if not mat:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][free]
-        basis.append(vec)
-    return basis
-
-
-def solve(rows: Iterable[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of A x = b, or None if inconsistent."""
-    mat = _clean_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if not mat:
-        return None if any(b) else []
-    ncols = len(mat[0])
-    augmented = [row + [bv] for row, bv in zip(mat, b)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][ncols]
-    return x
-
-
-def mat_mul(A: Iterable[Sequence], B: Iterable[Sequence]) -> list[list[Fraction]]:
-    A = _clean_rows(A)
-    B = _clean_rows(B)
-    if not A:
-        return []
-    if B and len(A[0]) != len(B):
-        raise ValueError("cannot multiply: inner dimensions differ")
-    ncols = len(B[0]) if B else 0
-    return [
-        [sum((arow[k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(ncols)]
-        for arow in A
-    ]
-
-
-def mat_vec(A: Iterable[Sequence], x: Sequence) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(v) for a, v in zip(row, x)), Fraction(0)) for row in A]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def span_contains(basis_rows: Iterable[Sequence], vector: Sequence) -> bool:
-    """Whether vector lies in the row span of basis_rows."""
-    rows = _clean_rows(basis_rows)
-    before = rank(rows)
-    after = rank(rows + [[Fraction(x) for x in vector]])
-    return before == after
-
-
-def same_row_space(rows_a: Iterable[Sequence], rows_b: Iterable[Sequence]) -> bool:
-    return rref(rows_a)[0] == rref(rows_b)[0]
-
-
 class Echelon:
-    """Incremental reduced echelon basis keyed by pivot column.
+    """Incremental echelon basis of a span, eliminated over the integers.
 
-    insert() reduces a vector against the current basis and absorbs any
-    nonzero remainder, keeping the basis fully reduced.  Useful for
-    closure computations that repeatedly add candidate vectors.
+    A vector is a dict mapping columns to coefficients (ints, or
+    Fractions only downstream of a non-integral input), or a dense
+    sequence indexed by column.  Columns are any mutually comparable keys,
+    and the leading column of a row is its smallest key.  insert() clears
+    the denominators of a vector and reduces it against the rows by their
+    leading columns: a row with entry r at a leading column is reduced
+    against the row p there, whose entry is q, as (q*row - r*p) / g with
+    g = gcd(r, q), and the gcd content of the result is divided out.  So
+    rows stay integral and small.
+
+    >>> echelon = Echelon([[2, 4, 6], [1, 2, 4]])
+    >>> echelon.insert({0: 1, 1: 2, 2: 5})
+    False
+    >>> len(echelon), echelon.basis() == [{0: 1, 1: 2}, {2: 1}]
+    (2, True)
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+    def __init__(self, vectors: Iterable = ()):
+        self.rows: dict = {}
+        for vector in vectors:
+            self.insert(vector)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vector: Sequence) -> list[Fraction]:
-        vec = [Fraction(x) for x in vector]
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                factor = vec[p]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        return vec
-
-    def contains(self, vector: Sequence) -> bool:
-        return not any(self.reduce(vector))
-
-    def insert(self, vector: Sequence) -> bool:
+    def insert(self, vector) -> bool:
         """Add a vector to the span.  Returns True if the span grew."""
-        vec = self.reduce(vector)
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = Fraction(1) / vec[pivot]
-        vec = [x * inv for x in vec]
-        for row in self.rows:
-            if row[pivot]:
-                factor = row[pivot]
-                row[:] = [x - factor * y for x, y in zip(row, vec)]
-        position = 0
-        while position < len(self.pivots) and self.pivots[position] < pivot:
-            position += 1
-        self.rows.insert(position, vec)
-        self.pivots.insert(position, pivot)
-        return True
-
-    def basis(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows]
-
-
-def nullspace_sparse(
-    equations: list[dict[int, int | Fraction]], nvars: int
-) -> list[list[Fraction]]:
-    """Basis of the solution space of sparse homogeneous equations.
-
-    Each equation maps a variable index to its coefficient, an int, or a
-    Fraction only downstream of a non-integral input.  Elimination is
-    fraction-free (Bareiss, Math. Comp. 22, 1968): each equation's
-    denominators are cleared, and a row with entry r at a pivot column is
-    reduced against the pivot row p, whose entry there is q, as
-    (q*row - r*p) / g with g = gcd(r, q), after which the gcd content of
-    the row is divided out.  The forward pass and the back substitution
-    both work this way, so rows stay integral and small.  Only writing
-    out the basis divides: the returned Fractions are the same dense
-    reduced basis nullspace() would produce.
-    """
-    echelon: dict[int, dict[int, int]] = {}
-    for eq in equations:
-        scale = lcm(*(v.denominator for v in eq.values()))
-        row = {k: v.numerator * (scale // v.denominator) for k, v in eq.items() if v}
+        if not isinstance(vector, dict):
+            vector = dict(enumerate(vector))
+        scale = lcm(*(v.denominator for v in vector.values()))
+        row = {k: v.numerator * (scale // v.denominator) for k, v in vector.items() if v}
+        rows = self.rows
         while row:
             lead = min(row)
-            known = echelon.get(lead)
+            known = rows.get(lead)
             if known is None:
                 _remove_content(row)
-                echelon[lead] = row
-                break
+                rows[lead] = row
+                return True
             _eliminate(row, known, lead)
-    # back substitution to full reduction
-    for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
-        for other_lead, other in echelon.items():
-            if other_lead < lead and lead in other:
-                _eliminate(other, row, lead)
-    basis = []
-    for free in range(nvars):
-        if free in echelon:
-            continue
-        vec = [Fraction(0)] * nvars
-        vec[free] = Fraction(1)
-        for lead, row in echelon.items():
-            coeff = row.get(free)
-            if coeff:
-                vec[lead] = Fraction(-coeff, row[lead])
-        basis.append(vec)
-    return basis
+        return False
+
+    def basis(self) -> list[dict]:
+        """The reduced row echelon basis, in increasing leading column.
+
+        Each returned row maps its columns to Fractions and has 1 at its
+        leading column.
+        """
+        return [
+            {k: Fraction(v, row[lead]) for k, v in row.items()} for lead, row in self._reduced()
+        ]
+
+    def _reduced(self) -> list[tuple]:
+        """(leading column, integer row) pairs, in increasing leading column.
+
+        Back substitution first clears every leading column from the other
+        rows, in place, from the last leading column down.
+        """
+        rows = self.rows
+        for lead in sorted(rows, reverse=True):
+            row = rows[lead]
+            for column in [k for k in row if k != lead and k in rows]:
+                _eliminate(row, rows[column], column)
+        return sorted(rows.items())
 
 
-def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> None:
+def _eliminate(row: dict, pivot: dict, lead) -> None:
     """Cancel row's entry at lead against pivot, in place, over the integers."""
     g = gcd(row[lead], pivot[lead])
     factor = row[lead] // g
@@ -285,9 +138,87 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], lead: int) -> None:
     _remove_content(row)
 
 
-def _remove_content(row: dict[int, int]) -> None:
+def _remove_content(row: dict) -> None:
     """Divide an integer row by the gcd of its entries, in place."""
     content = gcd(*row.values())
     if content > 1:
         for k in row:
             row[k] //= content
+
+
+def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    basis = Echelon(rows).basis()
+    dense = []
+    for row in basis:
+        vec = [Fraction(0)] * ncols
+        for k, v in row.items():
+            vec[k] = v
+        dense.append(vec)
+    return dense, [min(row) for row in basis]
+
+
+def rank(rows: Iterable[Sequence]) -> int:
+    return len(Echelon(rows))
+
+
+def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of {x : A x = 0}, one vector per free column, in column order."""
+    rows = [dict(enumerate(row)) for row in rows]
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols is required for an empty system")
+        ncols = len(rows[0])
+    return nullspace_sparse(rows, ncols)
+
+
+def nullspace_sparse(
+    equations: list[dict[int, int | Fraction]], nvars: int
+) -> list[list[Fraction]]:
+    """Basis of the solution space of sparse homogeneous equations.
+
+    Each equation maps a variable index to its coefficient.  The
+    equations are reduced in an Echelon; each free variable gives one
+    basis vector, 1 there and minus its column of the reduced rows at
+    their leading variables.  The vectors come in free-variable order and
+    are the unique reduced basis, as dense lists of Fractions.
+    """
+    reduced = Echelon(equations)._reduced()
+    pivots = {lead for lead, _ in reduced}
+    free = {k: [Fraction(0)] * nvars for k in range(nvars) if k not in pivots}
+    for k, vec in free.items():
+        vec[k] = Fraction(1)
+    for lead, row in reduced:
+        for k, v in row.items():
+            if k != lead:
+                free[k][lead] = Fraction(-v, row[lead])
+    return list(free.values())
+
+
+def mat_mul(A: Iterable[Sequence], B: Iterable[Sequence]) -> list[list[Fraction]]:
+    A = [[Fraction(x) for x in row] for row in A]
+    B = [[Fraction(x) for x in row] for row in B]
+    if not A:
+        return []
+    if B and len(A[0]) != len(B):
+        raise ValueError("cannot multiply: inner dimensions differ")
+    ncols = len(B[0]) if B else 0
+    return [
+        [sum((arow[k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(ncols)]
+        for arow in A
+    ]
+
+
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def span_contains(basis_rows: Iterable[Sequence], vector: Sequence) -> bool:
+    """Whether vector lies in the row span of basis_rows."""
+    return not Echelon(basis_rows).insert(vector)
+
+
+def same_row_space(rows_a: Iterable[Sequence], rows_b: Iterable[Sequence]) -> bool:
+    return rref(rows_a)[0] == rref(rows_b)[0]

@@ -331,9 +331,6 @@ class NCElement(_SparseElement):
     def coefficient(self, word: Word) -> Coeff:
         return self._terms.get(tuple(word), 0)
 
-    def support(self) -> list[Word]:
-        return sorted(self._terms, key=word_key)
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers of algebra elements must be integers >= 0")
@@ -732,9 +729,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, column: int):
         super().__init__(f"syntax error at column {column}: {message}")
         self.column = column
-
-
-_TOKEN_LETTERS = ("Di", "D", "a", "b", "c", "d")
 
 
 def _tokenize(text: str):

@@ -236,8 +236,6 @@ def nabla_surjection(lam: LambdaWord) -> ComoduleMap:
     matrix = [[_ONE]]
     for block in blocks:
         matrix = _kron(matrix, block)
-    if not lam.atoms():
-        matrix = linalg.identity(1)
     matrix_t = tuple(tuple(row) for row in matrix)
     f = ComoduleMap(M, N, matrix_t)
     if f.rank() != N.dim:

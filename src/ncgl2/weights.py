@@ -143,9 +143,6 @@ class LambdaWord:
     def ell(self) -> int:
         return len(self._letters)
 
-    def is_one(self) -> bool:
-        return not self._letters
-
     def wt(self) -> Weight:
         delta_sum = sum(1 if l == "D" else -1 for l in self._letters if l != "d")
         d_count = sum(1 for l in self._letters if l == "d")

@@ -19,7 +19,7 @@ from ncgl2.borel import (
     subrep_containment_test,
 )
 from ncgl2 import linalg
-from ncgl2.comodules import comodule_from_regular, tensor, torus_project
+from ncgl2.comodules import comodule_from_regular, comodule_to_json, torus_project
 from ncgl2.linalg import accumulate
 from ncgl2.ncalg import (
     LETTERS,
@@ -240,6 +240,20 @@ class TestInduction:
         assert are_isomorphic(C, build_V())
         with pytest.raises(ValueError):
             induced_comodule(parse_weight("a"), 2)
+
+    def test_induced_comodule_exact_basis_and_coaction(self):
+        C, basis = induced_comodule(parse_weight("d"), 3)
+        assert [render_element(f) for f in basis] == [
+            "b", "d", "Di*b*D", "Di*d*D", "D*b*Di", "D*d*Di",
+        ]
+        assert comodule_to_json(C)["coaction"] == [
+            ["a", "b", "0", "0", "0", "0"],
+            ["c", "d", "0", "0", "0", "0"],
+            ["0", "0", "Di*a*D", "Di*b*D", "0", "0"],
+            ["0", "0", "Di*c*D", "Di*d*D", "0", "0"],
+            ["0", "0", "0", "0", "D*a*Di", "D*b*Di"],
+            ["0", "0", "0", "0", "D*c*Di", "D*d*Di"],
+        ]
 
 
 class TestColumnWeight:

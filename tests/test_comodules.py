@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ncgl2.comodules import (
     Comodule,
@@ -33,7 +32,7 @@ from ncgl2.comodules import (
     weight_decomposition,
 )
 from ncgl2 import ncalg
-from ncgl2.ncalg import NCElement, gen, one, parse_expression
+from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
     build_R,
     build_SymV,
@@ -156,6 +155,35 @@ class TestSubQuotient:
         assert are_isomorphic(C, V)
         D_line, _ = comodule_from_regular([gen("D")])
         assert are_isomorphic(D_line, build_R(1))
+
+    def test_comodule_from_regular_exact_basis_and_coaction(self):
+        # the span is row reduced on the normal words in decreasing deglex
+        # order: each basis element has coefficient 1 at its largest word,
+        # which no other basis element contains
+        X, basis = comodule_from_regular([gen("a"), gen("c"), gen("D")])
+        assert [render_element(f) for f in basis] == ["D", "a", "c"]
+        assert comodule_to_json(X)["coaction"] == [
+            ["D", "0", "0"],
+            ["0", "a", "b"],
+            ["0", "c", "d"],
+        ]
+        X, basis = comodule_from_regular(
+            [parse_expression("3/2*a*d - 2*b*c + 1/3*D"), parse_expression("c*Di - a")]
+        )
+        assert [render_element(f) for f in basis] == [
+            "D", "a", "c", "a*Di", "b*a - 3/4*a*b", "b*c - 3/4*a*d", "c*Di", "d*c - 3/4*c*d",
+        ]
+        assert comodule_to_json(X)["coaction"] == [
+            ["D", "0", "0", "0", "0", "0", "0", "0"],
+            ["0", "a", "b", "0", "0", "0", "0", "0"],
+            ["0", "c", "d", "0", "0", "0", "0", "0"],
+            ["0", "0", "0", "a*Di", "0", "0", "b*Di", "0"],
+            ["7/4*b*a", "0", "0", "0", "a^2", "b*a + a*b", "0", "b^2"],
+            ["7/4*b*c", "0", "0", "0", "a*c", "b*c + a*d", "0", "b*d"],
+            ["0", "0", "0", "c*Di", "0", "0", "d*Di", "0"],
+            ["7/4*d*c", "0", "0", "0", "c^2", "d*c + c*d", "0", "d^2"],
+        ]
+        assert verify_comodule(X)
 
 
 class TestHom:

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra."""
+"""Exact linear algebra: the sparse kernel and the fraction-free echelon."""
 
 import ast
 import random
@@ -11,20 +11,79 @@ from hypothesis import given, settings, strategies as st
 
 import ncgl2
 from ncgl2.linalg import (
+    Echelon,
     accumulate,
     identity,
     mat_mul,
-    mat_vec,
     nullspace,
     nullspace_sparse,
     rank,
     rref,
     same_row_space,
-    solve,
     span_contains,
 )
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Dense Gauss-Jordan elimination over Fraction, an independent oracle for
+# the fraction-free Echelon that every routine of the package runs on.
+
+def dense_rref(rows) -> tuple[list[list[F]], list[int]]:
+    mat = [[F(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    if not mat:
+        return [], []
+    row_at = 0
+    for col in range(len(mat[0])):
+        pivot_row = next((r for r in range(row_at, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
+            continue
+        mat[row_at], mat[pivot_row] = mat[pivot_row], mat[row_at]
+        inv = 1 / mat[row_at][col]
+        mat[row_at] = [x * inv for x in mat[row_at]]
+        for r in range(len(mat)):
+            if r != row_at and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row_at])]
+        pivots.append(col)
+        row_at += 1
+        if row_at == len(mat):
+            break
+    return mat[:row_at], pivots
+
+
+def dense_nullspace(rows, ncols: int) -> list[list[F]]:
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][free]
+        basis.append(vec)
+    return basis
+
+
+def mat_vec(A, x) -> list[F]:
+    return [sum((F(a) * v for a, v in zip(row, x)), F(0)) for row in A]
+
+
+def agrees_with_oracle(rows: list[list[F]], ncols: int) -> None:
+    """rref, rank, nullspace and nullspace_sparse equal the dense oracle's."""
+    reduced, pivots = dense_rref(rows)
+    assert rref(rows) == (reduced, pivots)
+    assert all(type(x) is F for row in rref(rows)[0] for x in row)
+    assert rank(rows) == len(pivots)
+    null = dense_nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == null
+    equations = [{k: v for k, v in enumerate(row) if v} for row in rows]
+    sparse_basis = nullspace_sparse(equations, ncols)
+    assert sparse_basis == null
+    assert all(type(x) is F for vec in sparse_basis for x in vec)
 
 
 def test_accumulate_cancelling_pair_deletes_key():
@@ -63,6 +122,34 @@ def test_accumulate_is_the_only_accumulation_loop():
     assert hits == []
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never references, outside __future__.
+
+    A name listed in the module's __all__ counts as referenced.
+    """
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_import_in_package_or_tests():
+    package = Path(ncgl2.__file__).parent
+    paths = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
 def test_no_bare_assert_in_package():
     # python -O strips assert statements; invariant checks must raise
     package = Path(ncgl2.__file__).parent
@@ -93,17 +180,26 @@ def test_rank_and_nullspace():
     assert mat_vec(mat, v) == [F(0), F(0)]
 
 
-def test_solve_unique():
-    mat = [[F(2), F(1)], [F(1), F(3)]]
-    rhs = [F(5), F(10)]
-    sol = solve(mat, rhs)
-    assert sol is not None
-    assert mat_vec(mat, sol) == rhs
+def test_echelon_insert_len_and_basis():
+    echelon = Echelon()
+    assert echelon.insert({0: 2, 2: 6})
+    assert echelon.insert([1, 1, 4])
+    assert not echelon.insert({0: F(3, 2), 1: -3, 2: F(3, 2)})
+    assert not echelon.insert({})
+    assert len(echelon) == 2
+    assert echelon.basis() == [{0: 1, 2: 3}, {1: 1, 2: 1}]
+    assert all(type(x) is F for row in echelon.basis() for x in row.values())
+    # rows stay integral and without content, whatever the input scale
+    assert echelon.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: 1}}
+    assert all(type(x) is int for row in echelon.rows.values() for x in row.values())
 
 
-def test_solve_inconsistent():
-    mat = [[F(1), F(1)], [F(2), F(2)]]
-    assert solve(mat, [F(1), F(3)]) is None
+def test_echelon_columns_are_any_ordered_keys():
+    # the leading column is the smallest key, so negated keys reverse it
+    echelon = Echelon([{"x": 1, "y": 1}, {"y": 2, "z": 4}])
+    assert echelon.basis() == [{"x": 1, "z": -2}, {"y": 1, "z": 2}]
+    reverse = Echelon([{-1: 1, -2: 1}, {-2: 2, -3: 4}])
+    assert reverse.basis() == [{-3: 1, -1: F(-1, 2)}, {-2: 1, -1: 1}]
 
 
 def test_span_and_row_space():
@@ -121,7 +217,7 @@ def test_nullspace_sparse_matches_dense():
     ]
     dense = [[F(1), F(0), F(-1)], [F(0), F(2), F(2)]]
     sparse_basis = nullspace_sparse(rows, 3)
-    dense_basis = nullspace(dense)
+    dense_basis = dense_nullspace(dense, 3)
     assert same_row_space(sparse_basis, dense_basis)
 
 
@@ -159,8 +255,9 @@ def test_nullspace_sparse_equals_dense_on_random_systems(seed):
     for _ in range(60):
         equations, nvars = random_sparse_system(rng)
         sparse_basis = nullspace_sparse([dict(eq) for eq in equations], nvars)
-        assert sparse_basis == nullspace(dense_rows(equations, nvars), nvars), equations
+        assert sparse_basis == dense_nullspace(dense_rows(equations, nvars), nvars), equations
         assert all(type(x) is F for vec in sparse_basis for x in vec)
+        agrees_with_oracle(dense_rows(equations, nvars), nvars)
 
 
 def test_nullspace_sparse_edge_systems():
@@ -173,7 +270,7 @@ def test_nullspace_sparse_edge_systems():
     ]
     for equations, nvars in cases:
         sparse_basis = nullspace_sparse(equations, nvars)
-        assert sparse_basis == nullspace(dense_rows(equations, nvars), nvars)
+        assert sparse_basis == dense_nullspace(dense_rows(equations, nvars), nvars)
         assert all(type(x) is F for vec in sparse_basis for x in vec)
     assert nullspace_sparse([], 2) == [[F(1), F(0)], [F(0), F(1)]]
     assert nullspace_sparse([], 0) == []
@@ -187,6 +284,12 @@ def matrices(draw, max_dim=4):
     n = draw(st.integers(min_value=1, max_value=max_dim))
     m = draw(st.integers(min_value=1, max_value=max_dim))
     return [[draw(SMALL) for _ in range(m)] for _ in range(n)]
+
+
+@given(matrices(max_dim=5))
+@settings(max_examples=150, deadline=None)
+def test_kernel_equals_dense_oracle(mat):
+    agrees_with_oracle(mat, len(mat[0]))
 
 
 @given(matrices())

@@ -1,10 +1,13 @@
 """The block classifier for simple comodules and the differential oracle."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgl2 import simples
+from ncgl2.checks import run_check_suite
 from ncgl2.comodules import (
     VerificationError,
     are_isomorphic,
@@ -114,6 +117,30 @@ class TestClassifier:
         with pytest.raises(ClassifierError):
             validate_adjacency((("T", 2), ("R", -1), ("S", 1)))
 
+    def test_classifier_suite_fails_only_on_classifier_errors(self, monkeypatch):
+        # a ClassifierError is a failed check; any other exception is a bug
+        # and propagates instead of showing as a FAIL line.  The patched
+        # validators misbehave only when the suite calls them, so that
+        # classify itself still runs.
+        validate = simples.validate_adjacency
+
+        def in_suite(error):
+            def patched(factors):
+                if sys._getframe(1).f_code.co_name == "_suite_classifier":
+                    raise error
+                return validate(factors)
+
+            return patched
+
+        rejects = in_suite(ClassifierError("rejected"))
+        broken = in_suite(TypeError("broken validator"))
+        monkeypatch.setattr(simples, "validate_adjacency", rejects)
+        table = run_check_suite(["classifier"], {"len": 1})[-1]
+        assert (table["name"], table["pass"]) == ("classifier.adjacency-table-len1", False)
+        monkeypatch.setattr(simples, "validate_adjacency", broken)
+        with pytest.raises(TypeError, match="broken validator"):
+            run_check_suite(["classifier"], {"len": 1})
+
     def test_classifier_deterministic(self):
         for l in enumerate_lambda(3):
             assert classify(l) == classify(l)
@@ -148,9 +175,10 @@ class TestCrosscheck:
     @given(st.sampled_from(enumerate_lambda(5)))
     @settings(max_examples=25, deadline=None)
     def test_three_way_agreement(self, l):
-        # the classifier, the rank of the canonical map (integer sparse
-        # solver) and the subcomodule of nabla generated by its top-weight
-        # vector (dense Fraction echelon, no sparse solver) agree
+        # the classifier, the rank of the canonical map and the subcomodule
+        # of nabla generated by its top-weight vector agree; the last two
+        # both run on linalg.Echelon, which test_linalg checks against an
+        # independent dense Gauss-Jordan oracle
         f = canonical_map(l)
         nabla = f.target
         top = [F(0)] * nabla.dim

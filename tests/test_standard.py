@@ -1,24 +1,20 @@
 """Named comodules: standards, costandards, simples, multisets, layers."""
 
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from ncgl2.comodules import (
     highest_weight,
     hom_space,
-    tensor,
     verify_comodule,
     weight_decomposition,
 )
 from ncgl2.standard import (
     build_L,
     build_M,
-    build_R,
     build_SymV,
     build_TV,
-    build_V,
     build_delta,
     build_nabla,
     canonical_map,
@@ -29,7 +25,6 @@ from ncgl2.standard import (
     decompose_layer,
     delta_multiset,
     layer_dimension,
-    nabla_multiset,
     nabla_surjection,
     repring_decompose,
 )
@@ -158,60 +153,12 @@ class TestSimpleQuotients:
 
 
 class TestMultisets:
-    def test_nabla_multiset_examples(self):
-        # two hand-expanded runs of the multiset recursion
-        assert names(nabla_multiset(lam("d^4"))) == {
-            "d^4": 1,
-            "d^2.D": 1,
-            "d.D.d": 1,
-            "D.d^2": 1,
-            "D^2": 1,
-        }
-        assert names(nabla_multiset(lam("d^2.Di.d"))) == {
-            "d^2.Di.d": 1,
-            "d": 1,
-        }
-
-    def test_multiset_contains_label_once(self):
-        for l in enumerate_lambda(4):
-            assert nabla_multiset(l)[l] == 1
-            assert delta_multiset(l)[l] == 1
-
-    def test_lower_terms_strictly_below(self):
-        for l in enumerate_lambda(4):
-            for mu in nabla_multiset(l):
-                if mu != l:
-                    assert mu.lt1(l)
-
-    def test_multiset_dimension_audit(self):
-        # sum of costandard dimensions = dim of the tensor-power comodule
-        for l in enumerate_lambda(4):
-            total = sum(
-                build_nabla(mu).dim * m for mu, m in nabla_multiset(l).items()
-            )
-            assert total == build_M(l).dim
-
     def test_delta_multiset_dimension_audit(self):
         for l in enumerate_lambda(4):
             total = sum(
                 build_delta(mu).dim * m for mu, m in delta_multiset(l).items()
             )
             assert total == build_M(l).dim
-
-    def test_multiset_character_audit(self):
-        for l in enumerate_lambda(3):
-            total: Counter = Counter()
-            for mu, m in nabla_multiset(l).items():
-                for w, k in char_nabla(mu).items():
-                    total[w] += k * m
-            assert +total == Counter(char_M(l))
-
-    def test_delta_multiset_mirrors_nabla(self):
-        for l in enumerate_lambda(3):
-            mirrored = Counter(
-                {mu.star(): m for mu, m in nabla_multiset(l.star_inv()).items()}
-            )
-            assert delta_multiset(l) == mirrored
 
 
 class TestLayers:
