@@ -225,11 +225,8 @@ def subrep_containment_test(X: Comodule, top_index: int, trials: int = 50, seed:
             probes.append(vec)
     target = [(_ONE if i == top_index else _ZERO) for i in range(X.dim)]
     for vec in probes:
-        sub, incl = generated_subcomodule(X, vec)
-        rows = [
-            [incl.matrix[r][c] for r in range(X.dim)] for c in range(sub.dim)
-        ]
-        if not linalg.span_contains(rows, target):
+        _, incl = generated_subcomodule(X, vec)
+        if not linalg.span_contains(zip(*incl.matrix), target):
             return False
     return True
 
@@ -278,12 +275,15 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
 
 
 def induced_predicted(t: Weight, n: int) -> list[Word]:
-    """Monomial semi-invariants predicted to span the truncated induction.
+    """Monomial semi-invariants, a subset of the truncated induction.
 
     These are the normal words in b, d, delta^{+-1} (no a, no c) of length
     at most n whose right B-character is g_t: with x the net delta exponent
     and m the number of b's and d's, the character is (x, x + m).  Outside
-    the dominant cone the list is empty.
+    the dominant cone the list is empty.  They span the whole induction
+    only at the bounds where `check induced` passes, n <= 4: at t = a^-1
+    with n = 5 they give 8 of the 20 dimensions `induced_truncated` solves,
+    missing elements such as b*Di^2*b*a - a*Di^2*b^2 that contain a or c.
     """
     out: list[Word] = []
     for length in range(n + 1):

@@ -20,7 +20,8 @@ A config file of key=value lines supplies default bounds (key "len");
 explicit flags win.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage or
-syntax errors.
+syntax errors and a missing config file.  Any other exception is an
+internal error and propagates.
 """
 
 from __future__ import annotations
@@ -49,9 +50,13 @@ from .weights import (
     pi_below,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "UsageError"]
 
 _FORMATS = ("json", "tsv", "pretty")
+
+
+class UsageError(ValueError):
+    """Bad input from the command line or the config file; exits 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +122,7 @@ def _default_len(args_length, config: dict, fallback: int | None) -> int | None:
         try:
             return int(config["len"])
         except ValueError as exc:
-            raise ValueError(f"config len is not an integer: {config['len']!r}") from exc
+            raise UsageError(f"config len is not an integer: {config['len']!r}") from exc
     return fallback
 
 
@@ -315,15 +320,12 @@ def main(argv=None) -> int:
         return 2
     try:
         payload, status = _run(args, config)
-    except (ExprSyntaxError, LambdaSyntaxError) as exc:
+    except (ExprSyntaxError, LambdaSyntaxError, UsageError) as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"ncgl2: {exc}", file=sys.stderr)
-        return 2
     _emit(payload, args.format, started)
     return status
 

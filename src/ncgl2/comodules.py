@@ -8,6 +8,12 @@ Maps are stored column-wise: a ComoduleMap f with matrix F sends
 f(v_i) = sum_k F[k][i] w_k.  hom_space solves the intertwining equations
 exactly; when both sides are diagonal for the torus quotient the solver
 restricts to weight-compatible matrix entries first.
+
+One closure routine, _close, builds every subcomodule: it grows an
+Echelon until the coaction components of each basis row lie in the span,
+then reads the coaction off at the leading columns.  The subspace, image,
+kernel, generated, quotient and regular cases differ only in the span
+they start from and in how a vector's coaction splits into components.
 """
 
 from __future__ import annotations
@@ -85,9 +91,6 @@ class Comodule:
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         self.coaction = rows
-
-    def entry(self, i: int, j: int) -> NCElement:
-        return self.coaction[i][j]
 
     def __repr__(self):
         return f"Comodule(dim={self.dim}, labels={list(self.labels)})"
@@ -446,20 +449,61 @@ def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
 # ---------------------------------------------------------------------------
 # Subquotients
 
-def _coaction_components(X: Comodule, vector: dict[int, Fraction]):
-    """rho(vector) as {word: coefficient vector over the basis of X}.
+def _close(echelon: linalg.Echelon, components) -> tuple[list[dict], list[list[NCElement]]]:
+    """Grow the span until the components of every reduced basis row lie in it.
+
+    components(row) is the coaction of a vector as {word: sparse vector}.
+    Returns the rows, in increasing leading column, and the coaction on
+    them: each component is the combination of the rows given by its
+    entries at their leading columns.
+    """
+    grew = True
+    while grew:
+        rows = echelon.basis()
+        parts = [components(row) for row in rows]
+        grew = False
+        for part in parts:
+            for vector in part.values():
+                grew |= echelon.insert(vector)
+    position = {min(row): q for q, row in enumerate(rows)}
+    coaction = []
+    for part in parts:
+        entries = [{} for _ in rows]
+        for w in sorted(part, key=word_key):
+            for column, c in part[w].items():
+                if column in position:
+                    entries[position[column]][w] = c
+        coaction.append([NCElement(entry) for entry in entries])
+    return rows, coaction
+
+
+def _coaction_components(X: Comodule, vector: dict) -> dict[tuple, dict[int, Fraction]]:
+    """rho(vector) as {word: sparse vector over the basis of X}.
 
     The vector maps basis indices of X to coefficients.
     """
-    entries = []
-    for j in range(X.dim):
-        el = NCElement({})
-        for i, c in vector.items():
-            if c:
-                el = el + X.coaction[i][j] * c
-        entries.append(el)
-    words = sorted({w for el in entries for w in el.terms}, key=word_key)
-    return [(w, [el.coefficient(w) for el in entries]) for w in words]
+    pairs: dict = {}
+    for i, c in vector.items():
+        for j, entry in enumerate(X.coaction[i]):
+            for w, e in entry.items():
+                pairs.setdefault(w, []).append((j, c * e))
+    return {w: accumulate({}, column) for w, column in pairs.items()}
+
+
+def _closed_span(X: Comodule, vectors: Iterable) -> tuple[list[dict], list[list[NCElement]]]:
+    """_close on the span of the vectors; ValueError if closing grew it."""
+    echelon = linalg.Echelon(vectors)
+    rank = len(echelon)
+    rows, coaction = _close(echelon, lambda row: _coaction_components(X, row))
+    if len(rows) != rank:
+        raise ValueError("span is not closed under the coaction")
+    return rows, coaction
+
+
+def _with_inclusion(X: Comodule, rows: list[dict], coaction) -> tuple[Comodule, ComoduleMap]:
+    labels = tuple(f"u{p + 1}" for p in range(len(rows)))
+    sub = Comodule(labels, coaction)
+    return sub, ComoduleMap(sub, X, [[row.get(i, 0) for row in rows] for i in range(X.dim)])
 
 
 def subspace_comodule(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
@@ -471,45 +515,25 @@ def subspace_comodule(X: Comodule, vectors: Iterable) -> tuple[Comodule, Comodul
     columns.  Raises ValueError if the span is not closed under the
     coaction.
     """
-    echelon = linalg.Echelon(vectors)
-    rows = echelon.basis()
-    leads = [min(row) for row in rows]
-    coaction = []
-    for row in rows:
-        entries = [{} for _ in leads]
-        for w, component in _coaction_components(X, row):
-            if echelon.insert(component):
-                raise ValueError("span is not closed under the coaction")
-            for entry, lead in zip(entries, leads):
-                if component[lead]:
-                    entry[w] = component[lead]
-        coaction.append([NCElement(entry) for entry in entries])
-    labels = tuple(f"u{p + 1}" for p in range(len(rows)))
-    sub = Comodule(labels, coaction)
-    inclusion = ComoduleMap(sub, X, [[row.get(i, 0) for row in rows] for i in range(X.dim)])
-    return sub, inclusion
+    return _with_inclusion(X, *_closed_span(X, vectors))
 
 
-def quotient(X: Comodule, vectors: Iterable[Sequence]) -> tuple[Comodule, ComoduleMap]:
+def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
     """The quotient by a coaction-closed span, with its projection."""
-    vectors = [list(v) for v in vectors]
-    subspace_comodule(X, vectors)  # raises if not a subcomodule
-    rows, pivots = linalg.rref(vectors)
-    free = [i for i in range(X.dim) if i not in set(pivots)]
-    proj = [[Fraction(0)] * X.dim for _ in range(len(free))]
-    for t, f in enumerate(free):
-        proj[t][f] = Fraction(1)
-        for q, p in enumerate(pivots):
-            proj[t][p] = -rows[q][f]
-    coaction = [[NCElement({}) for _ in range(len(free))] for _ in range(len(free))]
-    for s, f in enumerate(free):
-        for j in range(X.dim):
-            entry = X.coaction[f][j]
-            if entry.is_zero():
-                continue
-            for t in range(len(free)):
-                if proj[t][j]:
-                    coaction[s][t] = coaction[s][t] + entry * proj[t][j]
+    rows, _ = _closed_span(X, vectors)
+    leading = {min(row): row for row in rows}
+    free = [i for i in range(X.dim) if i not in leading]
+    # modulo the span, the basis vector at a leading column is minus the
+    # rest of its row, and the free basis vectors are the quotient's basis
+    proj = [
+        [-leading[j].get(f, 0) if j in leading else int(j == f) for j in range(X.dim)]
+        for f in free
+    ]
+    parts = [_coaction_components(X, {f: 1}) for f in free]
+    coaction = [
+        [NCElement({w: sum(c * p[j] for j, c in v.items()) for w, v in rho.items()}) for p in proj]
+        for rho in parts
+    ]
     labels = tuple(f"q{t + 1}" for t in range(len(free)))
     quo = Comodule(labels, coaction)
     return quo, ComoduleMap(X, quo, proj)
@@ -517,38 +541,22 @@ def quotient(X: Comodule, vectors: Iterable[Sequence]) -> tuple[Comodule, Comodu
 
 def image(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The image subcomodule of the target, with its inclusion."""
-    columns = [[f.matrix[k][i] for k in range(f.target.dim)] for i in range(f.source.dim)]
-    return subspace_comodule(f.target, columns)
+    return subspace_comodule(f.target, zip(*f.matrix))
 
 
 def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The kernel subcomodule of the source, with its inclusion."""
-    null = linalg.nullspace([list(row) for row in f.matrix], f.source.dim)
-    return subspace_comodule(f.source, null)
+    return subspace_comodule(f.source, linalg.nullspace(f.matrix, f.source.dim))
 
 
 def generated_subcomodule(X: Comodule, vector: Sequence) -> tuple[Comodule, ComoduleMap]:
     """The smallest subcomodule containing the vector."""
     echelon = linalg.Echelon([vector])
-    grew = True
-    while grew:
-        grew = False
-        for row in echelon.basis():
-            for _, component in _coaction_components(X, row):
-                grew |= echelon.insert(component)
-    return subspace_comodule(X, echelon.basis())
+    return _with_inclusion(X, *_close(echelon, lambda row: _coaction_components(X, row)))
 
 
 # ---------------------------------------------------------------------------
 # Comodules inside the regular comodule
-
-def _coproduct_components(element: NCElement) -> list[tuple[tuple, NCElement]]:
-    """Delta(element) grouped by the left leg: [(word, right component)]."""
-    grouped: dict[tuple, dict[tuple, Fraction]] = {}
-    for (w1, w2), coeff in coproduct(element).items():
-        grouped.setdefault(w1, {})[w2] = coeff
-    return [(w1, NCElement(grouped[w1])) for w1 in sorted(grouped, key=word_key)]
-
 
 def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list[NCElement]]:
     """The subcomodule of O generated by the given elements.
@@ -562,39 +570,26 @@ def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list
     """
     words: dict[tuple, tuple] = {}
 
-    def columns(element: NCElement) -> dict[tuple, Fraction]:
-        vector = {}
-        for w, c in element.items():
-            length, letters = word_key(w)
-            column = (-length, tuple(-x for x in letters))
-            words[column] = w
-            vector[column] = c
-        return vector
+    def column(word) -> tuple:
+        length, letters = word_key(word)
+        key = (-length, tuple(-x for x in letters))
+        words[key] = word
+        return key
 
-    echelon = linalg.Echelon(map(columns, elements))
-    grew = True
-    while grew:
-        rows = echelon.basis()[::-1]
-        basis = [NCElement({words[k]: c for k, c in row.items()}) for row in rows]
-        components = [_coproduct_components(element) for element in basis]
-        grew = False
-        for parts in components:
-            for _, part in parts:
-                grew |= echelon.insert(columns(part))
-    # the last pass added nothing, so each part is the combination of the
-    # basis given by its coefficients at the leading words
-    leads = [words[min(row)] for row in rows]
-    coaction = []
-    for parts in components:
-        entries = [{} for _ in leads]
-        for w1, part in parts:
-            for entry, lead in zip(entries, leads):
-                coeff = part.coefficient(lead)
-                if coeff:
-                    entry[w1] = coeff
-        coaction.append([NCElement(entry) for entry in entries])
-    labels = tuple(f"f{p + 1}" for p in range(len(basis)))
-    return Comodule(labels, coaction), basis
+    def element(row: dict) -> NCElement:
+        return NCElement({words[k]: c for k, c in row.items()})
+
+    def components(row: dict) -> dict:
+        grouped: dict = {}
+        for (w1, w2), coeff in coproduct(element(row)).items():
+            grouped.setdefault(w1, {})[column(w2)] = coeff
+        return grouped
+
+    echelon = linalg.Echelon({column(w): c for w, c in f.items()} for f in elements)
+    rows, coaction = _close(echelon, components)
+    labels = tuple(f"f{p + 1}" for p in range(len(rows)))
+    coaction = [row[::-1] for row in coaction[::-1]]
+    return Comodule(labels, coaction), [element(row) for row in rows[::-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,17 @@ class TestErrors:
         with pytest.raises(KeyError):
             main(["check", "confluence", "--len", "1"])
 
+    def test_internal_value_error_propagates(self, capsys, monkeypatch):
+        # only syntax errors, UsageError and a missing config file exit 2
+        import ncgl2.cli
+
+        def broken(names, bounds):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(ncgl2.cli, "run_check_suite", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["check", "confluence", "--len", "1"])
+
     def test_check_bad_config_len(self, capsys, tmp_path):
         cfg = tmp_path / "ncgl2.cfg"
         cfg.write_text("len = abc\n")

@@ -116,16 +116,32 @@ class TestSubQuotient:
         assert incl.is_intertwiner()
         # the alternating line carries the determinant character
         assert are_isomorphic(sub, build_R(1))
+        # a sparse dict spanning the same line gives the same result
+        sparse_sub, sparse_incl = subspace_comodule(W, [{1: 2, 2: -2}])
+        assert comodule_to_json(sparse_sub) == comodule_to_json(sub)
+        assert sparse_incl.matrix == incl.matrix
 
     def test_non_subspace_rejected(self):
         with pytest.raises(ValueError):
             subspace_comodule(W, [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]])
+        with pytest.raises(ValueError):
+            subspace_comodule(W, [{0: 1}, {1: 1, 2: 1}])
 
     def test_quotient_is_symmetric_square(self):
         quo, proj = quotient(W, DET_LINE)
         assert quo.dim == 3
         assert proj.is_intertwiner()
         assert are_isomorphic(quo, build_SymV(2))
+        assert comodule_to_json(quo)["coaction"] == [
+            ["a^2", "b*a + a*b", "b^2"],
+            ["a*c", "b*c + a*d", "b*d"],
+            ["c^2", "d*c + c*d", "d^2"],
+        ]
+        assert map_to_json(proj)["matrix"] == [
+            ["1", "0", "0", "0"],
+            ["0", "1", "1", "0"],
+            ["0", "0", "0", "1"],
+        ]
 
     def test_sym_power_via_quotient(self):
         # the explicit symmetric power agrees with the quotient
@@ -147,6 +163,17 @@ class TestSubQuotient:
         assert g.dim == 4
         line, _ = generated_subcomodule(W, DET_LINE[0])
         assert line.dim == 1
+        # the top line of nabla(d.Di.d), at basis vector 3, generates L(d.Di.d)
+        nabla = build_nabla(parse_lambda("d.Di.d"))
+        L, incl = generated_subcomodule(nabla, [0, 0, 0, 1])
+        assert comodule_to_json(L)["coaction"] == [
+            ["a*Di*a", "a*Di*b", "b*Di*b"],
+            ["c*Di*a + a*Di*c", "c*Di*b + a*Di*d", "d*Di*b + b*Di*d"],
+            ["c*Di*c", "c*Di*d", "d*Di*d"],
+        ]
+        assert map_to_json(incl)["matrix"] == [
+            ["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"],
+        ]
 
     def test_comodule_from_regular(self):
         # one matrix column of coefficients spans a copy of V
