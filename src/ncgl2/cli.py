@@ -173,14 +173,15 @@ def _run(args, config) -> tuple[dict, int]:
         }, 0
 
     if args.verb == "delta":
-        from .standard import build_delta, char_delta, delta_multiset
+        from .standard import char_delta, delta_multiset
 
         lam = parse_lambda(args.lam)
+        char = char_delta(lam)
         return {
             "lambda": str(lam),
-            "dimDelta": build_delta(lam).dim,
+            "dimDelta": sum(char.values()),
             "multiset": _multiset_payload(delta_multiset(lam)),
-            "char": _char_payload(char_delta(lam)),
+            "char": _char_payload(char),
         }, 0
 
     if args.verb == "simple":

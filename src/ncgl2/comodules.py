@@ -19,20 +19,19 @@ they start from and in how a vector's coaction splits into components.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
 from .linalg import accumulate
 from .ncalg import (
     NCElement,
-    TensorElement,
     coproduct,
     counit,
     antipode,
     antipode_inv,
     column_weight,
     one,
-    tensor_of,
     word_key,
     render_element,
     parse_expression,
@@ -131,17 +130,23 @@ class ComoduleMap:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
 
     def is_intertwiner(self) -> bool:
-        X, Y, F = self.source, self.target, self.matrix
+        """Whether sum_k C_Y[k][m] F[k][i] = sum_j C_X[i][j] F[m][j] for all i, m."""
+        X, Y = self.source, self.target
+        # the condition is linear in F, so an integer multiple of F will do
+        scale = lcm(*(x.denominator for row in self.matrix for x in row))
+        F = [[x.numerator * (scale // x.denominator) for x in row] for row in self.matrix]
         for i in range(X.dim):
             for m in range(Y.dim):
-                lhs = NCElement({})
-                for k in range(Y.dim):
-                    if F[k][i]:
-                        lhs = lhs + Y.coaction[k][m] * F[k][i]
-                rhs = NCElement({})
-                for j in range(X.dim):
-                    if F[m][j]:
-                        rhs = rhs + X.coaction[i][j] * F[m][j]
+                lhs = accumulate({}, (
+                    (w, c * F[k][i])
+                    for k in range(Y.dim) if F[k][i]
+                    for w, c in Y.coaction[k][m].items()
+                ))
+                rhs = accumulate({}, (
+                    (w, c * F[m][j])
+                    for j in range(X.dim) if F[m][j]
+                    for w, c in X.coaction[i][j].items()
+                ))
                 if lhs != rhs:
                     return False
         return True
@@ -174,10 +179,13 @@ def comodule_axiom_failures(X: Comodule) -> list[str]:
     problems = []
     for i in range(X.dim):
         for j in range(X.dim):
-            left = coproduct(X.coaction[i][j])
-            right = TensorElement(2, {})
-            for k in range(X.dim):
-                right = right + tensor_of(X.coaction[i][k], X.coaction[k][j])
+            left = dict(coproduct(X.coaction[i][j]).items())
+            right = accumulate({}, (
+                ((w1, w2), c1 * c2)
+                for k in range(X.dim)
+                for w1, c1 in X.coaction[i][k].items()
+                for w2, c2 in X.coaction[k][j].items()
+            ))
             if left != right:
                 problems.append(f"coassociativity fails at entry ({i}, {j})")
             expected = Fraction(1 if i == j else 0)
@@ -210,10 +218,26 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
 
 
 def tensor_many(factors: Sequence[Comodule]) -> Comodule:
-    if not factors:
+    """The tensor product of the factors, in order.
+
+    Each line (1-dim factor) is multiplied into the factor before it first,
+    and leading lines into the factor after them, so the chain of tensor
+    products runs over the wider factors only.  tensor is strictly
+    associative under the lexicographic flattening and normal forms are
+    unique, so the labels and coaction equal those of the plain left fold.
+    A line beside a dual, as in left_dual(V) # R, cancels its letters at
+    once: S^-1(a) * D = d * Di * D = d.
+    """
+    chain: list[Comodule] = []
+    for factor in factors:
+        if chain and 1 in (chain[-1].dim, factor.dim):
+            chain[-1] = tensor(chain[-1], factor)
+        else:
+            chain.append(factor)
+    if not chain:
         return trivial()
-    result = factors[0]
-    for factor in factors[1:]:
+    result = chain[0]
+    for factor in chain[1:]:
         result = tensor(result, factor)
     return result
 
@@ -243,6 +267,11 @@ def left_dual(X: Comodule) -> Comodule:
     dual share many intermediate words, so all of them share one rewrite
     memo, which is dropped on return: the global normal-form cache is
     read but never grows here.
+
+    S^-1 is an algebra anti-homomorphism, so the dual of a tensor product
+    is the tensor product of the duals in reverse order, entry for entry:
+    left_dual(X # Y)[(i, p)][(j, q)] = (left_dual(Y) # left_dual(X))[(p, i)][(q, j)].
+    standard.build_delta uses this to dualize small factors only.
     """
     labels = tuple(f"*{l}" for l in X.labels)
     memo: dict = {}

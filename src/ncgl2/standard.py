@@ -265,8 +265,30 @@ def build_delta(lam: LambdaWord) -> Comodule:
     The dual is taken with the inverse antipode (`left_dual`), the unique
     choice for which Delta(d) ~ V and more generally Hom(Delta(lam),
     nabla(lam)) is one dimensional.
+
+    nabla(star_inv(lam)) is never built.  S^-1 is an anti-homomorphism, so
+    the dual of F_1 # ... # F_k is left_dual(F_k) # ... # left_dual(F_1)
+    with the factor digits of each basis index reversed: the entry at
+    ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the reversed product
+    at ((i_k, ..., i_1), (j_k, ..., j_1)).  Normal forms are unique, so the
+    entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
+    the labels "*" + the nabla label.  Only the small factors V, S^y V and
+    R^k are dualized, and tensor_many folds each dual line R^-k into the
+    factor beside it, which cancels letters: S^-1(a) * D = d.
     """
-    return left_dual(build_nabla(lam.star_inv()))
+    factors = _atom_factors(lam.star_inv(), sym=True)
+    if not factors:
+        return left_dual(trivial())
+    reversed_product = tensor_many([left_dual(f) for f in reversed(factors)])
+    # position[I] is the reversed product's index of the basis vector with
+    # index I here; factor F_t has stride dim F_1 * ... * dim F_{t-1} there
+    position, stride = [0], 1
+    for factor in factors:
+        position = [p + digit * stride for p in position for digit in range(factor.dim)]
+        stride *= factor.dim
+    labels = ("*" + "*".join(parts) for parts in product(*(f.labels for f in factors)))
+    coaction = [[reversed_product.coaction[p][q] for q in position] for p in position]
+    return Comodule(labels, coaction)
 
 
 def _weight_index(X: Comodule, target: Weight) -> int:

@@ -46,6 +46,29 @@ class TestVerbs:
         assert payload["multiset"] == {"D": 1, "d^2": 1}
         assert payload["char"] == {"d^2": 1, "a*d": 1, "a^2": 1}
 
+    @pytest.mark.parametrize(
+        "label, stdout",
+        [
+            (
+                "d^3",
+                '{\n  "lambda": "d^3",\n  "dimDelta": 8,\n  "multiset": {\n    "d^3": 1\n  },\n'
+                '  "char": {\n    "d^3": 1,\n    "a*d^2": 3,\n    "a^2*d": 3,\n    "a^3": 1\n  }\n}\n',
+            ),
+            (
+                "d.Di.d^2.D",
+                '{\n  "lambda": "d.Di.d^2.D",\n  "dimDelta": 6,\n  "multiset": {\n    "d.D": 1,\n'
+                '    "d.Di.d^2.D": 1\n  },\n  "char": {\n    "d^3": 1,\n    "a*d^2": 2,\n'
+                '    "a^2*d": 2,\n    "a^3": 1\n  }\n}\n',
+            ),
+        ],
+    )
+    def test_delta(self, capsys, label, stdout):
+        # dimDelta is read off the character; the output is pinned byte for
+        # byte from when it was taken from the built comodule
+        code, out = run(capsys, "delta", label)
+        assert code == 0
+        assert out == stdout
+
     def test_simple(self, capsys):
         code, payload = run_json(capsys, "simple", "d^2")
         assert code == 0

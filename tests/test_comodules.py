@@ -63,7 +63,20 @@ def direct_sum(*parts: Comodule) -> Comodule:
                 coaction[start + i][start + j] = part.coaction[i][j]
     labels = [f"{n}.{label}" for n, part in enumerate(parts) for label in part.labels]
     return Comodule(labels, coaction)
+
+
+def left_fold(factors) -> Comodule:
+    """The plain left fold of tensor, the oracle for tensor_many."""
+    if not factors:
+        return trivial()
+    result = factors[0]
+    for factor in factors[1:]:
+        result = tensor(result, factor)
+    return result
+
+
 DET_LINE = [[Fraction(0), Fraction(1), Fraction(-1), Fraction(0)]]
+R, RI, S2, V_DUAL = build_R(1), build_R(-1), build_SymV(2), left_dual(V)
 
 
 class TestBasics:
@@ -97,6 +110,28 @@ class TestBasics:
         left = tensor_many([V, V, V])
         right = tensor(tensor(V, V), V)
         assert are_isomorphic(left, right)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [],
+            [V],
+            [R],
+            [R, V, S2],
+            [V, RI, S2],
+            [V, S2, R],
+            [R, RI, V, R, R, S2, RI, RI],
+            [R, RI, R],
+            [V_DUAL, R, V_DUAL, R, V_DUAL, R],
+        ],
+        ids=["none", "one", "one-line", "line-first", "line-middle", "line-last",
+             "consecutive-lines", "only-lines", "dual-lines"],
+    )
+    def test_tensor_many_equals_left_fold(self, factors):
+        # folding the lines in first changes neither labels nor coaction
+        folded, plain = tensor_many(factors), left_fold(factors)
+        assert folded.labels == plain.labels
+        assert folded.coaction == plain.coaction
 
     def test_char_mul(self):
         cV = weight_decomposition(V)

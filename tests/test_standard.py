@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 
 from ncgl2.comodules import (
+    comodule_axiom_failures,
     highest_weight,
     hom_space,
+    left_dual,
     verify_comodule,
     weight_decomposition,
 )
@@ -37,6 +39,11 @@ def lam(text: str) -> LambdaWord:
 
 def names(counter: Counter) -> dict[str, int]:
     return {str(k): v for k, v in counter.items()}
+
+
+def delta_oracle(l: LambdaWord):
+    """Delta(l) by definition: the left dual of the built nabla(star_inv(l))."""
+    return left_dual(build_nabla(l.star_inv()))
 
 
 class TestBuilders:
@@ -80,6 +87,21 @@ class TestBuilders:
                 if kind == "d":
                     expected *= y + 1
             assert build_delta(l).dim == expected
+
+    @pytest.mark.parametrize(
+        "labels", [enumerate_lambda(5), [lam("d^6")]], ids=["ell<=5", "d^6"]
+    )
+    def test_delta_equals_dual_of_nabla(self, labels):
+        # build_delta dualizes the factors, not the product; the two
+        # routes agree entry for entry
+        for l in labels:
+            delta, oracle = build_delta(l), delta_oracle(l)
+            assert delta.labels == oracle.labels
+            assert delta.coaction == oracle.coaction
+
+    def test_delta_satisfies_comodule_axioms(self):
+        # independent of the oracle: coassociativity and counit, entrywise
+        assert comodule_axiom_failures(build_delta(lam("d^5"))) == []
 
     def test_M_dimension(self):
         # each d letter contributes a two-dimensional factor
