@@ -21,9 +21,10 @@ Each quotient therefore carries its own monomial basis:
 
 The module provides the two triangular projections, the group-like
 characters g_t, the diagram flip psi (a Hopf automorphism exchanging the two
-triangular quotients), semi-invariant vectors of comodules, and the truncated
-induction spaces, i.e. elements of bounded length in the coordinate ring that
-transform by g_t under the right triangular coaction.
+triangular quotients), semi-invariant vectors of comodules, an exact
+certificate for the socle claim, and the truncated induction spaces, i.e.
+elements of bounded length in the coordinate ring that transform by g_t
+under the right triangular coaction.
 
 >>> from .ncalg import gen
 >>> BOREL_LOWER.project(gen("b"))
@@ -37,7 +38,6 @@ transform by g_t under the right triangular coaction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .ncalg import (
@@ -55,6 +55,7 @@ from .comodules import (
     _eigenvector_equations,
     comodule_from_regular,
     generated_subcomodule,
+    weight_decomposition,
 )
 from . import linalg
 from .linalg import accumulate
@@ -66,15 +67,12 @@ __all__ = [
     "psi",
     "semi_invariants",
     "semi_invariant_weights",
-    "subrep_containment_test",
+    "every_subcomodule_contains",
     "induced_truncated",
     "induced_predicted",
     "induced_comodule",
     "left_semi_invariance_check",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class TriangularQuotient:
@@ -206,28 +204,24 @@ def semi_invariant_weights(X: Comodule, quotient: TriangularQuotient, weights):
     return {t: len(semi_invariants(X, quotient, t)) for t in weights}
 
 
-def subrep_containment_test(X: Comodule, top_index: int, trials: int = 50, seed: int = 20260818) -> bool:
-    """Probe whether every nonzero subcomodule of X contains basis vector top_index.
+def every_subcomodule_contains(X: Comodule, index: int) -> bool:
+    """Whether every nonzero subcomodule of X contains basis vector index.
 
-    Checks the subcomodules generated by each basis vector and by `trials`
-    seeded random vectors.  A True answer is evidence (not proof) that the
-    socle is simple with top line inside; False gives a genuine witness.
+    Exact.  O(B+) is generated by grouplikes and skew-primitives, so it is
+    pointed (Montgomery, Hopf Algebras and Their Actions on Rings, 5.5.1)
+    and every nonzero subcomodule holds an upper semi-invariant of some
+    torus weight of X.  So it is enough that each semi-invariant line
+    generates a subcomodule containing the vector; a semi-invariant space
+    of dimension > 1 raises RuntimeError instead.
     """
-    import random
-
-    rng = random.Random(seed)
-    probes = [
-        [(_ONE if i == k else _ZERO) for i in range(X.dim)] for k in range(X.dim)
-    ]
-    for _ in range(trials):
-        vec = [Fraction(rng.randint(-4, 4)) for _ in range(X.dim)]
-        if any(vec):
-            probes.append(vec)
-    target = [(_ONE if i == top_index else _ZERO) for i in range(X.dim)]
-    for vec in probes:
-        _, incl = generated_subcomodule(X, vec)
-        if not linalg.span_contains(zip(*incl.matrix), target):
-            return False
+    for t in weight_decomposition(X):
+        lines = semi_invariants(X, BOREL_UPPER, t)
+        if len(lines) > 1:
+            raise RuntimeError(f"inconclusive: {len(lines)}-dim semi-invariant space at {t}")
+        for vector in lines:
+            _, incl = generated_subcomodule(X, vector)
+            if not linalg.span_contains(zip(*incl.matrix), {index: 1}):
+                return False
     return True
 
 

@@ -116,14 +116,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _default_len(args_length, config: dict, fallback: int | None) -> int | None:
-    if args_length is not None:
-        return args_length
-    if "len" in config:
+    length = args_length
+    if length is None and "len" in config:
         try:
-            return int(config["len"])
+            length = int(config["len"])
         except ValueError as exc:
             raise UsageError(f"config len is not an integer: {config['len']!r}") from exc
-    return fallback
+    if length is None:
+        return fallback
+    if length < 0:
+        raise UsageError(f"length must be nonnegative: {length}")
+    return length
 
 
 def _multiset_payload(counter) -> dict:
@@ -155,7 +158,7 @@ def _run(args, config) -> tuple[dict, int]:
         }, 0
 
     if args.verb == "dim-O":
-        words = enumerate_basis(args.length)
+        words = enumerate_basis(_default_len(args.length, {}, None))
         return {"len": args.length, "dimension": len(words)}, 0
 
     if args.verb == "nabla":

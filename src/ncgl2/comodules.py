@@ -403,8 +403,8 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     else:
         allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim)]
     var_index = {pair: n for n, pair in enumerate(allowed)}
-    # repeated equations are dropped here, keeping first occurrences in
-    # order; the reduced echelon form, and so the basis, is unchanged
+    # repeated equations are dropped here; their order does not matter,
+    # since the reduced echelon form, and so the basis, is unique
     equations: list[dict[int, Fraction]] = []
     seen: set[frozenset] = set()
     for i in range(X.dim):
@@ -423,11 +423,11 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
                     continue
                 for w, c in X.coaction[i][j].items():
                     accumulate(per_word.setdefault(w, {}), ((var, -c),))
-            for w in sorted(per_word, key=word_key):
-                key = frozenset(per_word[w].items())
+            for equation in per_word.values():
+                key = frozenset(equation.items())
                 if key and key not in seen:
                     seen.add(key)
-                    equations.append(per_word[w])
+                    equations.append(equation)
     solutions = linalg.nullspace_sparse(equations, len(allowed))
     maps = []
     for sol in solutions:
@@ -498,8 +498,8 @@ def _close(echelon: linalg.Echelon, components) -> tuple[list[dict], list[list[N
     coaction = []
     for part in parts:
         entries = [{} for _ in rows]
-        for w in sorted(part, key=word_key):
-            for column, c in part[w].items():
+        for w, vector in part.items():
+            for column, c in vector.items():
                 if column in position:
                     entries[position[column]][w] = c
         coaction.append([NCElement(entry) for entry in entries])

@@ -366,6 +366,8 @@ def enumerate_basis(max_len: int) -> list[Word]:
     have length 2 or 3, so extending a normal word by one letter stays
     normal iff no left side ends at the new letter.
     """
+    if max_len < 0:
+        raise ValueError("length must be nonnegative")
     basis: list[Word] = [()]
     layer: list[Word] = [()]
     for _ in range(max_len):

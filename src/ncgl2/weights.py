@@ -343,6 +343,8 @@ def parse_weight(text: str) -> Weight:
 def enumerate_lambda(max_ell: int) -> list[LambdaWord]:
     """All elements with ell <= max_ell, ordered by ell then lexicographically
     with D < Di < d."""
+    if max_ell < 0:
+        raise ValueError("ell must be nonnegative")
     out: list[LambdaWord] = []
     layer: list[tuple[str, ...]] = [()]
     out.append(LambdaWord.one())

@@ -11,11 +11,11 @@ no suite reports are written out after the list.
 
 from collections import Counter
 
-from ncgl2.borel import subrep_containment_test
+from ncgl2.borel import every_subcomodule_contains
 from ncgl2.checks import run_check_suite
 from ncgl2.comodules import are_isomorphic, left_dual, torus_diagonal_weights
 from ncgl2.standard import build_L, build_nabla, delta_multiset, nabla_multiset
-from ncgl2.weights import enumerate_lambda, parse_lambda
+from ncgl2.weights import enumerate_lambda
 
 
 def suite_results(names, n):
@@ -111,13 +111,11 @@ def test_criterion_06_unique_semi_invariant_line():
             "every probed subcomodule contains the top weight vector",
         ),
     ]
-    # subrep proxy: every probed subcomodule contains the top line
-    for text in ("d", "d^2", "d.Di.d", "d^3", "d^2.Di.d"):
-        lam = parse_lambda(text)
+    # exact socle certificate: every nonzero subcomodule contains the top line
+    for lam in enumerate_lambda(4):
         nab = build_nabla(lam)
-        weights = torus_diagonal_weights(nab)
-        (top,) = [i for i, w in enumerate(weights) if w == lam.wt()]
-        assert subrep_containment_test(nab, top, trials=25), text
+        top = torus_diagonal_weights(nab).index(lam.wt())
+        assert every_subcomodule_contains(nab, top), str(lam)
 
 
 def test_criterion_07_truncated_induction_matches_prediction():

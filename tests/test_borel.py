@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ncgl2.borel import (
     BOREL_LOWER,
     BOREL_UPPER,
+    every_subcomodule_contains,
     induced_comodule,
     induced_predicted,
     induced_truncated,
@@ -16,10 +17,14 @@ from ncgl2.borel import (
     psi,
     semi_invariant_weights,
     semi_invariants,
-    subrep_containment_test,
 )
 from ncgl2 import linalg
-from ncgl2.comodules import comodule_from_regular, comodule_to_json, torus_project
+from ncgl2.comodules import (
+    comodule_from_regular,
+    comodule_to_json,
+    torus_diagonal_weights,
+    torus_project,
+)
 from ncgl2.linalg import accumulate
 from ncgl2.ncalg import (
     LETTERS,
@@ -155,19 +160,47 @@ class TestSemiInvariants:
 
     def test_socle_probe_positive(self):
         # every nonzero subcomodule of a costandard contains its top line
-        from ncgl2.comodules import torus_diagonal_weights
-
         for text in ("d", "d^2", "d.Di.d", "d^3"):
             l = parse_lambda(text)
             nab = build_nabla(l)
             weights = torus_diagonal_weights(nab)
             (top,) = [i for i, w in enumerate(weights) if w == l.wt()]
-            assert subrep_containment_test(nab, top, trials=10)
+            assert every_subcomodule_contains(nab, top)
 
     def test_socle_probe_negative(self):
         # a split direct sum has a subcomodule avoiding the other summand
         X, _ = comodule_from_regular([gen("a"), gen("c"), gen("D")])
-        assert not subrep_containment_test(X, 0, trials=5)
+        assert not every_subcomodule_contains(X, 0)
+
+    def test_socle_certificate_inconclusive_on_a_plane(self):
+        # the regular span of a, b, c, d is V + V: the semi-invariants of
+        # weight d form a plane, whose lines cannot all be checked
+        X, _ = comodule_from_regular([gen(letter) for letter in "abcd"])
+        assert len(semi_invariants(X, BOREL_UPPER, parse_weight("d"))) == 2
+        with pytest.raises(RuntimeError, match="inconclusive"):
+            every_subcomodule_contains(X, 0)
+
+    def test_extra_semi_invariant_lines_len5(self):
+        # up to ell 5 only two costandards have an upper semi-invariant
+        # off their top weight, each a single line at a*d^2
+        extra = []
+        for l in enumerate_lambda(5):
+            nab = build_nabla(l)
+            for t in char_nabla(l):
+                if t != l.wt():
+                    dim = len(semi_invariants(nab, BOREL_UPPER, t))
+                    if dim:
+                        extra.append((str(l), str(t), dim))
+        assert extra == [("d.D.d.Di.d", "a*d^2", 1), ("d.Di.d.D.d", "a*d^2", 1)]
+
+    def test_socle_certificate_len5(self):
+        # the socle of every costandard with ell <= 5 contains its top line
+        labels = enumerate_lambda(5)
+        assert len(labels) == 168
+        for l in labels:
+            nab = build_nabla(l)
+            top = torus_diagonal_weights(nab).index(l.wt())
+            assert every_subcomodule_contains(nab, top), str(l)
 
     def test_left_semi_invariance(self):
         assert left_semi_invariance_check(gen("D"), BOREL_LOWER, parse_weight("a*d"))
@@ -194,6 +227,10 @@ class TestInduction:
     def test_induced_vanishes_off_dominant(self):
         assert induced_truncated(parse_weight("a"), 2) == []
         assert induced_truncated(parse_weight("a^2"), 3) == []
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            induced_truncated(Weight(0, 0), -1)
 
     def test_predicted_matches_truncated(self):
         # the combinatorial model of the induced space

@@ -223,6 +223,34 @@ class TestErrors:
         assert code == 2
         assert "config len is not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--len", "-1"],
+            ["dim-O", "-2"],
+            ["check", "nab", "--len", "-1"],
+            ["induce", "--weight", "d", "--len", "-1"],
+        ],
+    )
+    def test_negative_length_exits_two(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "length must be nonnegative" in captured.err
+
+    def test_negative_config_len_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "ncgl2.cfg"
+        cfg.write_text("len = -1\n")
+        assert main(["--config", str(cfg), "check", "nab"]) == 2
+        assert "length must be nonnegative: -1" in capsys.readouterr().err
+
+    def test_zero_length_is_valid(self, capsys):
+        code, payload = run_json(capsys, "dim-O", "0")
+        assert (code, payload) == (0, {"len": 0, "dimension": 1})
+        code, payload = run_json(capsys, "check", "nab", "--len", "0")
+        assert code == 0
+        assert payload["pass"] is True
+
     def test_no_argv_shows_usage(self, capsys):
         assert main([]) == 2
 

@@ -117,6 +117,11 @@ class TestRewriting:
         assert dict(counts) == {0: 1, 1: 6, 2: 30, 3: 142, 4: 666}
         assert set(basis) == set(enumerate_basis_by_pattern(4))
 
+    def test_negative_length_rejected(self):
+        assert enumerate_basis(0) == [()]
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_basis(-1)
+
     def test_confluence_report(self):
         report = check_confluence()
         assert report["pass"] is True

@@ -83,6 +83,10 @@ class TestWords:
             168,
         ]
 
+    def test_negative_ell_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_lambda(-1)
+
     def test_atoms_roundtrip(self):
         lam = parse_lambda("d^3.D^2.d")
         assert LambdaWord.from_atoms(lam.atoms()) == lam
