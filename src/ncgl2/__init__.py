@@ -45,7 +45,6 @@ from .comodules import (
     are_isomorphic,
     hom_space,
     left_dual,
-    right_dual,
     tensor,
     weight_decomposition,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "are_isomorphic",
     "hom_space",
     "left_dual",
-    "right_dual",
     "tensor",
     "weight_decomposition",
     "build_L",

@@ -53,7 +53,6 @@ from .weights import Weight
 from .comodules import (
     Comodule,
     _eigenvector_equations,
-    comodule_from_regular,
     generated_subcomodule,
     weight_decomposition,
 )
@@ -66,12 +65,9 @@ __all__ = [
     "BOREL_UPPER",
     "psi",
     "semi_invariants",
-    "semi_invariant_weights",
     "every_subcomodule_contains",
     "induced_truncated",
     "induced_predicted",
-    "induced_comodule",
-    "left_semi_invariance_check",
 ]
 
 
@@ -199,11 +195,6 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     return linalg.nullspace_sparse(equations, X.dim)
 
 
-def semi_invariant_weights(X: Comodule, quotient: TriangularQuotient, weights):
-    """dim of the semi-invariant space at each candidate weight (dict)."""
-    return {t: len(semi_invariants(X, quotient, t)) for t in weights}
-
-
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:
     """Whether every nonzero subcomodule of X contains basis vector index.
 
@@ -279,6 +270,8 @@ def induced_predicted(t: Weight, n: int) -> list[Word]:
     with n = 5 they give 8 of the 20 dimensions `induced_truncated` solves,
     missing elements such as b*Di^2*b*a - a*Di^2*b^2 that contain a or c.
     """
+    if n < 0:
+        raise ValueError("length must be nonnegative")
     out: list[Word] = []
     for length in range(n + 1):
         for word in product(("b", "d", "D", "Di"), repeat=length):
@@ -301,31 +294,6 @@ def induced_predicted(t: Weight, n: int) -> list[Word]:
                 out.append(word)
     out.sort(key=word_key)
     return out
-
-
-def induced_comodule(t: Weight, n: int):
-    """The truncated induction space as a comodule (with its regular basis).
-
-    Returns (comodule, basis elements); the space is a left coideal of the
-    coordinate ring, so the restriction of the coproduct makes it a comodule.
-    Raises ValueError when the space is zero.
-    """
-    elements = induced_truncated(t, n)
-    if not elements:
-        raise ValueError(f"truncated induction at {t} with n={n} is zero")
-    return comodule_from_regular(elements)
-
-
-def left_semi_invariance_check(
-    element: NCElement, quotient: TriangularQuotient, t: Weight
-) -> bool:
-    """Check (pi_Q (x) 1) Delta(f) = g_t (x) f, the left-handed eigencondition."""
-    g = quotient.grouplike(t)
-    pairs = coproduct(element).items()
-    projected = ((quotient.project_word(u), v, coeff) for (u, v), coeff in pairs)
-    lhs = accumulate({}, (((key, v), coeff) for key, v, coeff in projected if key is not None))
-    rhs = {(g, w): coeff for w, coeff in element.items()}
-    return lhs == rhs
 
 
 if __name__ == "__main__":

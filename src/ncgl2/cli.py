@@ -98,20 +98,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> dict:
-    candidates = [path] if path else ["ncgl2.cfg"]
-    out: dict = {}
-    for candidate in candidates:
-        if candidate and os.path.isfile(candidate):
-            with open(candidate, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line or line.startswith("#") or "=" not in line:
-                        continue
-                    key, _, value = line.partition("=")
-                    out[key.strip()] = value.strip()
-            break
+    """key=value pairs; {} without --config when ./ncgl2.cfg is missing."""
+    candidate = path or "ncgl2.cfg"
+    if not os.path.isfile(candidate):
         if path:
             raise FileNotFoundError(path)
+        return {}
+    out: dict = {}
+    with open(candidate, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            out[key.strip()] = value.strip()
     return out
 
 

@@ -28,13 +28,10 @@ from .ncalg import (
     NCElement,
     coproduct,
     counit,
-    antipode,
     antipode_inv,
     column_weight,
     one,
     word_key,
-    render_element,
-    parse_expression,
 )
 from .weights import Weight, weight_key
 
@@ -43,11 +40,9 @@ __all__ = [
     "Comodule",
     "ComoduleMap",
     "comodule_axiom_failures",
-    "verify_comodule",
     "trivial",
     "tensor",
     "tensor_many",
-    "right_dual",
     "left_dual",
     "torus_project",
     "torus_diagonal_weights",
@@ -61,12 +56,7 @@ __all__ = [
     "comodule_from_regular",
     "weight_decomposition",
     "highest_weight",
-    "lowest_weight",
     "char_mul",
-    "comodule_to_json",
-    "comodule_from_json",
-    "map_to_json",
-    "map_from_json",
 ]
 
 
@@ -108,21 +98,6 @@ class ComoduleMap:
             raise ValueError(f"map matrix must be {target.dim} x {source.dim}")
         self.matrix = rows
 
-    def apply(self, vector: Sequence) -> list[Fraction]:
-        if len(vector) != self.source.dim:
-            raise ValueError(f"vector must have length {self.source.dim}")
-        return [
-            sum((row[i] * Fraction(vector[i]) for i in range(self.source.dim)), Fraction(0))
-            for row in self.matrix
-        ]
-
-    def compose(self, other: "ComoduleMap") -> "ComoduleMap":
-        """self after other."""
-        if other.target is not self.source and other.target.dim != self.source.dim:
-            raise ValueError("cannot compose: target and source dimensions differ")
-        product = linalg.mat_mul(self.matrix, other.matrix)
-        return ComoduleMap(other.source, self.target, product)
-
     def rank(self) -> int:
         return linalg.rank(self.matrix)
 
@@ -150,17 +125,6 @@ class ComoduleMap:
                 if lhs != rhs:
                     return False
         return True
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return ComoduleMap(
-                self.source,
-                self.target,
-                [[x * Fraction(scalar) for x in row] for row in self.matrix],
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -192,10 +156,6 @@ def comodule_axiom_failures(X: Comodule) -> list[str]:
             if counit(X.coaction[i][j]) != expected:
                 problems.append(f"counit fails at entry ({i}, {j})")
     return problems
-
-
-def verify_comodule(X: Comodule) -> bool:
-    return not comodule_axiom_failures(X)
 
 
 def trivial() -> Comodule:
@@ -242,25 +202,12 @@ def tensor_many(factors: Sequence[Comodule]) -> Comodule:
     return result
 
 
-def right_dual(X: Comodule) -> Comodule:
-    """The dual comodule with coaction entries S(C[j][i]).
-
-    All entries share one rewrite memo, dropped on return (see left_dual).
-    """
-    labels = tuple(f"{l}*" for l in X.labels)
-    memo: dict = {}
-    coaction = [
-        [antipode(X.coaction[j][i], memo) for j in range(X.dim)] for i in range(X.dim)
-    ]
-    return Comodule(labels, coaction)
-
-
 def left_dual(X: Comodule) -> Comodule:
     """The dual comodule built with the inverse antipode.
 
-    The determinant is not central, so the two duals are genuinely
-    different twists: left_dual(V) is isomorphic to V # R^-1 while
-    right_dual(V) is isomorphic to R^-1 # V.
+    The determinant is not central, so the dual taken with the antipode
+    itself would be a different twist: left_dual(V) is isomorphic to
+    V # R^-1, not to R^-1 # V.
 
     The entries are S^-1(C[j][i]).  S^-1 sends every letter to one signed
     word, so each word of an entry is rewritten once.  The entries of one
@@ -364,12 +311,6 @@ def highest_weight(X: Comodule) -> tuple[Weight, int]:
     return w, decomposition[w]
 
 
-def lowest_weight(X: Comodule) -> tuple[Weight, int]:
-    decomposition = weight_decomposition(X)
-    w = min(decomposition, key=weight_key)
-    return w, decomposition[w]
-
-
 def char_mul(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
     return accumulate(
         {},
@@ -441,37 +382,24 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
 def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
     """Whether some comodule map X -> Y is invertible.
 
-    Exact when Hom(X, Y) has dimension at most 1, since every map is then a
-    multiple of the one basis map.  Otherwise an invertible combination
-    may exist even if no basis map is invertible, and 32 seeded random
-    combinations are tried; when none is invertible the answer is unknown
-    and RuntimeError is raised instead of a possibly wrong False.
+    Exact when the dimensions differ, when some basis map of Hom(X, Y) is
+    invertible, and when Hom(X, Y) has dimension at most 1, since every
+    map is then a multiple of the one basis map.  With two or more basis
+    maps and none invertible, a combination of them may still be, so
+    RuntimeError("inconclusive ...") is raised instead of a possibly
+    wrong False.
     """
     if X.dim != Y.dim:
         return False
     if X.dim == 0:
         return True
     maps = hom_space(X, Y)
-    for f in maps:
-        if f.is_isomorphism():
-            return True
+    if any(f.is_isomorphism() for f in maps):
+        return True
     if len(maps) <= 1:
         return False
-    import random
-
-    rng = random.Random(20260818)
-    for _ in range(32):
-        matrix = [[Fraction(0)] * X.dim for _ in range(Y.dim)]
-        for f in maps:
-            weight = rng.randint(-4, 4)
-            for k in range(Y.dim):
-                for i in range(X.dim):
-                    matrix[k][i] += weight * f.matrix[k][i]
-        if linalg.rank(matrix) == X.dim:
-            return True
     raise RuntimeError(
-        f"inconclusive: Hom has dimension {len(maps)} and no basis map or "
-        "seeded combination of them is invertible"
+        f"inconclusive: Hom has dimension {len(maps)} and no basis map is invertible"
     )
 
 
@@ -620,32 +548,3 @@ def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list
     coaction = [row[::-1] for row in coaction[::-1]]
     return Comodule(labels, coaction), [element(row) for row in rows[::-1]]
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-def comodule_to_json(X: Comodule) -> dict:
-    return {
-        "dim": X.dim,
-        "labels": list(X.labels),
-        "coaction": [[render_element(e) for e in row] for row in X.coaction],
-    }
-
-
-def comodule_from_json(data: dict) -> Comodule:
-    labels = tuple(data["labels"])
-    coaction = [[parse_expression(text) for text in row] for row in data["coaction"]]
-    return Comodule(labels, coaction)
-
-
-def map_to_json(f: ComoduleMap) -> dict:
-    return {
-        "dimSource": f.source.dim,
-        "dimTarget": f.target.dim,
-        "matrix": [[str(x) for x in row] for row in f.matrix],
-    }
-
-
-def map_from_json(data: dict, source: Comodule, target: Comodule) -> ComoduleMap:
-    matrix = [[Fraction(x) for x in row] for row in data["matrix"]]
-    return ComoduleMap(source, target, matrix)

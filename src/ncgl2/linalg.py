@@ -25,10 +25,7 @@ __all__ = [
     "rref",
     "rank",
     "nullspace",
-    "mat_mul",
-    "identity",
     "span_contains",
-    "same_row_space",
     "nullspace_sparse",
     "Echelon",
 ]
@@ -197,28 +194,7 @@ def nullspace_sparse(
     return list(free.values())
 
 
-def mat_mul(A: Iterable[Sequence], B: Iterable[Sequence]) -> list[list[Fraction]]:
-    A = [[Fraction(x) for x in row] for row in A]
-    B = [[Fraction(x) for x in row] for row in B]
-    if not A:
-        return []
-    if B and len(A[0]) != len(B):
-        raise ValueError("cannot multiply: inner dimensions differ")
-    ncols = len(B[0]) if B else 0
-    return [
-        [sum((arow[k] * B[k][j] for k in range(len(B))), Fraction(0)) for j in range(ncols)]
-        for arow in A
-    ]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def span_contains(basis_rows: Iterable[Sequence], vector: Sequence) -> bool:
     """Whether vector lies in the row span of basis_rows."""
     return not Echelon(basis_rows).insert(vector)
 
-
-def same_row_space(rows_a: Iterable[Sequence], rows_b: Iterable[Sequence]) -> bool:
-    return rref(rows_a)[0] == rref(rows_b)[0]

@@ -54,18 +54,15 @@ from .comodules import (
     torus_diagonal_weights,
     trivial,
 )
-from . import linalg
 from .linalg import accumulate
 
 __all__ = [
     "build_V",
     "build_R",
     "build_SymV",
-    "sym_power_via_quotient",
     "build_TV",
     "build_M",
     "build_nabla",
-    "nabla_surjection",
     "build_delta",
     "canonical_map",
     "build_L",
@@ -80,9 +77,6 @@ __all__ = [
     "char_delta",
     "decompose_layer",
     "layer_dimension",
-    "repring_decompose",
-    "evaluation_map",
-    "coevaluation_map",
 ]
 
 _ZERO = Fraction(0)
@@ -144,39 +138,6 @@ def build_SymV(y: int) -> Comodule:
     return Comodule(labels, tuple(coaction))
 
 
-def sym_power_via_quotient(y: int):
-    """S^y V as the quotient of V^{(x) y} by adjacent transposition differences.
-
-    Returns (quotient comodule, projection map from V^{(x) y}).  Used to
-    cross-check the direct construction in `build_SymV`.
-    """
-    from .comodules import quotient
-
-    V = build_V()
-    Vy = tensor_many([V] * y) if y > 0 else trivial()
-    if y <= 1:
-        return Vy, ComoduleMap(Vy, Vy, linalg.identity(Vy.dim))
-    relations = []
-    for pos in range(y - 1):
-        for bits in product((0, 1), repeat=y):
-            if bits[pos] != 0 or bits[pos + 1] != 1:
-                continue
-            swapped = list(bits)
-            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-            vec = [_ZERO] * Vy.dim
-            vec[_flat(bits)] = _ONE
-            vec[_flat(tuple(swapped))] -= _ONE
-            relations.append(vec)
-    return quotient(Vy, relations)
-
-
-def _flat(bits: tuple[int, ...]) -> int:
-    index = 0
-    for b in bits:
-        index = 2 * index + b
-    return index
-
-
 def build_TV(y: int) -> Comodule:
     """The twisted dual T^y V = (S^y V)* (x) R, again of dimension y + 1.
 
@@ -212,51 +173,6 @@ def build_M(lam: LambdaWord) -> Comodule:
 def build_nabla(lam: LambdaWord) -> Comodule:
     """The costandard comodule nabla(lam): delta^x -> R^x and d^y -> S^y V."""
     return tensor_many(_atom_factors(lam, sym=True))
-
-
-def nabla_surjection(lam: LambdaWord) -> ComoduleMap:
-    """The canonical surjection M(lam) ->> nabla(lam).
-
-    On each d-run it is the symmetrization projector V^{(x) y} ->> S^y V that
-    sends a tensor monomial to the symmetric monomial of the same content;
-    on delta-atoms it is the identity of the line.  The full map is the
-    Kronecker product of the per-atom blocks.
-    """
-    M = build_M(lam)
-    N = build_nabla(lam)
-    blocks: list[list[list[Fraction]]] = []
-    for kind, value in lam.atoms():
-        if kind == "delta":
-            blocks.append([[_ONE]])
-        else:
-            block = [[_ZERO] * (2**value) for _ in range(value + 1)]
-            for bits in product((0, 1), repeat=value):
-                block[sum(bits)][_flat(bits)] = _ONE
-            blocks.append(block)
-    matrix = [[_ONE]]
-    for block in blocks:
-        matrix = _kron(matrix, block)
-    matrix_t = tuple(tuple(row) for row in matrix)
-    f = ComoduleMap(M, N, matrix_t)
-    if f.rank() != N.dim:
-        raise ValueError("symmetrization map failed to surject")
-    return f
-
-
-def _kron(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not A or not B:
-        return []
-    ra, ca = len(A), len(A[0])
-    rb, cb = len(B), len(B[0])
-    out = [[_ZERO] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if A[i][j] == 0:
-                continue
-            for p in range(rb):
-                for q in range(cb):
-                    out[i * rb + p][j * cb + q] = A[i][j] * B[p][q]
-    return out
 
 
 def build_delta(lam: LambdaWord) -> Comodule:
@@ -506,49 +422,6 @@ def layer_dimension(n: int) -> int:
                 dims *= value + 1
         total += dims
     return total
-
-
-def repring_decompose(symbols: list[str]) -> Counter:
-    """Costandard multiset of a tensor product of V, R, Ri in the given order.
-
-    Each symbol contributes a letter (V -> d, R -> D = delta, Ri -> Di) and
-    the product word is decomposed by the nabla-filtration recursion:
-
-    >>> sorted(str(m) for m in repring_decompose(["V", "V"]).elements())
-    ['D', 'd^2']
-    """
-    letter_for = {"V": "d", "R": "D", "Ri": "Di"}
-    letters = []
-    for symbol in symbols:
-        if symbol not in letter_for:
-            raise ValueError(f"unknown symbol {symbol!r} (expected V, R, or Ri)")
-        letters.append(letter_for[symbol])
-    lam = LambdaWord.one()
-    for letter in letters:
-        lam = lam * LambdaWord((letter,))
-    return nabla_multiset(lam)
-
-
-# ---------------------------------------------------------------------------
-# rigidity data for W = V (x) R^{-1}
-
-
-def evaluation_map() -> ComoduleMap:
-    """Evaluation (V (x) R^{-1}) (x) V -> 1 for the twisted dual of V."""
-    V = build_V()
-    W = tensor(V, build_R(-1))
-    source = tensor(W, V)
-    matrix = (tuple(Fraction(x) for x in (0, -1, 1, 0)),)
-    return ComoduleMap(source, trivial(), matrix)
-
-
-def coevaluation_map() -> ComoduleMap:
-    """Coevaluation 1 -> V (x) (V (x) R^{-1}) pairing off with `evaluation_map`."""
-    V = build_V()
-    W = tensor(V, build_R(-1))
-    target = tensor(V, W)
-    matrix = tuple((Fraction(x),) for x in (0, 1, -1, 0))
-    return ComoduleMap(trivial(), target, matrix)
 
 
 if __name__ == "__main__":

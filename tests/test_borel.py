@@ -10,18 +10,14 @@ from ncgl2.borel import (
     BOREL_LOWER,
     BOREL_UPPER,
     every_subcomodule_contains,
-    induced_comodule,
     induced_predicted,
     induced_truncated,
-    left_semi_invariance_check,
     psi,
-    semi_invariant_weights,
     semi_invariants,
 )
 from ncgl2 import linalg
 from ncgl2.comodules import (
     comodule_from_regular,
-    comodule_to_json,
     torus_diagonal_weights,
     torus_project,
 )
@@ -41,6 +37,7 @@ from ncgl2.ncalg import (
 )
 from ncgl2.standard import build_nabla, build_V, char_nabla
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda, parse_weight
+from test_comodules import rendered
 
 
 QUOTIENTS = (BOREL_LOWER, BOREL_UPPER)
@@ -149,8 +146,8 @@ class TestSemiInvariants:
         # the defining property of the costandard comodule
         for l in enumerate_lambda(3):
             nab = build_nabla(l)
-            dims = semi_invariant_weights(nab, BOREL_UPPER, char_nabla(l))
-            for t, dim in dims.items():
+            for t in char_nabla(l):
+                dim = len(semi_invariants(nab, BOREL_UPPER, t))
                 assert dim == (1 if t == l.wt() else 0), (str(l), str(t))
 
     def test_semi_invariant_vector_d2(self):
@@ -202,10 +199,6 @@ class TestSemiInvariants:
             top = torus_diagonal_weights(nab).index(l.wt())
             assert every_subcomodule_contains(nab, top), str(l)
 
-    def test_left_semi_invariance(self):
-        assert left_semi_invariance_check(gen("D"), BOREL_LOWER, parse_weight("a*d"))
-        assert not left_semi_invariance_check(gen("D"), BOREL_LOWER, parse_weight("d"))
-
 
 class TestInduction:
     def test_induced_at_fundamental_weight(self):
@@ -231,6 +224,8 @@ class TestInduction:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             induced_truncated(Weight(0, 0), -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            induced_predicted(Weight(0, 0), -1)
 
     def test_predicted_matches_truncated(self):
         # the combinatorial model of the induced space
@@ -270,20 +265,19 @@ class TestInduction:
         assert induced_truncated(t, 5) == induced_full_system(t, 5)
 
     def test_induced_comodule(self):
-        C, basis = induced_comodule(parse_weight("d"), 1)
+        # the induction space is a left coideal, so a comodule
+        C, basis = comodule_from_regular(induced_truncated(parse_weight("d"), 1))
         assert C.dim == 2
         from ncgl2.comodules import are_isomorphic
 
         assert are_isomorphic(C, build_V())
-        with pytest.raises(ValueError):
-            induced_comodule(parse_weight("a"), 2)
 
     def test_induced_comodule_exact_basis_and_coaction(self):
-        C, basis = induced_comodule(parse_weight("d"), 3)
+        C, basis = comodule_from_regular(induced_truncated(parse_weight("d"), 3))
         assert [render_element(f) for f in basis] == [
             "b", "d", "Di*b*D", "Di*d*D", "D*b*Di", "D*d*Di",
         ]
-        assert comodule_to_json(C)["coaction"] == [
+        assert rendered(C.coaction) == [
             ["a", "b", "0", "0", "0", "0"],
             ["c", "d", "0", "0", "0", "0"],
             ["0", "0", "Di*a*D", "Di*b*D", "0", "0"],

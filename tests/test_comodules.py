@@ -1,6 +1,7 @@
 """Comodule linear algebra: maps, duals, sub/quotient objects, characters."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,26 +10,20 @@ from ncgl2.comodules import (
     ComoduleMap,
     are_isomorphic,
     char_mul,
-    comodule_from_json,
+    comodule_axiom_failures,
     comodule_from_regular,
-    comodule_to_json,
     generated_subcomodule,
     highest_weight,
     hom_space,
     image,
     kernel,
     left_dual,
-    lowest_weight,
-    map_from_json,
-    map_to_json,
     quotient,
-    right_dual,
     subspace_comodule,
     tensor,
     tensor_many,
     torus_project,
     trivial,
-    verify_comodule,
     weight_decomposition,
 )
 from ncgl2 import ncalg
@@ -39,12 +34,9 @@ from ncgl2.standard import (
     build_V,
     build_delta,
     build_nabla,
-    coevaluation_map,
-    evaluation_map,
-    sym_power_via_quotient,
 )
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
-from test_ncalg import ANTIPODE_IMAGES, ANTIPODE_INV_IMAGES, letter_by_letter
+from test_ncalg import ANTIPODE_INV_IMAGES, letter_by_letter
 
 
 V = build_V()
@@ -65,6 +57,27 @@ def direct_sum(*parts: Comodule) -> Comodule:
     return Comodule(labels, coaction)
 
 
+def rendered(rows) -> list[list[str]]:
+    """A coaction or map matrix as text, entry by entry."""
+    return [[str(x) for x in row] for row in rows]
+
+
+def sym_power_via_quotient(y: int):
+    """S^y V as V^{(x) y} modulo adjacent transposition differences.
+
+    Returns (quotient, projection from V^{(x) y}); an oracle for the
+    direct construction in build_SymV, for y >= 2.
+    """
+    index = {bits: k for k, bits in enumerate(product((0, 1), repeat=y))}
+    relations = [
+        {index[bits]: 1, index[bits[:pos] + (1, 0) + bits[pos + 2:]]: -1}
+        for bits in index
+        for pos in range(y - 1)
+        if bits[pos:pos + 2] == (0, 1)
+    ]
+    return quotient(tensor_many([V] * y), relations)
+
+
 def left_fold(factors) -> Comodule:
     """The plain left fold of tensor, the oracle for tensor_many."""
     if not factors:
@@ -82,7 +95,7 @@ R, RI, S2, V_DUAL = build_R(1), build_R(-1), build_SymV(2), left_dual(V)
 class TestBasics:
     def test_standard_comodule(self):
         assert V.dim == 2
-        assert verify_comodule(V)
+        assert comodule_axiom_failures(V) == []
         assert weight_decomposition(V) == {Weight(1, 0): 1, Weight(0, 1): 1}
 
     def test_trivial(self):
@@ -95,7 +108,7 @@ class TestBasics:
             R = build_R(k)
             assert R.dim == 1
             assert weight_decomposition(R) == {Weight(k, k): 1}
-            assert verify_comodule(R)
+            assert comodule_axiom_failures(R) == []
 
     def test_tensor_weights(self):
         assert weight_decomposition(W) == {
@@ -104,7 +117,6 @@ class TestBasics:
             Weight(0, 2): 1,
         }
         assert highest_weight(W) == (Weight(0, 2), 1)
-        assert lowest_weight(W) == (Weight(2, 0), 1)
 
     def test_tensor_many_matches_iterated(self):
         left = tensor_many([V, V, V])
@@ -153,7 +165,7 @@ class TestSubQuotient:
         assert are_isomorphic(sub, build_R(1))
         # a sparse dict spanning the same line gives the same result
         sparse_sub, sparse_incl = subspace_comodule(W, [{1: 2, 2: -2}])
-        assert comodule_to_json(sparse_sub) == comodule_to_json(sub)
+        assert (sparse_sub.labels, sparse_sub.coaction) == (sub.labels, sub.coaction)
         assert sparse_incl.matrix == incl.matrix
 
     def test_non_subspace_rejected(self):
@@ -167,12 +179,12 @@ class TestSubQuotient:
         assert quo.dim == 3
         assert proj.is_intertwiner()
         assert are_isomorphic(quo, build_SymV(2))
-        assert comodule_to_json(quo)["coaction"] == [
+        assert rendered(quo.coaction) == [
             ["a^2", "b*a + a*b", "b^2"],
             ["a*c", "b*c + a*d", "b*d"],
             ["c^2", "d*c + c*d", "d^2"],
         ]
-        assert map_to_json(proj)["matrix"] == [
+        assert rendered(proj.matrix) == [
             ["1", "0", "0", "0"],
             ["0", "1", "1", "0"],
             ["0", "0", "0", "1"],
@@ -201,12 +213,12 @@ class TestSubQuotient:
         # the top line of nabla(d.Di.d), at basis vector 3, generates L(d.Di.d)
         nabla = build_nabla(parse_lambda("d.Di.d"))
         L, incl = generated_subcomodule(nabla, [0, 0, 0, 1])
-        assert comodule_to_json(L)["coaction"] == [
+        assert rendered(L.coaction) == [
             ["a*Di*a", "a*Di*b", "b*Di*b"],
             ["c*Di*a + a*Di*c", "c*Di*b + a*Di*d", "d*Di*b + b*Di*d"],
             ["c*Di*c", "c*Di*d", "d*Di*d"],
         ]
-        assert map_to_json(incl)["matrix"] == [
+        assert rendered(incl.matrix) == [
             ["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"],
         ]
 
@@ -224,7 +236,7 @@ class TestSubQuotient:
         # which no other basis element contains
         X, basis = comodule_from_regular([gen("a"), gen("c"), gen("D")])
         assert [render_element(f) for f in basis] == ["D", "a", "c"]
-        assert comodule_to_json(X)["coaction"] == [
+        assert rendered(X.coaction) == [
             ["D", "0", "0"],
             ["0", "a", "b"],
             ["0", "c", "d"],
@@ -235,7 +247,7 @@ class TestSubQuotient:
         assert [render_element(f) for f in basis] == [
             "D", "a", "c", "a*Di", "b*a - 3/4*a*b", "b*c - 3/4*a*d", "c*Di", "d*c - 3/4*c*d",
         ]
-        assert comodule_to_json(X)["coaction"] == [
+        assert rendered(X.coaction) == [
             ["D", "0", "0", "0", "0", "0", "0", "0"],
             ["0", "a", "b", "0", "0", "0", "0", "0"],
             ["0", "c", "d", "0", "0", "0", "0", "0"],
@@ -245,7 +257,7 @@ class TestSubQuotient:
             ["0", "0", "0", "c*Di", "0", "0", "d*Di", "0"],
             ["7/4*d*c", "0", "0", "0", "c^2", "d*c + c*d", "0", "d^2"],
         ]
-        assert verify_comodule(X)
+        assert comodule_axiom_failures(X) == []
 
 
 class TestHom:
@@ -271,7 +283,7 @@ class TestHom:
         # hiding the torus weights forces the unblocked system over all
         # matrix entries, the path for comodules that are not torus-diagonal
         from ncgl2 import comodules
-        from ncgl2.linalg import same_row_space
+        from ncgl2.linalg import rref
 
         labels = list(enumerate_lambda(2))
         pairs = [(W, W)] + [
@@ -283,23 +295,26 @@ class TestHom:
             slow = hom_space(X, Y)
             span_fast = [[c for row in f.matrix for c in row] for f in fast]
             span_slow = [[c for row in f.matrix for c in row] for f in slow]
-            assert same_row_space(span_fast, span_slow), (X.labels, Y.labels)
+            assert rref(span_fast)[0] == rref(span_slow)[0], (X.labels, Y.labels)
 
     def test_are_isomorphic_negative(self):
         assert not are_isomorphic(V, build_SymV(2))
         assert not are_isomorphic(W, tensor(V, build_R(1)))
 
     def test_are_isomorphic_through_a_combination(self):
-        # Hom(V+V, V+V) is M_2(k): four basis maps of rank 2, none invertible
+        # Hom(V+V, V+V) is M_2(k): four basis maps of rank 2, none
+        # invertible, so only a combination of them is an isomorphism,
+        # and are_isomorphic does not search for one
         VV = direct_sum(V, V)
         maps = hom_space(VV, VV)
         assert len(maps) == 4
         assert not any(f.is_isomorphism() for f in maps)
-        assert are_isomorphic(VV, VV)
+        with pytest.raises(RuntimeError, match="inconclusive"):
+            are_isomorphic(VV, VV)
 
     def test_are_isomorphic_inconclusive_raises(self):
         # Hom(R+R+V, V+V) = Hom(V, V+V): every map has rank 2 of 4, so no
-        # combination is invertible and the seeded search cannot decide
+        # combination is invertible, but Hom has two dimensions
         X = direct_sum(build_R(1), build_R(1), V)
         Y = direct_sum(V, V)
         maps = hom_space(X, Y)
@@ -316,20 +331,8 @@ class TestDuals:
         assert are_isomorphic(left_dual(V), tensor(V, build_R(-1)))
         assert are_isomorphic(tensor(left_dual(V), build_R(1)), V)
 
-    def test_right_dual_of_standard(self):
-        assert are_isomorphic(right_dual(V), tensor(build_R(-1), V))
-
     def test_dual_of_determinant(self):
         assert are_isomorphic(left_dual(build_R(2)), build_R(-2))
-        assert are_isomorphic(right_dual(build_R(-1)), build_R(1))
-
-    def test_duality_zigzag_maps(self):
-        ev = evaluation_map()
-        coev = coevaluation_map()
-        assert ev.is_intertwiner()
-        assert coev.is_intertwiner()
-        assert ev.rank() == 1
-        assert coev.rank() == 1
 
     def test_double_dual_not_identity(self):
         # the antipode has infinite order, so the double left dual
@@ -348,18 +351,11 @@ class TestDuals:
             for j in range(N.dim):
                 assert dual.coaction[i][j] == letter_by_letter(N.coaction[j][i], ANTIPODE_INV_IMAGES)
 
-    def test_right_dual_matches_letter_by_letter_oracle(self):
-        dual = right_dual(W)
-        for i in range(W.dim):
-            for j in range(W.dim):
-                assert dual.coaction[i][j] == letter_by_letter(W.coaction[j][i], ANTIPODE_IMAGES)
-
     def test_duals_do_not_grow_the_global_cache(self):
         # the rewrites of one dual share a memo that is dropped afterwards
         X = build_nabla(parse_lambda("d^4"))
         before = len(ncalg._NF_CACHE)
         left_dual(X)
-        right_dual(X)
         assert len(ncalg._NF_CACHE) == before
 
 
@@ -368,14 +364,9 @@ class TestInvariantChecks:
         with pytest.raises(ValueError):
             Comodule(("x", "y"), [[one(), one()], [one()]])
 
-    def test_map_shape_and_compose_raise_value_error(self):
+    def test_map_shape_raises_value_error(self):
         with pytest.raises(ValueError):
             ComoduleMap(V, V, [[1, 0]])
-        with pytest.raises(ValueError):
-            ComoduleMap(V, V, [[1, 0], [0, 1]]).apply([1])
-        to_line = ComoduleMap(V, trivial(), [[0, 0]])
-        with pytest.raises(ValueError):
-            to_line.compose(to_line)
 
     def test_shape_check_runs_under_python_optimize(self):
         import os
@@ -404,24 +395,3 @@ class TestInvariantChecks:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ValueError\n"
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("X", [V, W, build_R(-1), build_SymV(3)])
-    def test_comodule_roundtrip(self, X):
-        data = comodule_to_json(X)
-        back = comodule_from_json(data)
-        assert back.labels == X.labels
-        assert back.coaction == X.coaction
-
-    def test_map_roundtrip(self):
-        quo, proj = quotient(W, DET_LINE)
-        data = map_to_json(proj)
-        back = map_from_json(data, source=W, target=quo)
-        assert back.matrix == proj.matrix
-        assert back.is_intertwiner()
-
-    def test_json_is_serializable(self):
-        import json
-
-        text = json.dumps(comodule_to_json(V))
-        assert comodule_from_json(json.loads(text)).labels == V.labels

@@ -1,0 +1,40 @@
+"""The package surface: its exports resolve and its demos run."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncgl2
+
+SRC = Path(ncgl2.__file__).parent.parent
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_every_export_resolves():
+    modules = [ncgl2] + [
+        importlib.import_module(f"ncgl2.{info.name}") for info in pkgutil.iter_modules(ncgl2.__path__)
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert stale == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_exits_zero(demo):
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

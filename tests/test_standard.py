@@ -1,15 +1,16 @@
 """Named comodules: standards, costandards, simples, multisets, layers."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from ncgl2.comodules import (
+    ComoduleMap,
     comodule_axiom_failures,
     highest_weight,
     hom_space,
     left_dual,
-    verify_comodule,
     weight_decomposition,
 )
 from ncgl2.standard import (
@@ -27,8 +28,7 @@ from ncgl2.standard import (
     decompose_layer,
     delta_multiset,
     layer_dimension,
-    nabla_surjection,
-    repring_decompose,
+    nabla_multiset,
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
 
@@ -46,12 +46,29 @@ def delta_oracle(l: LambdaWord):
     return left_dual(build_nabla(l.star_inv()))
 
 
+def nabla_surjection(l: LambdaWord) -> ComoduleMap:
+    """The canonical surjection M(l) ->> nabla(l), an oracle for build_nabla.
+
+    It sends a tensor monomial of each d-run V^{(x) y} to the symmetric
+    monomial of S^y V with the same content, and is the identity on lines.
+    """
+    M, N = build_M(l), build_nabla(l)
+    runs = [value for kind, value in l.atoms() if kind == "d"]
+    matrix = [[0] * M.dim for _ in range(N.dim)]
+    for m, run_bits in enumerate(product(*(product((0, 1), repeat=y) for y in runs))):
+        n = 0
+        for y, bits in zip(runs, run_bits):
+            n = n * (y + 1) + sum(bits)
+        matrix[n][m] = 1
+    return ComoduleMap(M, N, matrix)
+
+
 class TestBuilders:
     def test_sym_powers(self):
         for y in range(5):
             S = build_SymV(y)
             assert S.dim == y + 1
-            assert verify_comodule(S)
+            assert comodule_axiom_failures(S) == []
             assert highest_weight(S) == (Weight(0, y), 1)
 
     def test_dual_sym_twist(self):
@@ -206,11 +223,11 @@ class TestLayers:
         assert layer_dimension(n) == count
 
     def test_repring_decompose(self):
-        # V * V = (d^2) + (D) as a product of classes
-        assert names(repring_decompose(["V", "V"])) == {"d^2": 1, "D": 1}
-        assert names(repring_decompose(["V", "V", "V"])) == {
+        # in the representation ring, V * V = (d^2) + (D)
+        assert names(nabla_multiset(lam("d^2"))) == {"d^2": 1, "D": 1}
+        assert names(nabla_multiset(lam("d^3"))) == {
             "d^3": 1,
             "d.D": 1,
             "D.d": 1,
         }
-        assert names(repring_decompose(["R", "Ri"])) == {"1": 1}
+        assert names(nabla_multiset(lam("D.Di"))) == {"1": 1}
