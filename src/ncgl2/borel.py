@@ -52,7 +52,6 @@ from .ncalg import (
 from .weights import Weight
 from .comodules import (
     Comodule,
-    _eigenvector_equations,
     generated_subcomodule,
     weight_decomposition,
 )
@@ -82,9 +81,8 @@ class TriangularQuotient:
     of the coordinate ring through the quotient.
     """
 
-    def __init__(self, name, killed, letter_image, inverses):
+    def __init__(self, name, letter_image, inverses):
         self.name = name
-        self.killed = killed
         self._letter_image = letter_image
         self._inverses = inverses
 
@@ -139,7 +137,6 @@ class TriangularQuotient:
 
 BOREL_LOWER = TriangularQuotient(
     name="B",
-    killed=("b",),
     letter_image={
         "a": (1, ()),
         "b": None,
@@ -152,7 +149,6 @@ BOREL_LOWER = TriangularQuotient(
 )
 BOREL_UPPER = TriangularQuotient(
     name="B+",
-    killed=("c",),
     letter_image={
         "a": (0, ("a",)),
         "b": (0, ("b",)),
@@ -181,6 +177,25 @@ def psi(element: NCElement) -> NCElement:
 
 # ---------------------------------------------------------------------------
 # semi-invariants of comodules
+
+
+def _eigenvector_equations(projected: list[list[dict]], target) -> list[dict[int, int]]:
+    """Equations for the vectors x whose projected coaction is target (x) x.
+
+    projected[i][j] is the coaction entry C[i][j] pushed into a quotient,
+    as {key: coefficient}.  For each j and each key the equation says
+    sum_i x_i projected[i][j][key] = x_j when key is target, and 0
+    otherwise; its unknowns are the coordinates of x.
+    """
+    equations = []
+    for j, column in enumerate(zip(*projected)):
+        rows: dict = {}
+        for i, entry in enumerate(column):
+            for key, coeff in entry.items():
+                rows.setdefault(key, {})[i] = coeff
+        accumulate(rows.setdefault(target, {}), ((j, -1),))
+        equations.extend(rows.values())
+    return equations
 
 
 def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):

@@ -220,7 +220,6 @@ def _suite_simples(bounds: dict) -> list[dict]:
 
 def _suite_nab(bounds: dict) -> list[dict]:
     from .borel import BOREL_UPPER, every_subcomodule_contains, semi_invariants
-    from .comodules import torus_diagonal_weights
     from .standard import build_nabla, char_nabla
     from .weights import Weight, enumerate_lambda
 
@@ -239,7 +238,7 @@ def _suite_nab(bounds: dict) -> list[dict]:
             if d != (1 if t == top else 0):
                 unique = False
         if lam.ell() <= sub_n:
-            top_index = torus_diagonal_weights(N).index(top)
+            top_index = N.weights.index(top)
             if not every_subcomodule_contains(N, top_index):
                 socle = False
     return [

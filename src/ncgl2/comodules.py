@@ -4,10 +4,16 @@ A comodule of dimension n is a coaction matrix C of algebra elements:
 rho(v_i) = sum_j C[i][j] # v_j, subject to the coassociativity and counit
 axioms checked by comodule_axiom_failures.
 
+Bases are torus-diagonal: the coaction pushed into the torus quotient
+O(T) is diagonal, and Comodule.weights reads the weight of each basis
+vector off it, raising ValueError on any other basis.  Over the torus
+every comodule is a direct sum of weight spaces (Jantzen, Representations
+of Algebraic Groups, I.2.11), so this loses no comodule, and every
+constructor here keeps such a basis.
+
 Maps are stored column-wise: a ComoduleMap f with matrix F sends
 f(v_i) = sum_k F[k][i] w_k.  hom_space solves the intertwining equations
-exactly; when both sides are diagonal for the torus quotient the solver
-restricts to weight-compatible matrix entries first.
+exactly, in the matrix entries that pair basis vectors of equal weight.
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -45,7 +51,6 @@ __all__ = [
     "tensor_many",
     "left_dual",
     "torus_project",
-    "torus_diagonal_weights",
     "hom_space",
     "are_isomorphic",
     "subspace_comodule",
@@ -71,7 +76,7 @@ class VerificationError(ValueError):
 class Comodule:
     """A right comodule given by its coaction matrix."""
 
-    __slots__ = ("dim", "labels", "coaction")
+    __slots__ = ("dim", "labels", "coaction", "_weights")
 
     def __init__(self, labels: Sequence[str], coaction: Sequence[Sequence[NCElement]]):
         self.labels = tuple(labels)
@@ -80,6 +85,30 @@ class Comodule:
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         self.coaction = rows
+        self._weights = None
+
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        """The torus weight of each basis vector.
+
+        Read off the coaction pushed into the torus quotient on first use
+        and kept, since the coaction never changes; many comodules are
+        built only to be tensored or dualized, and never scanned.  Raises
+        ValueError when the basis is not torus-diagonal: some projected
+        entry off the diagonal is nonzero, or one on it is not a single
+        weight with coefficient 1.
+        """
+        if self._weights is None:
+            weights = []
+            for i, row in enumerate(self.coaction):
+                for j, entry in enumerate(row):
+                    projected = torus_project(entry)
+                    if i == j and len(projected) == 1 and 1 in projected.values():
+                        weights.extend(projected)
+                    elif projected or i == j:
+                        raise ValueError("the basis is not torus-diagonal")
+            self._weights = tuple(weights)
+        return self._weights
 
     def __repr__(self):
         return f"Comodule(dim={self.dim}, labels={list(self.labels)})"
@@ -244,65 +273,9 @@ def _torus_weight(word) -> Weight | None:
     return Weight(*column_weight(word))
 
 
-def torus_diagonal_weights(X: Comodule) -> list[Weight] | None:
-    """Basis weights if the coaction is diagonal for the torus quotient."""
-    weights = []
-    for i in range(X.dim):
-        for j in range(X.dim):
-            projected = torus_project(X.coaction[i][j])
-            if i == j:
-                if len(projected) != 1:
-                    return None
-                (w, c), = projected.items()
-                if c != 1:
-                    return None
-                weights.append(w)
-            elif projected:
-                return None
-    return weights
-
-
-def _eigenvector_equations(projected: list[list[dict]], target) -> list[dict[int, int]]:
-    """Equations for the vectors x whose projected coaction is target (x) x.
-
-    projected[i][j] is the coaction entry C[i][j] pushed into a quotient,
-    as {key: coefficient}.  For each j and each key the equation says
-    sum_i x_i projected[i][j][key] = x_j when key is target, and 0
-    otherwise; its unknowns are the coordinates of x.
-    """
-    equations = []
-    for j, column in enumerate(zip(*projected)):
-        rows: dict = {}
-        for i, entry in enumerate(column):
-            for key, coeff in entry.items():
-                rows.setdefault(key, {})[i] = coeff
-        accumulate(rows.setdefault(target, {}), ((j, -1),))
-        equations.extend(rows.values())
-    return equations
-
-
 def weight_decomposition(X: Comodule) -> dict[Weight, int]:
     """Multiplicities of torus weights; their total equals the dimension."""
-    diagonal = torus_diagonal_weights(X)
-    if diagonal is not None:
-        return accumulate({}, ((w, 1) for w in diagonal))
-    projected = [
-        [torus_project(X.coaction[i][j]) for j in range(X.dim)] for i in range(X.dim)
-    ]
-    candidates = sorted(
-        {w for row in projected for entry in row for w in entry}, key=weight_key
-    )
-    out = {}
-    total = 0
-    for t in candidates:
-        equations = _eigenvector_equations(projected, t)
-        mult = len(linalg.nullspace_sparse(equations, X.dim))
-        if mult:
-            out[t] = mult
-            total += mult
-    if total != X.dim:
-        raise RuntimeError("torus action is not semisimple on this basis")
-    return out
+    return accumulate({}, ((w, 1) for w in X.weights))
 
 
 def highest_weight(X: Comodule) -> tuple[Weight, int]:
@@ -329,20 +302,13 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     """Basis of the space of comodule maps X -> Y.
 
     The intertwining condition, entrywise over normal words, is a sparse
-    homogeneous linear system in the matrix entries.  When both comodules
-    are torus-diagonal, entries pairing different weights vanish and are
-    excluded up front.
+    homogeneous linear system in the matrix entries.  A comodule map
+    preserves torus weights, so the unknowns are the entries pairing basis
+    vectors of equal weight; the others vanish.  Raises ValueError, through
+    Comodule.weights, when either basis is not torus-diagonal.
     """
-    allowed: list[tuple[int, int]] = []
-    wx = torus_diagonal_weights(X)
-    wy = torus_diagonal_weights(Y)
-    if wx is not None and wy is not None:
-        for k in range(Y.dim):
-            for i in range(X.dim):
-                if wy[k] == wx[i]:
-                    allowed.append((k, i))
-    else:
-        allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim)]
+    wx, wy = X.weights, Y.weights
+    allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim) if wy[k] == wx[i]]
     var_index = {pair: n for n, pair in enumerate(allowed)}
     # repeated equations are dropped here; their order does not matter,
     # since the reduced echelon form, and so the basis, is unique

@@ -51,7 +51,6 @@ from .comodules import (
     left_dual,
     tensor,
     tensor_many,
-    torus_diagonal_weights,
     trivial,
 )
 from .linalg import accumulate
@@ -208,11 +207,8 @@ def build_delta(lam: LambdaWord) -> Comodule:
 
 
 def _weight_index(X: Comodule, target: Weight) -> int:
-    """Index of the unique basis vector of torus weight `target` (diagonal case)."""
-    diagonal = torus_diagonal_weights(X)
-    if diagonal is None:
-        raise ValueError("comodule is not torus-diagonal")
-    hits = [i for i, w in enumerate(diagonal) if w == target]
+    """Index of the unique basis vector of torus weight `target`."""
+    hits = [i for i, w in enumerate(X.weights) if w == target]
     if len(hits) != 1:
         raise ValueError(
             f"weight {target} has multiplicity {len(hits)}, expected 1"

@@ -13,7 +13,7 @@ from collections import Counter
 
 from ncgl2.borel import every_subcomodule_contains
 from ncgl2.checks import run_check_suite
-from ncgl2.comodules import are_isomorphic, left_dual, torus_diagonal_weights
+from ncgl2.comodules import are_isomorphic, left_dual
 from ncgl2.standard import build_L, build_nabla, delta_multiset, nabla_multiset
 from ncgl2.weights import enumerate_lambda
 
@@ -114,7 +114,7 @@ def test_criterion_06_unique_semi_invariant_line():
     # exact socle certificate: every nonzero subcomodule contains the top line
     for lam in enumerate_lambda(4):
         nab = build_nabla(lam)
-        top = torus_diagonal_weights(nab).index(lam.wt())
+        top = nab.weights.index(lam.wt())
         assert every_subcomodule_contains(nab, top), str(lam)
 
 

@@ -18,7 +18,6 @@ from ncgl2.borel import (
 from ncgl2 import linalg
 from ncgl2.comodules import (
     comodule_from_regular,
-    torus_diagonal_weights,
     torus_project,
 )
 from ncgl2.linalg import accumulate
@@ -160,8 +159,7 @@ class TestSemiInvariants:
         for text in ("d", "d^2", "d.Di.d", "d^3"):
             l = parse_lambda(text)
             nab = build_nabla(l)
-            weights = torus_diagonal_weights(nab)
-            (top,) = [i for i, w in enumerate(weights) if w == l.wt()]
+            (top,) = [i for i, w in enumerate(nab.weights) if w == l.wt()]
             assert every_subcomodule_contains(nab, top)
 
     def test_socle_probe_negative(self):
@@ -196,7 +194,7 @@ class TestSemiInvariants:
         assert len(labels) == 168
         for l in labels:
             nab = build_nabla(l)
-            top = torus_diagonal_weights(nab).index(l.wt())
+            top = nab.weights.index(l.wt())
             assert every_subcomodule_contains(nab, top), str(l)
 
 

@@ -61,6 +61,7 @@ class TestVerbs:
                 '    "a^2*d": 2,\n    "a^3": 1\n  }\n}\n',
             ),
         ],
+        ids=["d^3", "d.Di.d^2.D"],
     )
     def test_delta(self, capsys, label, stdout):
         # dimDelta is read off the character; the output is pinned byte for

@@ -1,7 +1,9 @@
 """Comodule linear algebra: maps, duals, sub/quotient objects, characters."""
 
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from ncgl2.comodules import (
     trivial,
     weight_decomposition,
 )
+import ncgl2
 from ncgl2 import ncalg
 from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
@@ -148,6 +151,20 @@ class TestBasics:
     def test_char_mul(self):
         cV = weight_decomposition(V)
         assert char_mul(cV, cV) == weight_decomposition(W)
+
+    def test_non_diagonal_basis_raises(self):
+        # V in the basis u1 = e1 + e2, u2 = e2 is a comodule, but its
+        # coaction is not diagonal in the torus quotient, so it has no
+        # basis weights and the weight-blocked hom solver rejects it
+        a, b, c, d = (gen(x) for x in "abcd")
+        X = Comodule(("u1", "u2"), ((a + c, b + d - a - c), (c, d - c)))
+        assert comodule_axiom_failures(X) == []
+        with pytest.raises(ValueError, match="torus-diagonal"):
+            X.weights
+        with pytest.raises(ValueError, match="torus-diagonal"):
+            weight_decomposition(X)
+        with pytest.raises(ValueError, match="torus-diagonal"):
+            hom_space(X, build_V())
 
     def test_torus_project(self):
         # the torus image keeps only words in a, d, and the determinants
@@ -280,9 +297,8 @@ class TestHom:
         assert hom_space(build_SymV(2), W) == []
 
     def test_weight_blocking_consistency(self, monkeypatch):
-        # hiding the torus weights forces the unblocked system over all
-        # matrix entries, the path for comodules that are not torus-diagonal
-        from ncgl2 import comodules
+        # one uniform weight for every basis vector makes every matrix entry
+        # an unknown, so the blocked system is checked against the full one
         from ncgl2.linalg import rref
 
         labels = list(enumerate_lambda(2))
@@ -290,7 +306,7 @@ class TestHom:
             (build_delta(lam), build_nabla(mu)) for lam in labels for mu in labels
         ]
         blocked = [hom_space(X, Y) for X, Y in pairs]
-        monkeypatch.setattr(comodules, "torus_diagonal_weights", lambda X: None)
+        monkeypatch.setattr(Comodule, "weights", property(lambda X: (Weight(0, 0),) * X.dim))
         for (X, Y), fast in zip(pairs, blocked):
             slow = hom_space(X, Y)
             span_fast = [[c for row in f.matrix for c in row] for f in fast]
@@ -395,3 +411,26 @@ class TestInvariantChecks:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ValueError\n"
 
+
+
+def test_only_comodule_weights_projects_to_the_torus():
+    # Comodule.weights scans a coaction once and keeps the result; any
+    # other use of torus_project would rescan whole coactions per call
+    package = Path(ncgl2.__file__).parent
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Comodule":
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name == "weights":
+                        allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Name) and node.id == "torus_project" or (
+                isinstance(node, ast.Attribute) and node.attr == "torus_project"
+            ):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []

@@ -12,7 +12,8 @@ import pytest
 import ncgl2
 
 SRC = Path(ncgl2.__file__).parent.parent
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_export_resolves():
@@ -35,6 +36,18 @@ def test_demo_exits_zero(demo):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_own_tests_pass():
+    # the benchmark's rules are tested by a unittest script of its own
+    done = subprocess.run(
+        [sys.executable, "perfbench/test_perfbench.py"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -12,7 +12,6 @@ from ncgl2.comodules import (
     VerificationError,
     are_isomorphic,
     generated_subcomodule,
-    torus_diagonal_weights,
     weight_decomposition,
 )
 from ncgl2.simples import (
@@ -182,7 +181,7 @@ class TestCrosscheck:
         f = canonical_map(l)
         nabla = f.target
         top = [F(0)] * nabla.dim
-        top[torus_diagonal_weights(nabla).index(l.wt())] = F(1)
+        top[nabla.weights.index(l.wt())] = F(1)
         generated, _ = generated_subcomodule(nabla, top)
         assert classify(l).dim == f.rank() == generated.dim, str(l)
 
