@@ -38,6 +38,7 @@ under the right triangular coaction.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from .ncalg import (
@@ -179,35 +180,42 @@ def psi(element: NCElement) -> NCElement:
 # semi-invariants of comodules
 
 
-def _eigenvector_equations(projected: list[list[dict]], target) -> list[dict[int, int]]:
-    """Equations for the vectors x whose projected coaction is target (x) x.
-
-    projected[i][j] is the coaction entry C[i][j] pushed into a quotient,
-    as {key: coefficient}.  For each j and each key the equation says
-    sum_i x_i projected[i][j][key] = x_j when key is target, and 0
-    otherwise; its unknowns are the coordinates of x.
-    """
-    equations = []
-    for j, column in enumerate(zip(*projected)):
-        rows: dict = {}
-        for i, entry in enumerate(column):
-            for key, coeff in entry.items():
-                rows.setdefault(key, {})[i] = coeff
-        accumulate(rows.setdefault(target, {}), ((j, -1),))
-        equations.extend(rows.values())
-    return equations
-
-
 def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     """Vectors x with rho(x) = g_t (x) x after pushing into the quotient.
 
     Returns a reduced basis (list of coefficient vectors over the basis of
     X).  For a costandard comodule and the upper quotient the space is a
     line when t is the top weight and zero at every other weight.
+
+    With C[i][j] the coaction pushed into the quotient, the equations say
+    sum_i x_i C[i][j] = x_j g_t for every j, one per key of the quotient.
+    Only the rows of the basis vectors of weight t enter them, which is
+    exact.  The torus quotient factors through both triangular quotients,
+    and on the torus-diagonal basis of X it sends C[i][j] to
+    delta_ij g_{wt i}.  So a solution has x_i (g_{wt i} - g_t) = 0 for
+    every i and is supported on the weight-t vectors.  The system in those
+    unknowns has the same solutions, and its reduced basis, embedded back
+    into length X.dim, is the full system's reduced basis.
     """
-    projected = [[quotient.project(entry) for entry in row] for row in X.coaction]
-    equations = _eigenvector_equations(projected, quotient.grouplike(t))
-    return linalg.nullspace_sparse(equations, X.dim)
+    unknown = {i: k for k, i in enumerate(i for i, w in enumerate(X.weights) if w == t)}
+    projected = [[quotient.project(entry) for entry in X.coaction[i]] for i in unknown]
+    target = quotient.grouplike(t)
+    equations = []
+    for j, column in enumerate(zip(*projected)):
+        rows: dict = {}
+        for k, entry in enumerate(column):
+            for key, coeff in entry.items():
+                rows.setdefault(key, {})[k] = coeff
+        if j in unknown:
+            accumulate(rows.setdefault(target, {}), ((unknown[j], -1),))
+        equations.extend(rows.values())
+    out = []
+    for vec in linalg.nullspace_sparse(equations, len(unknown)):
+        full = [Fraction(0)] * X.dim
+        for i, k in unknown.items():
+            full[i] = vec[k]
+        out.append(full)
+    return out
 
 
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:

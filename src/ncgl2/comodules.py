@@ -170,9 +170,10 @@ class ComoduleMap:
 def comodule_axiom_failures(X: Comodule) -> list[str]:
     """Violations of the comodule axioms, empty if X is a comodule."""
     problems = []
+    memo: dict = {}
     for i in range(X.dim):
         for j in range(X.dim):
-            left = dict(coproduct(X.coaction[i][j]).items())
+            left = dict(coproduct(X.coaction[i][j], memo).items())
             right = accumulate({}, (
                 ((w1, w2), c1 * c2)
                 for k in range(X.dim)

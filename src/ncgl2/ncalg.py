@@ -591,9 +591,16 @@ def tensor_of(*elements: NCElement) -> TensorElement:
     return TensorElement._raw(len(elements), dict(terms))
 
 
-def coproduct(element: NCElement) -> TensorElement:
-    """The coproduct O -> O # O."""
-    return _coproduct_element(element)
+def coproduct(element: NCElement, memo: dict | None = None) -> TensorElement:
+    """The coproduct O -> O # O.
+
+    memo maps a normal word to its coproduct in normal form, as
+    {(left word, right word): int}; pass one dict to share it across
+    related calls (and with coproduct_leg), and drop it afterwards.  A
+    fresh dict is used when memo is None.
+    """
+    terms = (((w,), c) for w, c in element.items())
+    return TensorElement._raw(2, _coproduct_at(terms, 0, {} if memo is None else memo))
 
 
 def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
@@ -607,24 +614,31 @@ def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
     return pairs
 
 
-def _coproduct_at(terms: Iterable[tuple[tuple, Coeff]], leg: int) -> dict[tuple, Coeff]:
-    """Coproduct applied to the given leg of tensor keys, in normal form."""
+def _coproduct_at(
+    terms: Iterable[tuple[tuple, Coeff]], leg: int, memo: dict[Word, dict]
+) -> dict[tuple, Coeff]:
+    """Coproduct applied to the given leg of tensor keys, in normal form.
+
+    memo[word] is the normal-form coproduct of word, filled on first use.
+    Its values are only read, so a returned dict never shares them.
+    """
     acc: dict[tuple, Coeff] = {}
     for key, coeff in terms:
+        word = key[leg]
+        pairs = memo.get(word)
+        if pairs is None:
+            pairs = memo[word] = {}
+            for (w1, w2), c in _coproduct_word(word).items():
+                accumulate(pairs, _expand([normal_form_word(w1), normal_form_word(w2)], c))
         head, tail = key[:leg], key[leg + 1 :]
-        for (w1, w2), c in _coproduct_word(key[leg]).items():
-            expansion = _expand([normal_form_word(w1), normal_form_word(w2)], coeff * c)
-            accumulate(acc, ((head + pair + tail, value) for pair, value in expansion))
+        accumulate(acc, ((head + pair + tail, coeff * c) for pair, c in pairs.items()))
     return acc
 
 
-def _coproduct_element(element: NCElement) -> TensorElement:
-    return TensorElement._raw(2, _coproduct_at((((w,), c) for w, c in element.items()), 0))
-
-
-def coproduct_leg(tensor: TensorElement, leg: int) -> TensorElement:
-    """Apply the coproduct to one leg of a tensor element."""
-    return TensorElement._raw(tensor.arity + 1, _coproduct_at(tensor.items(), leg))
+def coproduct_leg(tensor: TensorElement, leg: int, memo: dict | None = None) -> TensorElement:
+    """Apply the coproduct to one leg of a tensor element; memo as in coproduct."""
+    terms = _coproduct_at(tensor.items(), leg, {} if memo is None else memo)
+    return TensorElement._raw(tensor.arity + 1, terms)
 
 
 def _counit_word(word: Word) -> int:
@@ -717,7 +731,7 @@ def grouplike_words(max_len: int) -> list[Word]:
         el = NCElement._raw({word: 1})
         if counit(el) != 1:
             continue
-        if _coproduct_element(el) == TensorElement._raw(2, {(word, word): 1}):
+        if coproduct(el) == TensorElement._raw(2, {(word, word): 1}):
             found.append(word)
     return found
 

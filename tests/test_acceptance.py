@@ -42,12 +42,12 @@ def test_criterion_01_confluence_and_basis_enumeration():
 
 
 def test_criterion_02_hopf_axioms_and_antipode_square():
-    """Coassociativity, counit, convolution inverses on words of length <= 3."""
-    assert suite_results(["hopf"], 3) == [
-        ("hopf.coassociativity", True, "basis length <= 3"),
-        ("hopf.counit", True, "basis length <= 3"),
-        ("hopf.antipode-convolution", True, "both sides, basis length <= 3"),
-        ("hopf.antipode-inverse", True, "basis length <= 3"),
+    """Coassociativity, counit, convolution inverses on words of length <= 4."""
+    assert suite_results(["hopf"], 4) == [
+        ("hopf.coassociativity", True, "basis length <= 4"),
+        ("hopf.counit", True, "basis length <= 4"),
+        ("hopf.antipode-convolution", True, "both sides, basis length <= 4"),
+        ("hopf.antipode-inverse", True, "basis length <= 4"),
         ("hopf.antipode-not-involutive", True, "S^2(a) = Di*a*D differs from a"),
     ]
 

@@ -66,6 +66,20 @@ def induced_full_system(t: Weight, n: int) -> list[NCElement]:
     return [NCElement({w: vec[k] for w, k in index.items() if vec[k]}) for vec in basis]
 
 
+def semi_invariants_full_system(X, quotient, t: Weight) -> list:
+    """Oracle for semi_invariants: every row of X's coaction, all unknowns."""
+    target = quotient.grouplike(t)
+    equations = []
+    for j in range(X.dim):
+        rows: dict = {}
+        for i in range(X.dim):
+            for key, coeff in quotient.project(X.coaction[i][j]).items():
+                rows.setdefault(key, {})[i] = coeff
+        accumulate(rows.setdefault(target, {}), ((j, -1),))
+        equations.extend(rows.values())
+    return linalg.nullspace_sparse(equations, X.dim)
+
+
 class TestQuotients:
     def test_killed_letters(self):
         assert BOREL_LOWER.project(gen("b")) == {}
@@ -187,6 +201,20 @@ class TestSemiInvariants:
                     if dim:
                         extra.append((str(l), str(t), dim))
         assert extra == [("d.D.d.Di.d", "a*d^2", 1), ("d.Di.d.D.d", "a*d^2", 1)]
+
+    def test_weight_t_rows_equal_full_system_len5(self):
+        # solving only over the weight-t basis vectors gives the reduced
+        # basis of the system in all unknowns, also off the character
+        calls = 0
+        for l in enumerate_lambda(5):
+            nab = build_nabla(l)
+            top = l.wt()
+            for t in [*char_nabla(l), Weight(top.i + 1, top.j + 1)]:
+                for quotient in QUOTIENTS:
+                    expected = semi_invariants_full_system(nab, quotient, t)
+                    assert semi_invariants(nab, quotient, t) == expected, (str(l), str(t))
+                    calls += 1
+        assert calls == 1350
 
     def test_socle_certificate_len5(self):
         # the socle of every costandard with ell <= 5 contains its top line

@@ -36,7 +36,9 @@ from ncgl2.ncalg import (
     render_word,
     antipode_leg,
     tensor_of,
+    _coproduct_word,
 )
+from ncgl2.linalg import accumulate
 
 
 def element(text: str) -> NCElement:
@@ -276,6 +278,58 @@ class TestHopf:
             assert all(ints(x) for x in results), word
         assert parse_expression("3/2*a") * 2 == 3 * gen("a")
         assert ints(parse_expression("6/3*a") + 1)
+
+
+class TestHopfCertificate:
+    """The letter maps of Delta, epsilon, S and S^-1 respect every rule.
+
+    Each map is applied letter by letter to the unreduced left side of a
+    rule, then normalized, and compared with the image of its right side,
+    so each map is well defined on the quotient algebra O.
+    """
+
+    @staticmethod
+    def delta(terms: dict) -> TensorElement:
+        pairs = (
+            (pair, coeff * c)
+            for w, coeff in terms.items()
+            for pair, c in _coproduct_word(w).items()
+        )
+        return TensorElement(2, accumulate({}, pairs))
+
+    @pytest.mark.parametrize("lhs, rhs", RULES, ids=[render_word(lhs) for lhs, _ in RULES])
+    def test_letter_maps_respect_rule(self, lhs, rhs):
+        left = NCElement._raw({lhs: 1})
+        right = NCElement._raw(rhs)
+        assert self.delta({lhs: 1}) == self.delta(rhs)
+        assert counit(left) == counit(right)
+        assert antipode(left) == antipode(right)
+        assert antipode_inv(left) == antipode_inv(right)
+
+
+class TestCoproductMemo:
+    def test_shared_memo_matches_fresh_calls(self):
+        memo = {}
+        for word in enumerate_basis(4):
+            el = NCElement({word: 1})
+            two = coproduct(el, memo)
+            assert two == coproduct(el), word
+            for leg in (0, 1):
+                assert coproduct_leg(two, leg, memo) == coproduct_leg(two, leg), (word, leg)
+        assert set(memo) == set(enumerate_basis(4))
+
+    def test_results_leave_the_memo_unchanged(self):
+        memo = {}
+        two = coproduct(element("a*b - 2*Di*c + 3"), memo)
+        three = coproduct_leg(two, 1, memo)
+        single = coproduct(gen("a"), memo)
+        results = (two, three, single)
+        assert not any(r._terms is pairs for r in results for pairs in memo.values())
+        stored = {word: dict(pairs) for word, pairs in memo.items()}
+        for result in results:
+            assert result + result == 2 * result == result * 3 - result
+            assert -result + result == TensorElement(result.arity)
+        assert memo == stored
 
 
 class TestTensorElement:
