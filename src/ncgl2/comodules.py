@@ -11,6 +11,12 @@ every comodule is a direct sum of weight spaces (Jantzen, Representations
 of Algebraic Groups, I.2.11), so this loses no comodule, and every
 constructor here keeps such a basis.
 
+Products and duals carry their weights instead of scanning their larger
+coaction.  The torus quotient is a Hopf map onto a commutative Hopf
+algebra, so on torus-diagonal bases the basis vector (i, p) of tensor(X,
+Y) has weight wt_X(i) + wt_Y(p), and the basis vector *i of left_dual(X)
+has weight -wt_X(i); each factor is scanned, if at all, on its own.
+
 Maps are stored column-wise: a ComoduleMap f with matrix F sends
 f(v_i) = sum_k F[k][i] w_k.  hom_space solves the intertwining equations
 exactly, in the matrix entries that pair basis vectors of equal weight.
@@ -78,25 +84,33 @@ class Comodule:
 
     __slots__ = ("dim", "labels", "coaction", "_weights")
 
-    def __init__(self, labels: Sequence[str], coaction: Sequence[Sequence[NCElement]]):
+    def __init__(
+        self,
+        labels: Sequence[str],
+        coaction: Sequence[Sequence[NCElement]],
+        weights: Sequence[Weight] | None = None,
+    ):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         rows = tuple(tuple(entry for entry in row) for row in coaction)
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         self.coaction = rows
-        self._weights = None
+        self._weights = None if weights is None else tuple(weights)
+        if self._weights is not None and len(self._weights) != self.dim:
+            raise ValueError(f"expected {self.dim} weights, got {len(self._weights)}")
 
     @property
     def weights(self) -> tuple[Weight, ...]:
         """The torus weight of each basis vector.
 
-        Read off the coaction pushed into the torus quotient on first use
-        and kept, since the coaction never changes; many comodules are
-        built only to be tensored or dualized, and never scanned.  Raises
-        ValueError when the basis is not torus-diagonal: some projected
-        entry off the diagonal is nonzero, or one on it is not a single
-        weight with coefficient 1.
+        Either carried in by the constructor that built the comodule
+        (tensor, left_dual and standard.build_delta derive them from their
+        inputs' weights) or read off the coaction pushed into the torus
+        quotient on first use, and kept, since the coaction never changes.
+        The scan raises ValueError when the basis is not torus-diagonal:
+        some projected entry off the diagonal is nonzero, or one on it is
+        not a single weight with coefficient 1.
         """
         if self._weights is None:
             weights = []
@@ -134,25 +148,35 @@ class ComoduleMap:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
 
     def is_intertwiner(self) -> bool:
-        """Whether sum_k C_Y[k][m] F[k][i] = sum_j C_X[i][j] F[m][j] for all i, m."""
+        """Whether sum_k C_Y[k][m] F[k][i] = sum_j C_X[i][j] F[m][j] for all i, m.
+
+        Only the nonzero entries of F are visited: for each row i of X's
+        coaction, the left side collects column i of F against the rows of
+        Y's coaction, and the right side column j of F against C_X[i][j].
+        """
         X, Y = self.source, self.target
         # the condition is linear in F, so an integer multiple of F will do
         scale = lcm(*(x.denominator for row in self.matrix for x in row))
-        F = [[x.numerator * (scale // x.denominator) for x in row] for row in self.matrix]
-        for i in range(X.dim):
-            for m in range(Y.dim):
-                lhs = accumulate({}, (
-                    (w, c * F[k][i])
-                    for k in range(Y.dim) if F[k][i]
-                    for w, c in Y.coaction[k][m].items()
-                ))
-                rhs = accumulate({}, (
-                    (w, c * F[m][j])
-                    for j in range(X.dim) if F[m][j]
-                    for w, c in X.coaction[i][j].items()
-                ))
-                if lhs != rhs:
-                    return False
+        columns = [[] for _ in range(X.dim)]
+        for k, row in enumerate(self.matrix):
+            for i, x in enumerate(row):
+                if x:
+                    columns[i].append((k, x.numerator * (scale // x.denominator)))
+        for i, coaction_row in enumerate(X.coaction):
+            difference = accumulate({}, (
+                ((m, w), c * f)
+                for k, f in columns[i]
+                for m, entry in enumerate(Y.coaction[k])
+                for w, c in entry.items()
+            ))
+            accumulate(difference, (
+                ((m, w), -c * f)
+                for j, entry in enumerate(coaction_row) if columns[j]
+                for m, f in columns[j]
+                for w, c in entry.items()
+            ))
+            if difference:
+                return False
         return True
 
     def __eq__(self, other):
@@ -193,8 +217,13 @@ def trivial() -> Comodule:
 
 
 def tensor(X: Comodule, Y: Comodule) -> Comodule:
-    """Tensor product; basis (i, p) flattens to i * Y.dim + p."""
+    """Tensor product; basis (i, p) flattens to i * Y.dim + p.
+
+    The basis vector (i, p) has weight wt_X(i) + wt_Y(p), so the product
+    is never scanned; a factor that is not torus-diagonal raises ValueError.
+    """
     labels = tuple(f"{lx}*{ly}" for lx in X.labels for ly in Y.labels)
+    weights = [Weight(u.i + v.i, u.j + v.j) for u in X.weights for v in Y.weights]
     coaction = [
         [
             X.coaction[i][j] * Y.coaction[p][q]
@@ -204,7 +233,7 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
         for i in range(X.dim)
         for p in range(Y.dim)
     ]
-    return Comodule(labels, coaction)
+    return Comodule(labels, coaction, weights)
 
 
 def tensor_many(factors: Sequence[Comodule]) -> Comodule:
@@ -249,13 +278,16 @@ def left_dual(X: Comodule) -> Comodule:
     is the tensor product of the duals in reverse order, entry for entry:
     left_dual(X # Y)[(i, p)][(j, q)] = (left_dual(Y) # left_dual(X))[(p, i)][(q, j)].
     standard.build_delta uses this to dualize small factors only.
+
+    The basis vector *i has weight -wt_X(i).
     """
     labels = tuple(f"*{l}" for l in X.labels)
+    weights = [Weight(-w.i, -w.j) for w in X.weights]
     memo: dict = {}
     coaction = [
         [antipode_inv(X.coaction[j][i], memo) for j in range(X.dim)] for i in range(X.dim)
     ]
-    return Comodule(labels, coaction)
+    return Comodule(labels, coaction, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -44,16 +44,16 @@ from .comodules import (
     Comodule,
     ComoduleMap,
     VerificationError,
+    _coaction_components,
     char_mul,
     generated_subcomodule,
-    hom_space,
     image,
     left_dual,
     tensor,
     tensor_many,
     trivial,
 )
-from .linalg import accumulate
+from .linalg import Echelon, accumulate, nullspace_sparse
 
 __all__ = [
     "build_V",
@@ -189,7 +189,8 @@ def build_delta(lam: LambdaWord) -> Comodule:
     entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
     the labels "*" + the nabla label.  Only the small factors V, S^y V and
     R^k are dualized, and tensor_many folds each dual line R^-k into the
-    factor beside it, which cancels letters: S^-1(a) * D = d.
+    factor beside it, which cancels letters: S^-1(a) * D = d.  The weights
+    the reversed product carries are permuted the same way.
     """
     factors = _atom_factors(lam.star_inv(), sym=True)
     if not factors:
@@ -203,7 +204,8 @@ def build_delta(lam: LambdaWord) -> Comodule:
         stride *= factor.dim
     labels = ("*" + "*".join(parts) for parts in product(*(f.labels for f in factors)))
     coaction = [[reversed_product.coaction[p][q] for q in position] for p in position]
-    return Comodule(labels, coaction)
+    weights = [reversed_product.weights[p] for p in position]
+    return Comodule(labels, coaction, weights)
 
 
 def _weight_index(X: Comodule, target: Weight) -> int:
@@ -219,28 +221,58 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The hom space is required to be exactly one dimensional; the generator is
-    scaled so that the coefficient between the two weight-wt(lam) basis
-    vectors equals 1.  Its image is the simple socle L(lam).  Raises
-    VerificationError when the hom space has another dimension or the map
-    vanishes on the top line.
+    The map is solved from the top weight vector v+ of Delta(lam) alone.
+    In a highest-weight category Delta(lam) has simple head L(lam)
+    (Cline, Parshall and Scott, J. reine angew. Math. 391, 1988; Jantzen,
+    Representations of Algebraic Groups, II.4), so v+ generates it, and a
+    comodule map f is fixed by f(v+), which lies in the one dimensional
+    weight-wt(lam) space of nabla(lam): f(v+) = s w+.
+
+    - Let a_w and b_w be the coefficient vectors of the normal word w in
+      the coaction rows of v+ and w+.  The span of the a_w is the
+      subcomodule generated by v+; it must be all of Delta(lam), checked
+      by one echelon rank.  So f is fixed by s, and dim Hom <= 1.
+    - The intertwining condition at v+ reads F a_w = s b_w for every w.
+      Its unknowns are s and the entries F[m][j] pairing basis vectors of
+      equal weight.  The solution with s = 1 is then checked exactly with
+      ComoduleMap.is_intertwiner, so dim Hom = 1.
+
+    The result is the generator of Hom(Delta(lam), nabla(lam)) whose
+    coefficient between the two weight-wt(lam) basis vectors is 1: the
+    counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
+    socle L(lam).  Raises VerificationError when v+ does not generate
+    Delta(lam) or when no nonzero map exists.
     """
     Delta = build_delta(lam)
     Nabla = build_nabla(lam)
-    maps = hom_space(Delta, Nabla)
-    if len(maps) != 1:
-        raise VerificationError(
-            f"Hom(Delta, nabla) for {lam} has dimension {len(maps)}, expected 1"
-        )
-    f = maps[0]
     top = lam.wt()
-    src = _weight_index(Delta, top)
-    dst = _weight_index(Nabla, top)
-    scale = f.matrix[dst][src]
-    if scale == 0:
-        raise VerificationError(f"canonical map for {lam} vanishes on the top weight line")
-    matrix = tuple(tuple(entry / scale for entry in row) for row in f.matrix)
-    return ComoduleMap(Delta, Nabla, matrix)
+    a = _coaction_components(Delta, {_weight_index(Delta, top): 1})
+    b = _coaction_components(Nabla, {_weight_index(Nabla, top): 1})
+    if len(Echelon(a.values())) != Delta.dim:
+        raise VerificationError(f"Delta({lam}) is not generated by its top weight line")
+    wx, wy = Delta.weights, Nabla.weights
+    targets = [[m for m in range(Nabla.dim) if wy[m] == wx[j]] for j in range(Delta.dim)]
+    allowed = [(m, j) for j in range(Delta.dim) for m in targets[j]]
+    var_index = {pair: n for n, pair in enumerate(allowed)}
+    s = len(allowed)
+    equations = []
+    for w in {**a, **b}:
+        per_row: dict[int, dict] = {}
+        for j, c in a.get(w, {}).items():
+            for m in targets[j]:
+                per_row.setdefault(m, {})[var_index[m, j]] = c
+        for m, c in b.get(w, {}).items():
+            per_row.setdefault(m, {})[s] = -c
+        equations.extend(per_row.values())
+    # generation leaves at most one solution, on which s is nonzero
+    for sol in nullspace_sparse(equations, s + 1):
+        matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
+        for (m, j), n in var_index.items():
+            matrix[m][j] = sol[n] / sol[s]
+        f = ComoduleMap(Delta, Nabla, matrix)
+        if f.is_intertwiner():
+            return f
+    raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
 
 
 def build_L(lam: LambdaWord):

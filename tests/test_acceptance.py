@@ -131,15 +131,15 @@ def test_criterion_07_truncated_induction_matches_prediction():
 
 
 def test_criterion_08_classifier_matches_canonical_map():
-    """Block expressions predict the simple's dimension for all ell <= 5."""
-    assert suite_results(["classifier"], 5) == [
+    """Block expressions predict the simple's dimension for all ell <= 6."""
+    assert suite_results(["classifier"], 6) == [
         (
-            "classifier.crosscheck-len5",
+            "classifier.crosscheck-len6",
             True,
-            "168 words: block dim = canonical rank, characters agree",
+            "407 words: block dim = canonical rank, characters agree",
         ),
         ("classifier.named-examples", True, "three reference classifications"),
-        ("classifier.adjacency-table-len5", True, "every emitted expression passes"),
+        ("classifier.adjacency-table-len6", True, "every emitted expression passes"),
     ]
     # duality permutes simples by the star map
     for lam in enumerate_lambda(3):

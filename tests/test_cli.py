@@ -256,11 +256,11 @@ class TestErrors:
         assert main([]) == 2
 
     def test_failed_claim_exits_one(self, capsys, monkeypatch):
-        # a second hom map breaks the claim dim Hom(Delta, nabla) = 1
-        import ncgl2.standard
+        # a candidate map that fails the intertwiner check breaks the
+        # claim dim Hom(Delta, nabla) = 1
+        from ncgl2.comodules import ComoduleMap
 
-        real = ncgl2.standard.hom_space
-        monkeypatch.setattr(ncgl2.standard, "hom_space", lambda X, Y: real(X, Y) * 2)
+        monkeypatch.setattr(ComoduleMap, "is_intertwiner", lambda f: False)
         assert main(["nabla", "d"]) == 1
         assert "expected 1" in capsys.readouterr().err
         assert main(["nf", "d**a"]) == 2

@@ -37,6 +37,7 @@ from ncgl2.standard import (
     build_V,
     build_delta,
     build_nabla,
+    canonical_map,
 )
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
 from test_ncalg import ANTIPODE_INV_IMAGES, letter_by_letter
@@ -58,6 +59,22 @@ def direct_sum(*parts: Comodule) -> Comodule:
                 coaction[start + i][start + j] = part.coaction[i][j]
     labels = [f"{n}.{label}" for n, part in enumerate(parts) for label in part.labels]
     return Comodule(labels, coaction)
+
+
+def dense_is_intertwiner(f: ComoduleMap) -> bool:
+    """The intertwining condition checked at every (i, m) and every k, j."""
+    X, Y = f.source, f.target
+    for i in range(X.dim):
+        for m in range(Y.dim):
+            lhs = NCElement({})
+            for k in range(Y.dim):
+                lhs = lhs + Y.coaction[k][m] * f.matrix[k][i]
+            rhs = NCElement({})
+            for j in range(X.dim):
+                rhs = rhs + X.coaction[i][j] * f.matrix[m][j]
+            if lhs != rhs:
+                return False
+    return True
 
 
 def rendered(rows) -> list[list[str]]:
@@ -312,6 +329,18 @@ class TestHom:
             span_fast = [[c for row in f.matrix for c in row] for f in fast]
             span_slow = [[c for row in f.matrix for c in row] for f in slow]
             assert rref(span_fast)[0] == rref(span_slow)[0], (X.labels, Y.labels)
+
+    def test_sparse_intertwiner_matches_dense_oracle(self):
+        # every canonical map with ell <= 3, and each copy of it with one
+        # entry raised by 1, is judged as by the full entry-by-entry check
+        for lam in enumerate_lambda(3):
+            f = canonical_map(lam)
+            assert f.is_intertwiner()
+            for k, i in product(range(f.target.dim), range(f.source.dim)):
+                matrix = [list(row) for row in f.matrix]
+                matrix[k][i] += 1
+                g = ComoduleMap(f.source, f.target, matrix)
+                assert g.is_intertwiner() == dense_is_intertwiner(g), (str(lam), k, i)
 
     def test_are_isomorphic_negative(self):
         assert not are_isomorphic(V, build_SymV(2))

@@ -5,8 +5,11 @@ from itertools import product
 
 import pytest
 
+import ncgl2.standard
 from ncgl2.comodules import (
+    Comodule,
     ComoduleMap,
+    VerificationError,
     comodule_axiom_failures,
     highest_weight,
     hom_space,
@@ -16,6 +19,7 @@ from ncgl2.comodules import (
 from ncgl2.standard import (
     build_L,
     build_M,
+    build_R,
     build_SymV,
     build_TV,
     build_delta,
@@ -31,6 +35,7 @@ from ncgl2.standard import (
     nabla_multiset,
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
+from test_comodules import direct_sum
 
 
 def lam(text: str) -> LambdaWord:
@@ -44,6 +49,22 @@ def names(counter: Counter) -> dict[str, int]:
 def delta_oracle(l: LambdaWord):
     """Delta(l) by definition: the left dual of the built nabla(star_inv(l))."""
     return left_dual(build_nabla(l.star_inv()))
+
+
+def canonical_map_by_hom_space(l: LambdaWord) -> ComoduleMap:
+    """The canonical map from the full intertwining system, an oracle.
+
+    Solves all of Hom(Delta(l), nabla(l)), requires it to be one
+    dimensional, and scales its generator to 1 between the top weight
+    basis vectors.
+    """
+    delta, nabla = build_delta(l), build_nabla(l)
+    maps = hom_space(delta, nabla)
+    assert len(maps) == 1, str(l)
+    top = l.wt()
+    f = maps[0]
+    scale = f.matrix[nabla.weights.index(top)][delta.weights.index(top)]
+    return ComoduleMap(delta, nabla, [[x / scale for x in row] for row in f.matrix])
 
 
 def nabla_surjection(l: LambdaWord) -> ComoduleMap:
@@ -116,6 +137,18 @@ class TestBuilders:
             assert delta.labels == oracle.labels
             assert delta.coaction == oracle.coaction
 
+    @pytest.mark.parametrize(
+        "labels", [enumerate_lambda(5), [lam("d^6")]], ids=["ell<=5", "d^6"]
+    )
+    def test_carried_weights_equal_scanned(self, labels):
+        # tensor, left_dual and build_delta carry weights instead of
+        # scanning; a fresh comodule on the same coaction scans them
+        for l in labels:
+            delta = build_delta(l)
+            assert delta._weights is not None, str(l)
+            for X in (delta, build_nabla(l)):
+                assert X.weights == Comodule(X.labels, X.coaction).weights, str(l)
+
     def test_delta_satisfies_comodule_axioms(self):
         # independent of the oracle: coassociativity and counit, entrywise
         assert comodule_axiom_failures(build_delta(lam("d^5"))) == []
@@ -162,6 +195,23 @@ class TestSimpleQuotients:
             f = canonical_map(lam(text))
             assert f.is_intertwiner()
             assert len(hom_space(f.source, f.target)) == 1
+
+    @pytest.mark.parametrize(
+        "labels", [enumerate_lambda(5), [lam("d^6")]], ids=["ell<=5", "d^6"]
+    )
+    def test_top_line_route_matches_hom_space(self, labels):
+        for l in labels:
+            assert canonical_map(l) == canonical_map_by_hom_space(l), str(l)
+
+    def test_non_cyclic_delta_raises(self, monkeypatch):
+        # V (+) R: the top vector of V generates only V, so the stand-in
+        # for Delta(d) is not generated by its top weight line
+        real = ncgl2.standard.build_delta
+        monkeypatch.setattr(
+            ncgl2.standard, "build_delta", lambda l: direct_sum(real(l), build_R(1))
+        )
+        with pytest.raises(VerificationError, match="not generated by its top weight line"):
+            canonical_map(lam("d"))
 
     def test_simple_dimensions(self):
         # ranks of the canonical maps
