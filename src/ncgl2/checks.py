@@ -135,8 +135,7 @@ def _suite_layers(bounds: dict) -> list[dict]:
 def _suite_multisets(bounds: dict) -> list[dict]:
     from .linalg import accumulate
     from .standard import (
-        build_M,
-        build_nabla,
+        _atom_dimension,
         char_M,
         char_delta,
         char_nabla,
@@ -168,10 +167,10 @@ def _suite_multisets(bounds: dict) -> list[dict]:
         D = delta_multiset(lam)
         if N[lam] != 1 or D[lam] != 1:
             once = False
-        m_dim = build_M(lam).dim
-        if sum(build_nabla(mu).dim * k for mu, k in N.items()) != m_dim:
+        m_dim = _atom_dimension(lam, sym=False)
+        if sum(_atom_dimension(mu, sym=True) * k for mu, k in N.items()) != m_dim:
             dims = False
-        if sum(build_nabla(mu.star_inv()).dim * k for mu, k in D.items()) != m_dim:
+        if sum(_atom_dimension(mu.star_inv(), sym=True) * k for mu, k in D.items()) != m_dim:
             dims = False
         cn: dict = {}
         for mu, k in N.items():

@@ -92,7 +92,7 @@ class Comodule:
     ):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        rows = tuple(tuple(entry for entry in row) for row in coaction)
+        rows = tuple(map(tuple, coaction))
         if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
             raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         self.coaction = rows

@@ -100,7 +100,11 @@ _LHS_BY_LENGTH: dict[int, dict[Word, dict[Word, int]]] = {}
 for _lhs, _rhs in RULES:
     _LHS_BY_LENGTH.setdefault(len(_lhs), {})[_lhs] = _rhs
 
-_MAX_LHS_LEN = max(_LHS_BY_LENGTH)
+# The redex index of _first_redex, derived from RULES: the right side of
+# each length-2 left side, and the letter pairs that begin a length-3 one.
+_LHS2 = _LHS_BY_LENGTH[2]
+_LHS3 = _LHS_BY_LENGTH[3]
+_LHS3_HEADS = frozenset(lhs[:2] for lhs in _LHS3)
 
 
 def word_key(word: Word) -> tuple:
@@ -128,14 +132,22 @@ def column_weight(word: Word) -> tuple[int, int]:
 
 
 def _first_redex(word: Word):
-    """Leftmost rule match, or None.  At most one rule matches a position."""
-    n = len(word)
-    for i in range(n):
-        for length, table in _LHS_BY_LENGTH.items():
-            if i + length <= n:
-                rhs = table.get(word[i : i + length])
-                if rhs is not None:
-                    return i, length, rhs
+    """Leftmost rule match (i, length, rhs), or None.
+
+    At most one rule matches a position.  Left sides have length 2 or 3,
+    so each position looks up its letter pair once, in the index built
+    from RULES, and reads a third letter only when the pair begins a
+    length-3 left side.
+    """
+    for i in range(len(word) - 1):
+        pair = word[i : i + 2]
+        rhs = _LHS2.get(pair)
+        if rhs is not None:
+            return i, 2, rhs
+        if pair in _LHS3_HEADS:
+            rhs = _LHS3.get(word[i : i + 3])
+            if rhs is not None:
+                return i, 3, rhs
     return None
 
 
@@ -157,9 +169,14 @@ def _exact(value) -> Coeff:
 def normal_form_word(word: Word) -> dict[Word, int]:
     """Normal form of a single word as a dict of normal words to ints.
 
-    Every intermediate word of the reduction is cached in _NF_CACHE.
+    Every intermediate word of the reduction is cached in _NF_CACHE.  A
+    word's normal form is unique (the rules are confluent, see
+    check_confluence), so a cached entry is returned as it is, and
+    _reduce runs only on a miss.  The result is shared: do not mutate it.
     """
-    return _reduce(tuple(word), _NF_CACHE)
+    word = tuple(word)
+    found = _NF_CACHE.get(word)
+    return found if found is not None else _reduce(word, _NF_CACHE)
 
 
 def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
@@ -211,7 +228,7 @@ def normal_form(terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
     for word, coeff in terms.items():
         coeff = _exact(coeff)
         if coeff:
-            accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(tuple(word)).items()))
+            accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(word).items()))
     return acc
 
 
@@ -263,6 +280,8 @@ class _SparseElement:
         return other + (-self)
 
     def __mul__(self, other):
+        if other.__class__ is self.__class__ and other._arity == self._arity:
+            return self._new(self._product(other))
         if isinstance(other, (int, Fraction)):
             scalar = _exact(other)
             return self._new({k: c * scalar for k, c in self._terms.items()} if scalar else {})
@@ -317,12 +336,21 @@ class NCElement(_SparseElement):
         return NotImplemented
 
     def _product(self, other: "NCElement") -> dict[Word, Coeff]:
-        acc: dict[Word, Coeff] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                coeff = c1 * c2
-                accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(w1 + w2).items()))
-        return acc
+        """Sum of c1 c2 nf(w1 w2) over all pairs of terms, in one pass.
+
+        One normal_form_word call per pair of terms; the normal form of a
+        word is unique, so the sum does not depend on the order of pairs.
+        """
+        right = other._terms.items()
+        return accumulate(
+            {},
+            (
+                (nw, c1 * c2 * c)
+                for w1, c1 in self._terms.items()
+                for w2, c2 in right
+                for nw, c in normal_form_word(w1 + w2).items()
+            ),
+        )
 
     @property
     def terms(self) -> dict[Word, Coeff]:
@@ -530,7 +558,7 @@ class TensorElement(_SparseElement):
                 raise ValueError(f"tensor key {key!r} does not have {arity} legs")
             coeff = _exact(coeff)
             if coeff:
-                accumulate(acc, _expand([normal_form_word(tuple(w)) for w in key], coeff))
+                accumulate(acc, _expand([normal_form_word(w) for w in key], coeff))
         self._terms = acc
 
     @classmethod

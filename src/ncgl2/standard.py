@@ -164,6 +164,19 @@ def _atom_factors(lam: LambdaWord, sym: bool) -> list[Comodule]:
     return factors
 
 
+def _atom_dimension(lam: LambdaWord, sym: bool) -> int:
+    """dim M(lam) (sym=False) or dim nabla(lam) (sym=True), from lam's runs.
+
+    A run d^y gives the factor V^{(x) y} of dimension 2^y, or S^y V of
+    dimension y + 1; a determinant power gives a line.  Nothing is built.
+    """
+    dim = 1
+    for kind, value in lam.atoms():
+        if kind == "d":
+            dim *= value + 1 if sym else 2**value
+    return dim
+
+
 def build_M(lam: LambdaWord) -> Comodule:
     """The monoid comodule M(lam): delta^x -> R^x and each run d^y -> V^{(x) y}."""
     return tensor_many(_atom_factors(lam, sym=False))
@@ -442,14 +455,7 @@ def _layer_word_ok(word: tuple[str, ...]) -> bool:
 
 def layer_dimension(n: int) -> int:
     """Dimension of the n-th layer, as a sum of costandard dimensions."""
-    total = 0
-    for _, label in decompose_layer(n):
-        dims = 1
-        for kind, value in label.atoms():
-            if kind == "d":
-                dims *= value + 1
-        total += dims
-    return total
+    return sum(_atom_dimension(label, sym=True) for _, label in decompose_layer(n))
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from ncgl2.ncalg import (
     antipode_leg,
     tensor_of,
     _coproduct_word,
+    _first_redex,
 )
 from ncgl2.linalg import accumulate
 
@@ -167,6 +168,67 @@ class TestRewritingProperties:
     def test_distributivity(self, x, y):
         a = gen("a")
         assert a * (x + y) == a * x + a * y
+
+
+def all_words(max_len: int) -> list[tuple]:
+    """Every word of at most max_len letters, normal or not."""
+    words, layer = [()], [()]
+    for _ in range(max_len):
+        layer = [w + (letter,) for w in layer for letter in LETTERS]
+        words.extend(layer)
+    return words
+
+
+def product_oracle(x: NCElement, y: NCElement) -> dict:
+    """x * y as the sum over pairs of terms of normal_form({w1 w2: c1 c2})."""
+    acc: dict = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            accumulate(acc, normal_form({w1 + w2: c1 * c2}).items())
+    return acc
+
+
+class TestProductKernel:
+    def test_first_redex_matches_brute_force_scan(self):
+        words = all_words(5)
+        assert len(words) == 9331
+        for word in words:
+            expected = None
+            for i in range(len(word)):
+                hits = [(i, len(lhs), rhs) for lhs, rhs in RULES if word[i : i + len(lhs)] == lhs]
+                if hits:
+                    assert len(hits) == 1, word
+                    expected = hits[0]
+                    break
+            assert _first_redex(word) == expected, word
+
+    def test_list_and_tuple_words_agree(self):
+        for word in (("d", "Di", "b", "a", "c"), ("c", "b", "d", "a"), ("a",), ()):
+            from_list = normal_form_word(list(word))
+            assert from_list == normal_form_word(word)
+            # the second list call reads the cache
+            assert normal_form_word(list(word)) == from_list
+
+    def test_products_of_normal_words_match_oracle(self):
+        basis = enumerate_basis(2)
+        for w1 in basis:
+            x = NCElement({w1: 1})
+            for w2 in basis:
+                y = NCElement({w2: 1})
+                assert (x * y).terms == product_oracle(x, y) == normal_form({w1 + w2: 1})
+
+    def test_fraction_and_cancelling_products_match_oracle(self):
+        # d*a - b*c = D: the b*c terms of the two pairs cancel
+        x = NCElement({("d",): 1, ("b",): -1})
+        y = NCElement({("a",): 1, ("c",): 1})
+        assert (x * y).terms == product_oracle(x, y) == {("D",): 1, ("d", "c"): 1, ("b", "a"): -1}
+        half = NCElement({("c",): Fraction(1, 2), ("D", "Di"): Fraction(-2, 3), ("a", "d"): 3})
+        third = NCElement({("b",): Fraction(1, 3), ("Di", "a"): Fraction(3, 4), (): -1})
+        for u, v in ((half, third), (third, half), (half, half), (x, half), (third, y)):
+            product = (u * v).terms
+            assert product == product_oracle(u, v)
+            assert all(product.values())
+        assert (half * -half + half * half).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +420,15 @@ class TestTensorElement:
         with pytest.raises(ValueError):
             two * three
         assert two != three
+
+    def test_algebra_and_tensor_elements_do_not_multiply(self):
+        x, t = gen("a"), tensor_of(gen("a"), gen("b"))
+        with pytest.raises(TypeError):
+            x * t
+        with pytest.raises(TypeError):
+            t * x
+        with pytest.raises(TypeError):
+            x * "a"
 
     def test_key_length_must_match_arity(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from ncgl2.comodules import (
     weight_decomposition,
 )
 from ncgl2.standard import (
+    _atom_dimension,
     build_L,
     build_M,
     build_R,
@@ -157,6 +158,12 @@ class TestBuilders:
         # each d letter contributes a two-dimensional factor
         for text, dim in (("d", 2), ("d^2", 4), ("d.Di.d", 4), ("D^3", 1)):
             assert build_M(lam(text)).dim == dim
+
+    def test_dimensions_from_runs_match_builders(self):
+        # the multisets suite reads dimensions off the runs of d, unbuilt
+        for l in enumerate_lambda(5):
+            assert build_M(l).dim == _atom_dimension(l, sym=False), str(l)
+            assert build_nabla(l).dim == _atom_dimension(l, sym=True), str(l)
 
     def test_nabla_surjection(self):
         for text in ("d", "d^2", "d.Di.d", "d^2.Di.d"):
