@@ -167,6 +167,8 @@ def _suite_multisets(bounds: dict) -> list[dict]:
         D = delta_multiset(lam)
         if N[lam] != 1 or D[lam] != 1:
             once = False
+        # dimensions from the runs of d, not from built comodules; the
+        # builders are checked against _atom_dimension in the test suite
         m_dim = _atom_dimension(lam, sym=False)
         if sum(_atom_dimension(mu, sym=True) * k for mu, k in N.items()) != m_dim:
             dims = False

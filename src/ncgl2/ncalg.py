@@ -172,7 +172,9 @@ def normal_form_word(word: Word) -> dict[Word, int]:
     Every intermediate word of the reduction is cached in _NF_CACHE.  A
     word's normal form is unique (the rules are confluent, see
     check_confluence), so a cached entry is returned as it is, and
-    _reduce runs only on a miss.  The result is shared: do not mutate it.
+    _reduce runs only on a miss; reading the cache here, not only in
+    _reduce, saves a call on the hit path, which most calls take.  The
+    result is shared: do not mutate it.
     """
     word = tuple(word)
     found = _NF_CACHE.get(word)
@@ -182,17 +184,13 @@ def normal_form_word(word: Word) -> dict[Word, int]:
 def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
     """Normal form of word, storing every intermediate word in memo.
 
-    Reads _NF_CACHE first, then memo, and writes new entries only into
-    memo, so a caller can keep the intermediates of long one-off words
-    out of the global cache.  Iterative so that long reduction chains
-    cannot overflow the stack.
+    Reads _NF_CACHE, then memo, and writes new entries only into memo,
+    so a caller can keep the intermediates of long one-off words out of
+    the global cache.  A word already known is found by the first step
+    of the loop.  Iterative so that long reduction chains cannot
+    overflow the stack.
     """
     cache = _NF_CACHE
-    found = cache.get(word)
-    if found is None:
-        found = memo.get(word)
-    if found is not None:
-        return found
     stack = [word]
     while stack:
         w = stack[-1]
@@ -219,7 +217,8 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
             accumulate(acc, ((nw, rc * coeff) for nw, coeff in nf.items()))
         memo[w] = acc
         stack.pop()
-    return memo[word]
+    found = cache.get(word)
+    return found if found is not None else memo[word]
 
 
 def normal_form(terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
@@ -280,15 +279,16 @@ class _SparseElement:
         return other + (-self)
 
     def __mul__(self, other):
-        if other.__class__ is self.__class__ and other._arity == self._arity:
+        # Only the subclass's own elements and scalars multiply; checking
+        # the class first keeps the common element * element case cheap.
+        if other.__class__ is self.__class__:
+            if other._arity != self._arity:
+                raise ValueError(f"cannot combine arity {self._arity} with arity {other._arity}")
             return self._new(self._product(other))
         if isinstance(other, (int, Fraction)):
             scalar = _exact(other)
             return self._new({k: c * scalar for k, c in self._terms.items()} if scalar else {})
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._new(self._product(other))
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
