@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .linalg import accumulate
@@ -80,25 +80,40 @@ class VerificationError(ValueError):
 
 
 class Comodule:
-    """A right comodule given by its coaction matrix."""
+    """A right comodule given by its coaction matrix.
 
-    __slots__ = ("dim", "labels", "coaction", "_weights")
+    The matrix may be given as a function that returns it.  It is then
+    built on the first read of `coaction`, and kept; the labels, the
+    dimension and carried weights are there without it.
+    """
+
+    __slots__ = ("dim", "labels", "_coaction", "_weights")
 
     def __init__(
         self,
         labels: Sequence[str],
-        coaction: Sequence[Sequence[NCElement]],
+        coaction: Sequence[Sequence[NCElement]] | Callable[[], Sequence[Sequence[NCElement]]],
         weights: Sequence[Weight] | None = None,
     ):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        rows = tuple(map(tuple, coaction))
-        if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
-            raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
-        self.coaction = rows
+        self._coaction = coaction if callable(coaction) else self._square(coaction)
         self._weights = None if weights is None else tuple(weights)
         if self._weights is not None and len(self._weights) != self.dim:
             raise ValueError(f"expected {self.dim} weights, got {len(self._weights)}")
+
+    def _square(self, coaction) -> tuple[tuple[NCElement, ...], ...]:
+        rows = tuple(map(tuple, coaction))
+        if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
+            raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
+        return rows
+
+    @property
+    def coaction(self) -> tuple[tuple[NCElement, ...], ...]:
+        """The coaction matrix, built on first read when given as a function."""
+        if callable(self._coaction):
+            self._coaction = self._square(self._coaction())
+        return self._coaction
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -162,11 +177,12 @@ class ComoduleMap:
             for i, x in enumerate(row):
                 if x:
                     columns[i].append((k, x.numerator * (scale // x.denominator)))
+        target_rows = Y.coaction
         for i, coaction_row in enumerate(X.coaction):
             difference = accumulate({}, (
                 ((m, w), c * f)
                 for k, f in columns[i]
-                for m, entry in enumerate(Y.coaction[k])
+                for m, entry in enumerate(target_rows[k])
                 for w, c in entry.items()
             ))
             accumulate(difference, (
@@ -195,19 +211,20 @@ def comodule_axiom_failures(X: Comodule) -> list[str]:
     """Violations of the comodule axioms, empty if X is a comodule."""
     problems = []
     memo: dict = {}
+    C = X.coaction
     for i in range(X.dim):
         for j in range(X.dim):
-            left = dict(coproduct(X.coaction[i][j], memo).items())
+            left = dict(coproduct(C[i][j], memo).items())
             right = accumulate({}, (
                 ((w1, w2), c1 * c2)
                 for k in range(X.dim)
-                for w1, c1 in X.coaction[i][k].items()
-                for w2, c2 in X.coaction[k][j].items()
+                for w1, c1 in C[i][k].items()
+                for w2, c2 in C[k][j].items()
             ))
             if left != right:
                 problems.append(f"coassociativity fails at entry ({i}, {j})")
             expected = Fraction(1 if i == j else 0)
-            if counit(X.coaction[i][j]) != expected:
+            if counit(C[i][j]) != expected:
                 problems.append(f"counit fails at entry ({i}, {j})")
     return problems
 
@@ -224,9 +241,10 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
     """
     labels = tuple(f"{lx}*{ly}" for lx in X.labels for ly in Y.labels)
     weights = [Weight(u.i + v.i, u.j + v.j) for u in X.weights for v in Y.weights]
+    cx, cy = X.coaction, Y.coaction
     coaction = [
         [
-            X.coaction[i][j] * Y.coaction[p][q]
+            cx[i][j] * cy[p][q]
             for j in range(X.dim)
             for q in range(Y.dim)
         ]
@@ -284,9 +302,8 @@ def left_dual(X: Comodule) -> Comodule:
     labels = tuple(f"*{l}" for l in X.labels)
     weights = [Weight(-w.i, -w.j) for w in X.weights]
     memo: dict = {}
-    coaction = [
-        [antipode_inv(X.coaction[j][i], memo) for j in range(X.dim)] for i in range(X.dim)
-    ]
+    C = X.coaction
+    coaction = [[antipode_inv(C[j][i], memo) for j in range(X.dim)] for i in range(X.dim)]
     return Comodule(labels, coaction, weights)
 
 
@@ -347,6 +364,7 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     # since the reduced echelon form, and so the basis, is unique
     equations: list[dict[int, Fraction]] = []
     seen: set[frozenset] = set()
+    cx, cy = X.coaction, Y.coaction
     for i in range(X.dim):
         for m in range(Y.dim):
             per_word: dict[tuple, dict[int, Fraction]] = {}
@@ -355,13 +373,13 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
                 if var is None:
                     continue
                 # var differs per k and w per entry, so (w, var) is new here
-                for w, c in Y.coaction[k][m].items():
+                for w, c in cy[k][m].items():
                     per_word.setdefault(w, {})[var] = c
             for j in range(X.dim):
                 var = var_index.get((m, j))
                 if var is None:
                     continue
-                for w, c in X.coaction[i][j].items():
+                for w, c in cx[i][j].items():
                     accumulate(per_word.setdefault(w, {}), ((var, -c),))
             for equation in per_word.values():
                 key = frozenset(equation.items())
@@ -439,8 +457,9 @@ def _coaction_components(X: Comodule, vector: dict) -> dict[tuple, dict[int, Fra
     The vector maps basis indices of X to coefficients.
     """
     pairs: dict = {}
+    rows = X.coaction
     for i, c in vector.items():
-        for j, entry in enumerate(X.coaction[i]):
+        for j, entry in enumerate(rows[i]):
             for w, e in entry.items():
                 pairs.setdefault(w, []).append((j, c * e))
     return {w: accumulate({}, column) for w, column in pairs.items()}

@@ -744,12 +744,15 @@ def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
 
 
 def multiply_legs(tensor: TensorElement) -> NCElement:
-    """Multiply all legs together in order (the convolution product step)."""
-    acc: dict[Word, Coeff] = {}
-    for key, coeff in tensor.items():
-        concatenated = sum(key, ())
-        accumulate(acc, ((nw, coeff * c) for nw, c in normal_form_word(concatenated).items()))
-    return NCElement._raw(acc)
+    """Multiply all legs together in order (the convolution product step).
+
+    One accumulate over all terms, one normal_form_word call per term.
+    """
+    return NCElement._raw(accumulate({}, (
+        (nw, coeff * c)
+        for key, coeff in tensor.items()
+        for nw, c in normal_form_word(sum(key, ())).items()
+    )))
 
 
 def grouplike_words(max_len: int) -> list[Word]:

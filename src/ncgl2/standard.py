@@ -32,9 +32,21 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from typing import Sequence
 
-from .ncalg import NCElement, gen, one
+from .ncalg import (
+    LETTERS,
+    RULES,
+    NCElement,
+    antipode_inv,
+    coproduct,
+    counit,
+    gen,
+    one,
+    render_word,
+)
 from .weights import (
     LambdaWord,
     Weight,
@@ -46,6 +58,7 @@ from .comodules import (
     VerificationError,
     _coaction_components,
     char_mul,
+    comodule_axiom_failures,
     generated_subcomodule,
     image,
     left_dual,
@@ -64,6 +77,7 @@ __all__ = [
     "build_nabla",
     "build_delta",
     "canonical_map",
+    "comodule_certificate",
     "build_L",
     "nabla_multiset",
     "delta_multiset",
@@ -187,6 +201,39 @@ def build_nabla(lam: LambdaWord) -> Comodule:
     return tensor_many(_atom_factors(lam, sym=True))
 
 
+def _dual_factors(lam: LambdaWord) -> list[Comodule]:
+    """left_dual(F_1), ..., left_dual(F_k) for the factors F_t of nabla(star_inv(lam)).
+
+    With no factors (lam = 1) the one dual factor is left_dual(trivial()).
+    """
+    factors = _atom_factors(lam.star_inv(), sym=True) or [trivial()]
+    return [left_dual(f) for f in factors]
+
+
+def _delta_basis(duals: Sequence[Comodule]) -> tuple[tuple, ...]:
+    """Digits, labels, weights and positions of Delta's basis, in index order.
+
+    The basis index I = (i_1, ..., i_k) of Delta(lam) picks basis vector
+    i_t of the dual factor L_t = duals[t], with i_1 most significant; its
+    digits are that tuple.  Its label is the concatenated labels of the
+    picks, and its torus weight the sum of theirs, since the torus
+    quotient is a Hopf map onto a commutative Hopf algebra.  Its position
+    is its index in L_k # ... # L_1, where L_t has stride
+    dim L_1 * ... * dim L_{t-1}.  Nothing but the small factors is read.
+    """
+    basis = [((), "", Weight(0, 0), 0)]
+    stride = 1
+    for dual in duals:
+        picks = list(enumerate(zip(dual.labels, dual.weights)))
+        basis = [
+            (digits + (i,), label + l, Weight(w.i + v.i, w.j + v.j), p + i * stride)
+            for digits, label, w, p in basis
+            for i, (l, v) in picks
+        ]
+        stride *= dual.dim
+    return tuple(zip(*basis))
+
+
 def build_delta(lam: LambdaWord) -> Comodule:
     """The standard comodule Delta(lam) = nabla(star_inv(lam))*.
 
@@ -198,27 +245,93 @@ def build_delta(lam: LambdaWord) -> Comodule:
     the dual of F_1 # ... # F_k is left_dual(F_k) # ... # left_dual(F_1)
     with the factor digits of each basis index reversed: the entry at
     ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the reversed product
-    at ((i_k, ..., i_1), (j_k, ..., j_1)).  Normal forms are unique, so the
-    entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
-    the labels "*" + the nabla label.  Only the small factors V, S^y V and
-    R^k are dualized, and tensor_many folds each dual line R^-k into the
-    factor beside it, which cancels letters: S^-1(a) * D = d.  The weights
-    the reversed product carries are permuted the same way.
+    at ((i_k, ..., i_1), (j_k, ..., j_1)), found at the positions of
+    _delta_basis.  Normal forms are unique, so the entries equal those of
+    left_dual(build_nabla(star_inv(lam))), and so do the labels "*" + the
+    nabla label.  Only the small factors V, S^y V and R^k are dualized,
+    and tensor_many folds each dual line R^-k into the factor beside it,
+    which cancels letters: S^-1(a) * D = d.
     """
-    factors = _atom_factors(lam.star_inv(), sym=True)
-    if not factors:
-        return left_dual(trivial())
-    reversed_product = tensor_many([left_dual(f) for f in reversed(factors)])
-    # position[I] is the reversed product's index of the basis vector with
-    # index I here; factor F_t has stride dim F_1 * ... * dim F_{t-1} there
-    position, stride = [0], 1
-    for factor in factors:
-        position = [p + digit * stride for p in position for digit in range(factor.dim)]
-        stride *= factor.dim
-    labels = ("*" + "*".join(parts) for parts in product(*(f.labels for f in factors)))
-    coaction = [[reversed_product.coaction[p][q] for q in position] for p in position]
-    weights = [reversed_product.weights[p] for p in position]
-    return Comodule(labels, coaction, weights)
+    duals = _dual_factors(lam)
+    _, labels, weights, position = _delta_basis(duals)
+    rows = tensor_many(duals[::-1]).coaction
+    return Comodule(labels, [[rows[p][q] for q in position] for p in position], weights)
+
+
+def _delta_row(duals: Sequence[Comodule], digits: tuple) -> dict[tuple, NCElement]:
+    """Row `digits` of Delta's coaction, keyed by the digits of its columns.
+
+    The entry at column J is L_k[i_k][j_k] * ... * L_1[i_1][j_1], as in
+    build_delta, so the row is folded from the last dual factor, one
+    factor row at a time; zero entries of the factor rows are skipped.
+    """
+    row = {(): one()}
+    for dual, i in zip(duals[::-1], digits[::-1]):
+        entries = [(j, e) for j, e in enumerate(dual.coaction[i]) if not e.is_zero()]
+        row = {(j,) + key: element * e for key, element in row.items() for j, e in entries}
+    return row
+
+
+@cache
+def comodule_certificate() -> tuple[str, ...]:
+    """Failures of the certificate that every Delta(lam) and nabla(lam) is a comodule.
+
+    Empty when all of these hold:
+
+    (i)   the letter maps of the coproduct, the counit and S^-1 respect
+          every rule of RULES, applied letter by letter to its unreduced
+          left side, so they are well defined on O;
+    (ii)  S^-1 is an anti-coalgebra map on the six letters:
+          Delta S^-1 = (S^-1 # S^-1) tau Delta and epsilon S^-1 = epsilon;
+    (iii) V, R and R^-1 pass comodule_axiom_failures;
+    (iv)  the entries of V's coaction satisfy the Manin relations ac = ca,
+          bd = db and ad + bc = cb + da, so rho(x) = a # x + b # y and
+          rho(y) = c # x + d # y extend to an algebra map
+          k[x, y] -> O # k[x, y].
+
+    Why that is enough (Sweedler, Hopf Algebras, 1969; Montgomery, Hopf
+    Algebras and Their Actions on Rings, 1993, ch. 1): both sides of (ii)
+    are anti-algebra maps, so (ii) holds on all of O.  The coproduct is an
+    algebra map, so a tensor product of comodules is a comodule, and by
+    (ii) so is left_dual of a comodule.  By (iii) and (iv) k[x, y] is a
+    comodule algebra, whose degree-y part is S^y V: build_SymV writes the
+    coefficients of rho(x)^(y-k) rho(y)^k.  R^k is a tensor power of R or
+    R^-1, and a basis permutation keeps a comodule a comodule.  So every
+    nabla(lam), and every Delta(lam) built from the duals of its factors,
+    is a comodule, for every lam.
+
+    Checked once per process; about 2 ms.
+    """
+    failures = []
+    letter_maps = (("coproduct", coproduct), ("counit", counit), ("S^-1", antipode_inv))
+    for lhs, rhs in RULES:
+        left, right = NCElement._raw({lhs: 1}), NCElement._raw(rhs)
+        for name, letter_map in letter_maps:
+            if letter_map(left) != letter_map(right):
+                failures.append(f"{name} does not respect the rule {render_word(lhs)}")
+    for letter in LETTERS:
+        x = gen(letter)
+        twisted = accumulate({}, (
+            ((w1, w2), c * c1 * c2)
+            for (u, v), c in coproduct(x).items()
+            for w1, c1 in antipode_inv(NCElement._raw({v: 1})).items()
+            for w2, c2 in antipode_inv(NCElement._raw({u: 1})).items()
+        ))
+        if dict(coproduct(antipode_inv(x)).items()) != twisted:
+            failures.append(f"S^-1 is not anti-comultiplicative on {letter}")
+        if counit(antipode_inv(x)) != counit(x):
+            failures.append(f"S^-1 does not keep the counit of {letter}")
+    for X in (build_V(), build_R(1), build_R(-1)):
+        failures.extend(f"{X!r}: {p}" for p in comodule_axiom_failures(X))
+    (a, b), (c, d) = build_V().coaction
+    for name, left, right in (
+        ("ac = ca", a * c, c * a),
+        ("bd = db", b * d, d * b),
+        ("ad + bc = cb + da", a * d + b * c, c * b + d * a),
+    ):
+        if left != right:
+            failures.append(f"V's coaction breaks the Manin relation {name}")
+    return tuple(failures)
 
 
 def _weight_index(X: Comodule, target: Weight) -> int:
@@ -234,32 +347,63 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is solved from the top weight vector v+ of Delta(lam) alone.
-    In a highest-weight category Delta(lam) has simple head L(lam)
-    (Cline, Parshall and Scott, J. reine angew. Math. 391, 1988; Jantzen,
-    Representations of Algebraic Groups, II.4), so v+ generates it, and a
-    comodule map f is fixed by f(v+), which lies in the one dimensional
-    weight-wt(lam) space of nabla(lam): f(v+) = s w+.
+    The map is solved from the top weight vector v+ of Delta(lam) alone,
+    and Delta(lam) is never built.  In a highest-weight category
+    Delta(lam) has simple head L(lam) (Cline, Parshall and Scott, J. reine
+    angew. Math. 391, 1988; Jantzen, Representations of Algebraic Groups,
+    II.4), so v+ generates it, and a comodule map F is fixed by F(v+),
+    which lies in the one dimensional weight-wt(lam) space of nabla(lam):
+    F(v+) = s w+.
 
+    - The coaction row of v+ is the only row of Delta(lam) read.  It is
+      the product of the dual factors' rows at v+'s digits (_delta_row);
+      Delta's labels, weights and dimension come from the factors alone
+      (_delta_basis).
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam), checked
-      by one echelon rank.  So f is fixed by s, and dim Hom <= 1.
+      by one echelon rank.  So F is fixed by s, and dim Hom <= 1.
     - The intertwining condition at v+ reads F a_w = s b_w for every w.
       Its unknowns are s and the entries F[m][j] pairing basis vectors of
-      equal weight.  The solution with s = 1 is then checked exactly with
-      ComoduleMap.is_intertwiner, so dim Hom = 1.
+      equal weight.  Generation leaves at most one solution up to scale;
+      the one with s = 1 is returned.
+
+    Why the solution is a comodule map.  comodule_certificate shows that
+    Delta(lam) and nabla(lam) are comodules.  A comodule is a module over
+    the dual algebra O*, by psi . x = sum psi(C[i][j]) x_j for x = x_i
+    (Jantzen, Representations of Algebraic Groups, I.2; Montgomery, Hopf
+    Algebras and Their Actions on Rings, 1.6), and a linear map between
+    comodules is a comodule map exactly when it commutes with every psi
+    in O*, since O* separates the points of O.  Let delta_w in O* be the
+    functional dual to the normal word w.  Then a_w = delta_w . v+ and
+    b_w = delta_w . w+, so the solved equations say F(delta_w . v+) =
+    s delta_w . w+ for every w, and by linearity F(phi . v+) = s phi . w+
+    for every phi in O*.  For x = phi . v+, coassociativity along the top
+    rows gives psi . x = (psi phi) . v+, hence
+    F(psi . x) = s (psi phi) . w+ = psi . (s phi . w+) = psi . F(x).  By
+    the rank check these x span Delta(lam), so F commutes with all of O*.
 
     The result is the generator of Hom(Delta(lam), nabla(lam)) whose
     coefficient between the two weight-wt(lam) basis vectors is 1: the
     counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
-    socle L(lam).  Raises VerificationError when v+ does not generate
-    Delta(lam) or when no nonzero map exists.
+    socle L(lam).  Its source carries labels, weights and dimension; the
+    coaction is built by build_delta on first read.  Raises
+    VerificationError when the certificate fails, when v+ does not
+    generate Delta(lam) or when the solution space is not a line.
     """
-    Delta = build_delta(lam)
+    failures = comodule_certificate()
+    if failures:
+        raise VerificationError("comodule certificate fails: " + "; ".join(failures))
+    duals = _dual_factors(lam)
+    digits, labels, weights, _ = _delta_basis(duals)
+    Delta = Comodule(labels, lambda: build_delta(lam).coaction, weights)
     Nabla = build_nabla(lam)
     top = lam.wt()
-    a = _coaction_components(Delta, {_weight_index(Delta, top): 1})
+    column = {key: j for j, key in enumerate(digits)}
+    a: dict[tuple, dict[int, int]] = {}
+    for key, entry in _delta_row(duals, digits[_weight_index(Delta, top)]).items():
+        for w, c in entry.items():
+            a.setdefault(w, {})[column[key]] = c
     b = _coaction_components(Nabla, {_weight_index(Nabla, top): 1})
     if len(Echelon(a.values())) != Delta.dim:
         raise VerificationError(f"Delta({lam}) is not generated by its top weight line")
@@ -277,15 +421,16 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
         for m, c in b.get(w, {}).items():
             per_row.setdefault(m, {})[s] = -c
         equations.extend(per_row.values())
-    # generation leaves at most one solution, on which s is nonzero
-    for sol in nullspace_sparse(equations, s + 1):
-        matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
-        for (m, j), n in var_index.items():
-            matrix[m][j] = sol[n] / sol[s]
-        f = ComoduleMap(Delta, Nabla, matrix)
-        if f.is_intertwiner():
-            return f
-    raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
+    solutions = nullspace_sparse(equations, s + 1)
+    if len(solutions) != 1:
+        raise VerificationError(
+            f"Hom(Delta, nabla) for {lam} has dimension {len(solutions)}, expected 1"
+        )
+    sol = solutions[0]
+    matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
+    for (m, j), n in var_index.items():
+        matrix[m][j] = sol[n] / sol[s]
+    return ComoduleMap(Delta, Nabla, matrix)
 
 
 def build_L(lam: LambdaWord):

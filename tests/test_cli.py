@@ -256,11 +256,11 @@ class TestErrors:
         assert main([]) == 2
 
     def test_failed_claim_exits_one(self, capsys, monkeypatch):
-        # a candidate map that fails the intertwiner check breaks the
-        # claim dim Hom(Delta, nabla) = 1
-        from ncgl2.comodules import ComoduleMap
+        # an empty solution space of the top-line system breaks the claim
+        # dim Hom(Delta, nabla) = 1
+        import ncgl2.standard
 
-        monkeypatch.setattr(ComoduleMap, "is_intertwiner", lambda f: False)
+        monkeypatch.setattr(ncgl2.standard, "nullspace_sparse", lambda equations, n: [])
         assert main(["nabla", "d"]) == 1
         assert "expected 1" in capsys.readouterr().err
         assert main(["nf", "d**a"]) == 2

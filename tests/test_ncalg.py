@@ -230,6 +230,22 @@ class TestProductKernel:
             assert all(product.values())
         assert (half * -half + half * half).is_zero()
 
+    def test_multiply_legs_matches_per_term_loop(self):
+        def per_term_loop(tensor):
+            acc = {}
+            for key, coeff in tensor.items():
+                concatenated = sum(key, ())
+                nf = normal_form_word(concatenated)
+                accumulate(acc, ((nw, coeff * c) for nw, c in nf.items()))
+            return acc
+
+        memo = {}
+        for word in enumerate_basis(3):
+            two = coproduct(NCElement({word: 1}), memo)
+            mixed = 3 * two - tensor_of(gen("a"), gen("d"))
+            for tensor in (two, coproduct_leg(two, 0, memo), mixed):
+                assert multiply_legs(tensor).terms == per_term_loop(tensor), word
+
 
 # ---------------------------------------------------------------------------
 # Hopf structure

@@ -1,5 +1,6 @@
 """The package surface: its exports resolve and its demos run."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -51,3 +52,14 @@ def test_perfbench_own_tests_pass():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_sources_have_no_assert():
+    # invariant checks must still run under python -O, which strips asserts
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "ncgl2").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

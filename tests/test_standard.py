@@ -1,21 +1,29 @@
 """Named comodules: standards, costandards, simples, multisets, layers."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import ncgl2.ncalg
 import ncgl2.standard
+from ncgl2.cli import main
 from ncgl2.comodules import (
     Comodule,
     ComoduleMap,
     VerificationError,
+    _coaction_components,
     comodule_axiom_failures,
     highest_weight,
     hom_space,
+    image,
     left_dual,
     weight_decomposition,
 )
+from ncgl2.linalg import Echelon, nullspace_sparse
+from ncgl2.ncalg import NCElement, one
+from ncgl2.simples import classify
 from ncgl2.standard import (
     _atom_dimension,
     build_L,
@@ -23,9 +31,11 @@ from ncgl2.standard import (
     build_R,
     build_SymV,
     build_TV,
+    build_V,
     build_delta,
     build_nabla,
     canonical_map,
+    comodule_certificate,
     char_M,
     char_T,
     char_delta,
@@ -66,6 +76,40 @@ def canonical_map_by_hom_space(l: LambdaWord) -> ComoduleMap:
     f = maps[0]
     scale = f.matrix[nabla.weights.index(top)][delta.weights.index(top)]
     return ComoduleMap(delta, nabla, [[x / scale for x in row] for row in f.matrix])
+
+
+def canonical_map_materialized(l: LambdaWord) -> ComoduleMap:
+    """The canonical map by the route that builds all of Delta(l), an oracle.
+
+    Reads the top row off the built Delta(l), solves the same top-line
+    system, and accepts the solution only if the full intertwining check
+    passes on the built coaction.
+    """
+    delta, nabla = build_delta(l), build_nabla(l)
+    top = l.wt()
+    a = _coaction_components(delta, {delta.weights.index(top): 1})
+    b = _coaction_components(nabla, {nabla.weights.index(top): 1})
+    assert len(Echelon(a.values())) == delta.dim, str(l)
+    targets = [[m for m in range(nabla.dim) if nabla.weights[m] == w] for w in delta.weights]
+    allowed = [(m, j) for j in range(delta.dim) for m in targets[j]]
+    var_index = {pair: n for n, pair in enumerate(allowed)}
+    s = len(allowed)
+    equations = []
+    for w in {**a, **b}:
+        per_row = {}
+        for j, c in a.get(w, {}).items():
+            for m in targets[j]:
+                per_row.setdefault(m, {})[var_index[m, j]] = c
+        for m, c in b.get(w, {}).items():
+            per_row.setdefault(m, {})[s] = -c
+        equations.extend(per_row.values())
+    (sol,) = nullspace_sparse(equations, s + 1)
+    matrix = [[Fraction(0)] * delta.dim for _ in range(nabla.dim)]
+    for (m, j), n in var_index.items():
+        matrix[m][j] = sol[n] / sol[s]
+    f = ComoduleMap(delta, nabla, matrix)
+    assert f.is_intertwiner() is True, str(l)
+    return f
 
 
 def nabla_surjection(l: LambdaWord) -> ComoduleMap:
@@ -196,6 +240,72 @@ class TestBuilders:
             assert char_delta(l) == mirrored
 
 
+def break_manin(monkeypatch):
+    # left_dual(V) is a comodule, but its entries break all three Manin
+    # relations: its "ac" and "ca" are the distinct normal words
+    # -d Di b Di and -b Di d Di
+    real = ncgl2.standard.build_V
+    monkeypatch.setattr(ncgl2.standard, "build_V", lambda: left_dual(real()))
+
+
+DEFECTS = {
+    "S^-1-letter": lambda mp: mp.setitem(ncgl2.ncalg._ANTIPODE_INV_LETTER, "a", (1, ("a", "Di"))),
+    "letter-coproduct": lambda mp: mp.setitem(
+        ncgl2.ncalg._COPROD_LETTER, "b", {(("a",), ("b",)): 1, (("b",), ("c",)): 1}
+    ),
+    "counit": lambda mp: mp.setitem(ncgl2.ncalg._COUNIT_LETTER, "D", 2),
+    "manin": break_manin,
+}
+
+
+class TestComoduleCertificate:
+    @pytest.fixture(autouse=True)
+    def fresh_certificate(self):
+        comodule_certificate.cache_clear()
+        yield
+        comodule_certificate.cache_clear()
+
+    def test_empty_on_the_algebra(self):
+        assert comodule_certificate() == ()
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_injected_defect_is_caught(self, defect, monkeypatch, capsys):
+        DEFECTS[defect](monkeypatch)
+        assert comodule_certificate() != ()
+        with pytest.raises(VerificationError, match="comodule certificate fails"):
+            canonical_map(lam("d"))
+        assert main(["nabla", "d"]) == 1
+        assert "comodule certificate fails" in capsys.readouterr().err
+
+    def test_manin_defect_keeps_v_a_comodule(self, monkeypatch):
+        # the certificate's Manin part, not its comodule part, catches it
+        break_manin(monkeypatch)
+        assert comodule_axiom_failures(ncgl2.standard.build_V()) == []
+        assert [f for f in comodule_certificate() if "Manin" not in f] == []
+
+    @pytest.mark.parametrize("y", range(7))
+    def test_symmetric_power_is_the_expansion_of_rho(self, y):
+        # rho(x) = a # x + b # y and rho(y) = c # x + d # y, with V's
+        # entries; a polynomial of degree y in O # k[x, y] is stored as
+        # {power of y: coefficient in O}
+        (a, b), (c, d) = build_V().coaction
+        rho = ({0: a, 1: b}, {0: c, 1: d})
+
+        def times(p, q):
+            out = {}
+            for l1, e1 in p.items():
+                for l2, e2 in q.items():
+                    out[l1 + l2] = out.get(l1 + l2, NCElement({})) + e1 * e2
+            return out
+
+        S = build_SymV(y)
+        for k in range(y + 1):
+            power = {0: one()}
+            for factor in (rho[0],) * (y - k) + (rho[1],) * k:
+                power = times(power, factor)
+            assert list(S.coaction[k]) == [power.get(l, NCElement({})) for l in range(y + 1)], k
+
+
 class TestSimpleQuotients:
     def test_canonical_map_is_unique_up_to_scale(self):
         for text in ("d", "d^2", "d.Di.d", "D^2"):
@@ -211,14 +321,61 @@ class TestSimpleQuotients:
             assert canonical_map(l) == canonical_map_by_hom_space(l), str(l)
 
     def test_non_cyclic_delta_raises(self, monkeypatch):
-        # V (+) R: the top vector of V generates only V, so the stand-in
-        # for Delta(d) is not generated by its top weight line
-        real = ncgl2.standard.build_delta
-        monkeypatch.setattr(
-            ncgl2.standard, "build_delta", lambda l: direct_sum(real(l), build_R(1))
-        )
+        # V (+) R as the one dual factor: the top vector of V generates
+        # only V, so the stand-in for Delta(d) is not generated by its top
+        # weight line
+        stand_in = direct_sum(build_delta(lam("d")), build_R(1))
+        monkeypatch.setattr(ncgl2.standard, "_dual_factors", lambda l: [stand_in])
         with pytest.raises(VerificationError, match="not generated by its top weight line"):
             canonical_map(lam("d"))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [enumerate_lambda(6), [lam("d^7")], [lam("d^8")]],
+        ids=["ell<=6", "d^7", "d^8"],
+    )
+    def test_streamed_route_matches_materialized_delta(self, labels, monkeypatch):
+        def no_intertwiner_check(f):
+            raise AssertionError("canonical_map ran is_intertwiner")
+
+        for l in labels:
+            expected = canonical_map_materialized(l)
+            with monkeypatch.context() as patch:
+                patch.setattr(ComoduleMap, "is_intertwiner", no_intertwiner_check)
+                f = canonical_map(l)
+            assert f.matrix == expected.matrix, str(l)
+            assert f.source.labels == expected.source.labels, str(l)
+            assert f.source.weights == expected.source.weights, str(l)
+
+    def test_source_coaction_is_built_on_first_read(self, monkeypatch):
+        l = lam("d^2.Di.d")
+        delta = build_delta(l)
+        calls = []
+
+        def counted(label):
+            calls.append(label)
+            return delta
+
+        monkeypatch.setattr(ncgl2.standard, "build_delta", counted)
+        f = canonical_map(l)
+        assert (f.source.dim, f.source.labels, f.source.weights) == (
+            delta.dim,
+            delta.labels,
+            delta.weights,
+        )
+        assert f.rank() == image(f)[0].dim == classify(l).dim
+        assert calls == []
+        assert f.source.coaction == delta.coaction
+        assert f.source.coaction is f.source.coaction
+        assert calls == [l]
+
+    def test_d10_completes_without_building_delta(self):
+        l = lam("d^10")
+        f = canonical_map(l)
+        assert callable(f.source._coaction)
+        assert (f.source.dim, f.target.dim) == (1024, 11)
+        assert f.rank() == classify(l).dim == 11
+        assert callable(f.source._coaction)
 
     def test_simple_dimensions(self):
         # ranks of the canonical maps
