@@ -317,12 +317,3 @@ def induced_predicted(t: Weight, n: int) -> list[Word]:
                 out.append(word)
     out.sort(key=word_key)
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    failures, _ = doctest.testmod()
-    basis = induced_truncated(Weight(0, 1), 3)
-    print(f"induced basis at weight d, n=3: {[str(f) for f in basis]}")
-    raise SystemExit(1 if failures else 0)

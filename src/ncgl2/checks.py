@@ -448,15 +448,3 @@ def run_check_suite(names, bounds: dict | None = None) -> list[dict]:
             r["name"] = f"{name}.{r['name']}"
             results.append(r)
     return results
-
-
-if __name__ == "__main__":
-    import doctest
-    import sys
-
-    failures, _ = doctest.testmod()
-    results = run_check_suite(["layers", "sl2"], {"len": 3})
-    for r in results:
-        flag = "pass" if r["pass"] else "FAIL"
-        print(f"[{flag}] {r['name']}: {r['details']}")
-    sys.exit(1 if failures or not all(r["pass"] for r in results) else 0)

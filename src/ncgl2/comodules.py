@@ -214,7 +214,7 @@ def comodule_axiom_failures(X: Comodule) -> list[str]:
     C = X.coaction
     for i in range(X.dim):
         for j in range(X.dim):
-            left = dict(coproduct(C[i][j], memo).items())
+            left = coproduct(C[i][j], memo)
             right = accumulate({}, (
                 ((w1, w2), c1 * c2)
                 for k in range(X.dim)

@@ -13,11 +13,14 @@ b*c + D
 D
 
 Words are tuples of letter names, elements are dicts mapping normal words
-to coefficients.  Every coefficient of the rewrite rules, the coproduct
-and the antipode is an integer, so a coefficient is an int, or a Fraction
-only downstream of a non-integral input such as a parsed 3/2.  Outside
-scalars enter through _exact, which turns an integral Fraction into an
-int.  All arithmetic is exact.
+to coefficients.  An element of a tensor power of O is a plain dict
+{(word_1, ..., word_k): coefficient}, one normal word per leg; coproduct
+and the *_leg maps return fresh dicts that the caller owns.  Every
+coefficient of the rewrite rules, the coproduct and the antipode is an
+integer, so a coefficient is an int, or a Fraction only downstream of a
+non-integral input such as a parsed 3/2.  Outside scalars enter through
+_exact, which turns an integral Fraction into an int.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "LETTER_ORDER",
     "RULES",
     "NCElement",
-    "TensorElement",
     "ExprSyntaxError",
     "normal_form",
     "normal_form_word",
@@ -53,7 +55,6 @@ __all__ = [
     "antipode_inv",
     "antipode_leg",
     "multiply_legs",
-    "tensor_of",
     "grouplike_words",
     "one",
     "gen",
@@ -231,17 +232,32 @@ def normal_form(terms: Mapping[Word, Coeff]) -> dict[Word, Coeff]:
     return acc
 
 
-class _SparseElement:
-    """Linear arithmetic shared by NCElement and TensorElement.
+class NCElement:
+    """An element of O, stored as {normal word: coefficient}.
 
-    A subclass stores its normal terms in _terms, says which values it
-    can be combined with (_coerce), how to build a sibling from terms
-    (_new), and how to multiply two of them (_product).  _arity is None
-    for algebra elements; only elements of equal arity combine.
+    Coefficients are ints, or Fractions only downstream of a non-integral
+    input.  Supports +, -, * (with elements and scalars), integer powers,
+    and exact equality.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
-    _arity = None
+
+    def __init__(self, terms: Mapping[Word, Coeff] | None = None):
+        self._terms = normal_form(terms or {})
+
+    @classmethod
+    def _raw(cls, normal_terms: dict[Word, Coeff]) -> "NCElement":
+        el = object.__new__(cls)
+        el._terms = normal_terms
+        return el
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, NCElement):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return NCElement._raw({(): _exact(value)} if value else {})
+        return NotImplemented
 
     def items(self):
         return self._terms.items()
@@ -249,45 +265,49 @@ class _SparseElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def _peer(self, other):
-        other = self._coerce(other)
-        if other is not NotImplemented and other._arity != self._arity:
-            raise ValueError(f"cannot combine arity {self._arity} with arity {other._arity}")
-        return other
-
     def __add__(self, other):
-        other = self._peer(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._new(accumulate(dict(self._terms), other._terms.items()))
+        return NCElement._raw(accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self._terms.items()})
+        return NCElement._raw({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._peer(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._peer(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other + (-self)
 
     def __mul__(self, other):
-        # Only the subclass's own elements and scalars multiply; checking
-        # the class first keeps the common element * element case cheap.
-        if other.__class__ is self.__class__:
-            if other._arity != self._arity:
-                raise ValueError(f"cannot combine arity {self._arity} with arity {other._arity}")
-            return self._new(self._product(other))
+        """Element times element or scalar.
+
+        An element product is the sum of c1 c2 nf(w1 w2) over all pairs of
+        terms, in one pass with one normal_form_word call per pair; the
+        normal form of a word is unique, so the sum does not depend on the
+        order of pairs.  Checking the class first keeps this common case
+        cheap.
+        """
+        if other.__class__ is NCElement:
+            right = other._terms.items()
+            return NCElement._raw(accumulate({}, (
+                (nw, c1 * c2 * c)
+                for w1, c1 in self._terms.items()
+                for w2, c2 in right
+                for nw, c in normal_form_word(w1 + w2).items()
+            )))
         if isinstance(other, (int, Fraction)):
             scalar = _exact(other)
-            return self._new({k: c * scalar for k, c in self._terms.items()} if scalar else {})
+            return NCElement._raw({k: c * scalar for k, c in self._terms.items()} if scalar else {})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -299,58 +319,10 @@ class _SparseElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._arity == other._arity and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-
-class NCElement(_SparseElement):
-    """An element of O, stored as {normal word: coefficient}.
-
-    Coefficients are ints, or Fractions only downstream of a non-integral
-    input.  Supports +, -, * (with elements and scalars), integer powers,
-    and exact equality.  Instances are immutable.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Word, Coeff] | None = None):
-        self._terms = normal_form(terms or {})
-
-    @classmethod
-    def _raw(cls, normal_terms: dict[Word, Coeff]) -> "NCElement":
-        el = object.__new__(cls)
-        el._terms = normal_terms
-        return el
-
-    def _new(self, terms: dict[Word, Coeff]) -> "NCElement":
-        return NCElement._raw(terms)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, NCElement):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return NCElement._raw({(): _exact(value)} if value else {})
-        return NotImplemented
-
-    def _product(self, other: "NCElement") -> dict[Word, Coeff]:
-        """Sum of c1 c2 nf(w1 w2) over all pairs of terms, in one pass.
-
-        One normal_form_word call per pair of terms; the normal form of a
-        word is unique, so the sum does not depend on the order of pairs.
-        """
-        right = other._terms.items()
-        return accumulate(
-            {},
-            (
-                (nw, c1 * c2 * c)
-                for w1, c1 in self._terms.items()
-                for w2, c2 in right
-                for nw, c in normal_form_word(w1 + w2).items()
-            ),
-        )
 
     @property
     def terms(self) -> dict[Word, Coeff]:
@@ -540,95 +512,17 @@ _ANTIPODE_INV_LETTER: dict[str, tuple[int, Word]] = {
 }
 
 
-class TensorElement(_SparseElement):
-    """An element of a tensor power of O: {tuple of words: coefficient}.
+def coproduct(element: NCElement, memo: dict | None = None) -> dict[tuple, Coeff]:
+    """The coproduct O -> O # O, as {(left word, right word): coefficient}.
 
-    Keys are k-tuples of normal words, one per tensor leg.  The arity is
-    fixed per instance.  Coefficients are ints, or Fractions only
-    downstream of a non-integral input.
-    """
-
-    __slots__ = ("_arity",)
-
-    def __init__(self, arity: int, terms: Mapping[tuple, Coeff] | None = None):
-        self._arity = arity
-        acc: dict[tuple, Coeff] = {}
-        for key, coeff in (terms or {}).items():
-            if len(key) != arity:
-                raise ValueError(f"tensor key {key!r} does not have {arity} legs")
-            coeff = _exact(coeff)
-            if coeff:
-                accumulate(acc, _expand([normal_form_word(w) for w in key], coeff))
-        self._terms = acc
-
-    @classmethod
-    def _raw(cls, arity: int, terms: dict[tuple, Coeff]) -> "TensorElement":
-        el = object.__new__(cls)
-        el._arity = arity
-        el._terms = terms
-        return el
-
-    def _new(self, terms: dict[tuple, Coeff]) -> "TensorElement":
-        return TensorElement._raw(self._arity, terms)
-
-    @staticmethod
-    def _coerce(value):
-        return value if isinstance(value, TensorElement) else NotImplemented
-
-    def _product(self, other: "TensorElement") -> dict[tuple, Coeff]:
-        acc: dict[tuple, Coeff] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                expansion = [normal_form_word(w1 + w2) for w1, w2 in zip(k1, k2)]
-                accumulate(acc, _expand(expansion, c1 * c2))
-        return acc
-
-    @property
-    def arity(self) -> int:
-        return self._arity
-
-    def leg(self, index: int) -> "NCElement":
-        """Collapse to the given leg; only valid when all other legs are 1."""
-        for key in self._terms:
-            if any(w for j, w in enumerate(key) if j != index):
-                raise ValueError("tensor element is not concentrated in one leg")
-        return NCElement._raw(accumulate({}, ((key[index], c) for key, c in self._terms.items())))
-
-    def __repr__(self):
-        parts = []
-        for key in sorted(self._terms, key=lambda k: tuple(word_key(w) for w in k)):
-            coeff = self._terms[key]
-            legs = " # ".join(render_word(w) for w in key)
-            parts.append(f"{coeff}*({legs})")
-        return "TensorElement(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def _expand(factors: list[dict[Word, Coeff]], scale: Coeff) -> list[tuple[tuple, Coeff]]:
-    """Cartesian expansion of per-leg normal forms, times scale."""
-    combos: list[tuple[tuple, Coeff]] = [((), scale)]
-    for factor in factors:
-        combos = [
-            (key + (w,), c * cw) for key, c in combos for w, cw in factor.items()
-        ]
-    return combos
-
-
-def tensor_of(*elements: NCElement) -> TensorElement:
-    """Tensor product of algebra elements as a TensorElement."""
-    terms = _expand([el._terms for el in elements], 1)
-    return TensorElement._raw(len(elements), dict(terms))
-
-
-def coproduct(element: NCElement, memo: dict | None = None) -> TensorElement:
-    """The coproduct O -> O # O.
-
-    memo maps a normal word to its coproduct in normal form, as
-    {(left word, right word): int}; pass one dict to share it across
-    related calls (and with coproduct_leg), and drop it afterwards.  A
-    fresh dict is used when memo is None.
+    Both words of every key are normal.  The result is a fresh dict that
+    the caller owns and may change.  memo maps a normal word to its
+    coproduct in the same form; pass one dict to share it across related
+    calls (and with coproduct_leg), and drop it afterwards.  A fresh dict
+    is used when memo is None.
     """
     terms = (((w,), c) for w, c in element.items())
-    return TensorElement._raw(2, _coproduct_at(terms, 0, {} if memo is None else memo))
+    return _coproduct_at(terms, 0, {} if memo is None else memo)
 
 
 def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
@@ -657,16 +551,22 @@ def _coproduct_at(
         if pairs is None:
             pairs = memo[word] = {}
             for (w1, w2), c in _coproduct_word(word).items():
-                accumulate(pairs, _expand([normal_form_word(w1), normal_form_word(w2)], c))
+                right = normal_form_word(w2).items()
+                accumulate(pairs, (
+                    ((u, v), c * cu * cv)
+                    for u, cu in normal_form_word(w1).items()
+                    for v, cv in right
+                ))
         head, tail = key[:leg], key[leg + 1 :]
         accumulate(acc, ((head + pair + tail, coeff * c) for pair, c in pairs.items()))
     return acc
 
 
-def coproduct_leg(tensor: TensorElement, leg: int, memo: dict | None = None) -> TensorElement:
-    """Apply the coproduct to one leg of a tensor element; memo as in coproduct."""
-    terms = _coproduct_at(tensor.items(), leg, {} if memo is None else memo)
-    return TensorElement._raw(tensor.arity + 1, terms)
+def coproduct_leg(
+    tensor: Mapping[tuple, Coeff], leg: int, memo: dict | None = None
+) -> dict[tuple, Coeff]:
+    """Apply the coproduct to one leg of a tensor; a fresh dict, memo as in coproduct."""
+    return _coproduct_at(tensor.items(), leg, {} if memo is None else memo)
 
 
 def _counit_word(word: Word) -> int:
@@ -680,10 +580,10 @@ def counit(element: NCElement) -> Coeff:
     return sum(coeff * _counit_word(word) for word, coeff in element.items())
 
 
-def counit_leg(tensor: TensorElement, leg: int) -> TensorElement:
-    """Apply the counit to one leg, dropping it."""
+def counit_leg(tensor: Mapping[tuple, Coeff], leg: int) -> dict[tuple, Coeff]:
+    """Apply the counit to one leg of a tensor, dropping it; a fresh dict."""
     pairs = ((key[:leg] + key[leg + 1 :], c * _counit_word(key[leg])) for key, c in tensor.items())
-    return TensorElement._raw(tensor.arity - 1, accumulate({}, pairs))
+    return accumulate({}, pairs)
 
 
 def _anti_hom(
@@ -732,18 +632,21 @@ def antipode_inv(element: NCElement, memo: dict | None = None) -> NCElement:
     return _anti_hom(element, _ANTIPODE_INV_LETTER, {} if memo is None else memo)
 
 
-def antipode_leg(tensor: TensorElement, leg: int) -> TensorElement:
-    """Apply the antipode to one leg; all terms share one rewrite memo."""
+def antipode_leg(tensor: Mapping[tuple, Coeff], leg: int) -> dict[tuple, Coeff]:
+    """Apply the antipode to one leg of a tensor; a fresh dict.
+
+    All terms share one rewrite memo.
+    """
     memo: dict[Word, dict[Word, int]] = {}
     acc: dict[tuple, Coeff] = {}
     for key, coeff in tensor.items():
         image = antipode(NCElement._raw({key[leg]: 1}), memo)
         head, tail = key[:leg], key[leg + 1 :]
         accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
-    return TensorElement._raw(tensor.arity, acc)
+    return acc
 
 
-def multiply_legs(tensor: TensorElement) -> NCElement:
+def multiply_legs(tensor: Mapping[tuple, Coeff]) -> NCElement:
     """Multiply all legs together in order (the convolution product step).
 
     One accumulate over all terms, one normal_form_word call per term.
@@ -762,7 +665,7 @@ def grouplike_words(max_len: int) -> list[Word]:
         el = NCElement._raw({word: 1})
         if counit(el) != 1:
             continue
-        if coproduct(el) == TensorElement._raw(2, {(word, word): 1}):
+        if coproduct(el) == {(word, word): 1}:
             found.append(word)
     return found
 
@@ -955,13 +858,3 @@ def render_element(element: NCElement) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
-    report = check_confluence()
-    print(f"critical pairs: {report['count']}, all joinable: {report['pass']}")
-    for n in range(4):
-        print(f"normal words of length <= {n}: {len(enumerate_basis(n))}")

@@ -538,15 +538,3 @@ def sl2_commutation_check(max_exp: int = 4) -> bool:
                     if lhs != rhs:
                         return False
     return True
-
-
-if __name__ == "__main__":
-    import doctest
-    from .weights import parse_lambda
-
-    failures, _ = doctest.testmod()
-    for text in ("d.Di.d^2", "d.Di.d.Di.d^3", "d.Di.d^4.Di.d.Di.d.Di.d.Di.d"):
-        lam = parse_lambda(text)
-        expr = classify(lam)
-        print(f"{text}  ->  {expr.render()}   (dim {expr.dim})")
-    raise SystemExit(1 if failures else 0)

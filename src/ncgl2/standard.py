@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from .ncalg import (
@@ -47,11 +47,7 @@ from .ncalg import (
     one,
     render_word,
 )
-from .weights import (
-    LambdaWord,
-    Weight,
-    parse_lambda,
-)
+from .weights import LambdaWord, Weight
 from .comodules import (
     Comodule,
     ComoduleMap,
@@ -124,11 +120,13 @@ def build_R(k: int = 1) -> Comodule:
 def build_SymV(y: int) -> Comodule:
     """Symmetric power S^y V on monomial lines m_0 .. m_y.
 
-    The coaction entry P[k][l] collects, over all ways to route the k-th
-    monomial to the l-th, the product of matrix letters; since a, b commute
-    and c, d commute and (row 2)(row 1) products rewrite without leaving the
-    two-letter alphabet of their columns, each entry is already a polynomial
-    in normal words with nonnegative integer coefficients.
+    The coaction entry P[k][l] is the coefficient of x^(y-l) y^l in
+    rho(x)^(y-k) rho(y)^k: the sum of the words whose t-th letter has row
+    1 for t < y - k and row 2 after, with l letters in column 2.  Every
+    such word is already normal: its row-1 letters come before its row-2
+    letters, while the left side of every rule puts a row-2 letter before
+    a row-1 letter or contains D or Di.  The words are distinct, so each
+    coefficient is 1.
     """
     if y < 0:
         raise ValueError("symmetric power needs y >= 0")
@@ -138,15 +136,17 @@ def build_SymV(y: int) -> Comodule:
     labels = tuple(f"m{k}" for k in range(y + 1))
     coaction = []
     for k in range(y + 1):
-        rows = (0,) * (y - k) + (1,) * k
+        row_letters = [letters[0]] * (y - k) + [letters[1]] * k
         entries = []
         for l in range(y + 1):
-            words = (
-                tuple(letters[rows[t]][cols[t]] for t in range(y))
-                for cols in product((0, 1), repeat=y)
-                if sum(cols) == l
-            )
-            entries.append(NCElement(accumulate({}, ((word, 1) for word in words))))
+            terms = {}
+            # the y - l positions in column 1
+            for column1 in combinations(range(y), y - l):
+                word = [pair[1] for pair in row_letters]
+                for t in column1:
+                    word[t] = row_letters[t][0]
+                terms[tuple(word)] = 1
+            entries.append(NCElement._raw(terms))
         coaction.append(tuple(entries))
     return Comodule(labels, tuple(coaction))
 
@@ -317,7 +317,7 @@ def comodule_certificate() -> tuple[str, ...]:
             for w1, c1 in antipode_inv(NCElement._raw({v: 1})).items()
             for w2, c2 in antipode_inv(NCElement._raw({u: 1})).items()
         ))
-        if dict(coproduct(antipode_inv(x)).items()) != twisted:
+        if coproduct(antipode_inv(x)) != twisted:
             failures.append(f"S^-1 is not anti-comultiplicative on {letter}")
         if counit(antipode_inv(x)) != counit(x):
             failures.append(f"S^-1 does not keep the counit of {letter}")
@@ -469,6 +469,7 @@ def nabla_multiset(lam: LambdaWord) -> Counter:
     replaced by d^{y-1}.delta.  Multiplicities are genuine (a member may
     arise along several branches).
 
+    >>> from .weights import parse_lambda
     >>> sorted(str(m) for m in nabla_multiset(parse_lambda("d^2.Di.d")).elements())
     ['d', 'd^2.Di.d']
     """
@@ -601,14 +602,3 @@ def _layer_word_ok(word: tuple[str, ...]) -> bool:
 def layer_dimension(n: int) -> int:
     """Dimension of the n-th layer, as a sum of costandard dimensions."""
     return sum(_atom_dimension(label, sym=True) for _, label in decompose_layer(n))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    failures, _ = doctest.testmod()
-    lam = parse_lambda("d.Di.d")
-    L, _ = build_L(lam)
-    print(f"L({lam}) has dimension {L.dim}")
-    print(f"layer dimensions: {[layer_dimension(n) for n in range(4)]}")
-    raise SystemExit(1 if failures else 0)

@@ -383,14 +383,3 @@ def is_saturated(collection: Iterable[LambdaWord]) -> bool:
     """Whether the set is closed under downward moves."""
     pool = set(collection)
     return all(cover in pool for lam in pool for cover in lam.covers_down())
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
-    for n in range(4):
-        print(f"Lambda words with ell <= {n}: {len(enumerate_lambda(n))}")
-    lam = parse_lambda("d^3")
-    print(f"covers below d^3: {sorted(str(m) for m in lam.covers_down())}")
-    print(f"pi strictly below d^3: {sorted(str(m) for m in pi_below(lam))}")

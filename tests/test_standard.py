@@ -283,7 +283,7 @@ class TestComoduleCertificate:
         assert comodule_axiom_failures(ncgl2.standard.build_V()) == []
         assert [f for f in comodule_certificate() if "Manin" not in f] == []
 
-    @pytest.mark.parametrize("y", range(7))
+    @pytest.mark.parametrize("y", range(9))
     def test_symmetric_power_is_the_expansion_of_rho(self, y):
         # rho(x) = a # x + b # y and rho(y) = c # x + d # y, with V's
         # entries; a polynomial of degree y in O # k[x, y] is stored as
