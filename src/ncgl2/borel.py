@@ -53,6 +53,7 @@ from .ncalg import (
 from .weights import Weight
 from .comodules import (
     Comodule,
+    _intertwiners,
     generated_subcomodule,
     weight_decomposition,
 )
@@ -187,35 +188,22 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     X).  For a costandard comodule and the upper quotient the space is a
     line when t is the top weight and zero at every other weight.
 
-    With C[i][j] the coaction pushed into the quotient, the equations say
+    The vectors are the maps, over the quotient, into X from the line of
+    weight t with coaction g_t, solved by comodules._intertwiners.  With
+    C[i][j] the coaction pushed into the quotient, the equations say
     sum_i x_i C[i][j] = x_j g_t for every j, one per key of the quotient.
     Only the rows of the basis vectors of weight t enter them, which is
     exact.  The torus quotient factors through both triangular quotients,
     and on the torus-diagonal basis of X it sends C[i][j] to
     delta_ij g_{wt i}.  So a solution has x_i (g_{wt i} - g_t) = 0 for
-    every i and is supported on the weight-t vectors.  The system in those
-    unknowns has the same solutions, and its reduced basis, embedded back
-    into length X.dim, is the full system's reduced basis.
+    every i and is supported on the weight-t vectors, the solver's
+    unknowns, whose rows alone are projected.  The system in them has the
+    same solutions, and its reduced basis, embedded back into length
+    X.dim, is the full system's reduced basis.
     """
-    unknown = {i: k for k, i in enumerate(i for i, w in enumerate(X.weights) if w == t)}
-    projected = [[quotient.project(entry) for entry in X.coaction[i]] for i in unknown]
-    target = quotient.grouplike(t)
-    equations = []
-    for j, column in enumerate(zip(*projected)):
-        rows: dict = {}
-        for k, entry in enumerate(column):
-            for key, coeff in entry.items():
-                rows.setdefault(key, {})[k] = coeff
-        if j in unknown:
-            accumulate(rows.setdefault(target, {}), ((unknown[j], -1),))
-        equations.extend(rows.values())
-    out = []
-    for vec in linalg.nullspace_sparse(equations, len(unknown)):
-        full = [Fraction(0)] * X.dim
-        for i, k in unknown.items():
-            full[i] = vec[k]
-        out.append(full)
-    return out
+    line = [(0, [{quotient.grouplike(t): 1}])]
+    solutions = _intertwiners([t], X.weights, line, lambda k: map(quotient.project, X.coaction[k]))
+    return [[F.get((k, 0), Fraction(0)) for k in range(X.dim)] for F in solutions]
 
 
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:

@@ -7,10 +7,10 @@ implementation of each criterion, `ncgl2 check` runs them, and
 `tests/test_acceptance.py` wraps them at fixed bounds and asserts their
 exact results.  They are deliberately cross-cutting: they compare
 independent constructions against each other (rewriting against pattern
-counting, combinatorial multisets against built comodules, the greedy
-classifier against exact ranks, quantized inequalities against classical
-differential operators), so a regression anywhere in the stack trips at
-least one of them.
+counting, the filtration multisets against the run-length dimensions and
+the characters of M(lam), the greedy classifier against exact ranks,
+quantized inequalities against classical differential operators), so a
+regression anywhere in the stack trips at least one of them.
 
 >>> results = run_check_suite(["sl2"], {"len": 3})
 >>> all(r["pass"] for r in results)

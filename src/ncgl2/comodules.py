@@ -18,7 +18,8 @@ Y) has weight wt_X(i) + wt_Y(p), and the basis vector *i of left_dual(X)
 has weight -wt_X(i); each factor is scanned, if at all, on its own.
 
 Maps are stored column-wise: a ComoduleMap f with matrix F sends
-f(v_i) = sum_k F[k][i] w_k.  hom_space solves the intertwining equations
+f(v_i) = sum_k F[k][i] w_k.  _intertwiners solves the intertwining
+equations of hom_space, standard.canonical_map and borel.semi_invariants
 exactly, in the matrix entries that pair basis vectors of equal weight.
 
 One closure routine, _close, builds every subcomodule: it grows an
@@ -348,52 +349,68 @@ def char_mul(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 # Hom spaces
 
+def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]]:
+    """Reduced basis of the maps F: X -> Y intertwining the given rows of C_X.
+
+    wx and wy are the basis weights of X and Y.  x_rows holds pairs (i,
+    row i of C_X), a row being a sequence or a {j: entry} dict, and y_row(k)
+    is row k of C_Y, read only where wy[k] == wx[i].  Entries need only
+    .items().  Row i of the condition says sum_k C_Y[k][m] F[k][i] =
+    sum_j C_X[i][j] F[m][j] for every m, entrywise over the words.  A
+    comodule map preserves torus weights, so the unknowns are the F[k][i]
+    with wy[k] == wx[i], k-major, and column j meets only the targets m of
+    weight wx[j].  Repeated equations are dropped; their order does not
+    matter, since the reduced echelon form, and so the basis, is unique.
+    Each basis map is the sparse dict {(k, i): F[k][i]}.
+
+    >>> from .ncalg import gen
+    >>> C = ((gen("a"), gen("b")), (gen("c"), gen("d")))
+    >>> w = (Weight(1, 0), Weight(0, 1))
+    >>> _intertwiners(w, w, enumerate(C), C.__getitem__) == [{(0, 0): 1, (1, 1): 1}]
+    True
+    """
+    targets = {w: [k for k, v in enumerate(wy) if v == w] for w in set(wy)}
+    unknowns = [(k, i) for k, w in enumerate(wy) for i, v in enumerate(wx) if v == w]
+    index = {pair: n for n, pair in enumerate(unknowns)}
+    equations: list[dict[int, Fraction]] = []
+    seen: set[frozenset] = set()
+    for i, row in x_rows:
+        per_entry: dict[tuple, dict[int, Fraction]] = {}
+        for k in targets.get(wx[i], ()):
+            var = index[k, i]
+            # each k has its own var, so no (m, w) gets the same var twice
+            for m, entry in enumerate(y_row(k)):
+                for w, c in entry.items():
+                    per_entry.setdefault((m, w), {})[var] = c
+        for j, entry in row.items() if isinstance(row, dict) else enumerate(row):
+            for m in targets.get(wx[j], ()):
+                var = index[m, j]
+                for w, c in entry.items():
+                    accumulate(per_entry.setdefault((m, w), {}), ((var, -c),))
+        for equation in per_entry.values():
+            key = frozenset(equation.items())
+            if key and key not in seen:
+                seen.add(key)
+                equations.append(equation)
+    return [
+        {unknowns[n]: c for n, c in enumerate(solution) if c}
+        for solution in linalg.nullspace_sparse(equations, len(unknowns))
+    ]
+
+
 def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     """Basis of the space of comodule maps X -> Y.
 
     The intertwining condition, entrywise over normal words, is a sparse
-    homogeneous linear system in the matrix entries.  A comodule map
-    preserves torus weights, so the unknowns are the entries pairing basis
-    vectors of equal weight; the others vanish.  Raises ValueError, through
-    Comodule.weights, when either basis is not torus-diagonal.
+    homogeneous linear system in the matrix entries, solved by
+    _intertwiners on every row of X's coaction.  Raises ValueError,
+    through Comodule.weights, when either basis is not torus-diagonal.
     """
-    wx, wy = X.weights, Y.weights
-    allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim) if wy[k] == wx[i]]
-    var_index = {pair: n for n, pair in enumerate(allowed)}
-    # repeated equations are dropped here; their order does not matter,
-    # since the reduced echelon form, and so the basis, is unique
-    equations: list[dict[int, Fraction]] = []
-    seen: set[frozenset] = set()
-    cx, cy = X.coaction, Y.coaction
-    for i in range(X.dim):
-        for m in range(Y.dim):
-            per_word: dict[tuple, dict[int, Fraction]] = {}
-            for k in range(Y.dim):
-                var = var_index.get((k, i))
-                if var is None:
-                    continue
-                # var differs per k and w per entry, so (w, var) is new here
-                for w, c in cy[k][m].items():
-                    per_word.setdefault(w, {})[var] = c
-            for j in range(X.dim):
-                var = var_index.get((m, j))
-                if var is None:
-                    continue
-                for w, c in cx[i][j].items():
-                    accumulate(per_word.setdefault(w, {}), ((var, -c),))
-            for equation in per_word.values():
-                key = frozenset(equation.items())
-                if key and key not in seen:
-                    seen.add(key)
-                    equations.append(equation)
-    solutions = linalg.nullspace_sparse(equations, len(allowed))
-    maps = []
-    for sol in solutions:
-        matrix = [[Fraction(0)] * X.dim for _ in range(Y.dim)]
-        for (k, i), var in var_index.items():
-            matrix[k][i] = sol[var]
-        maps.append(ComoduleMap(X, Y, matrix))
-    return maps
+    solutions = _intertwiners(X.weights, Y.weights, enumerate(X.coaction), Y.coaction.__getitem__)
+    return [
+        ComoduleMap(X, Y, [[F.get((k, i), 0) for i in range(X.dim)] for k in range(Y.dim)])
+        for F in solutions
+    ]
 
 
 def are_isomorphic(X: Comodule, Y: Comodule) -> bool:

@@ -52,7 +52,7 @@ from .comodules import (
     Comodule,
     ComoduleMap,
     VerificationError,
-    _coaction_components,
+    _intertwiners,
     char_mul,
     comodule_axiom_failures,
     generated_subcomodule,
@@ -62,7 +62,7 @@ from .comodules import (
     tensor_many,
     trivial,
 )
-from .linalg import Echelon, accumulate, nullspace_sparse
+from .linalg import Echelon, accumulate
 
 __all__ = [
     "build_V",
@@ -364,9 +364,11 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
       subcomodule generated by v+; it must be all of Delta(lam), checked
       by one echelon rank.  So F is fixed by s, and dim Hom <= 1.
     - The intertwining condition at v+ reads F a_w = s b_w for every w.
-      Its unknowns are s and the entries F[m][j] pairing basis vectors of
-      equal weight.  Generation leaves at most one solution up to scale;
-      the one with s = 1 is returned.
+      It is the condition of comodules._intertwiners on the one row v+,
+      whose unknowns are the entries F[m][j] pairing basis vectors of
+      equal weight: w+ is the only basis vector of nabla(lam) of v+'s
+      weight, so s is the unknown F[w+][v+].  Generation leaves at most
+      one solution up to scale; it is divided by its entry F[w+][v+].
 
     Why the solution is a comodule map.  comodule_certificate shows that
     Delta(lam) and nabla(lam) are comodules.  A comodule is a module over
@@ -399,37 +401,24 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     Delta = Comodule(labels, lambda: build_delta(lam).coaction, weights)
     Nabla = build_nabla(lam)
     top = lam.wt()
+    v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
     column = {key: j for j, key in enumerate(digits)}
+    row = {column[key]: entry for key, entry in _delta_row(duals, digits[v_plus]).items()}
     a: dict[tuple, dict[int, int]] = {}
-    for key, entry in _delta_row(duals, digits[_weight_index(Delta, top)]).items():
+    for j, entry in row.items():
         for w, c in entry.items():
-            a.setdefault(w, {})[column[key]] = c
-    b = _coaction_components(Nabla, {_weight_index(Nabla, top): 1})
+            a.setdefault(w, {})[j] = c
     if len(Echelon(a.values())) != Delta.dim:
         raise VerificationError(f"Delta({lam}) is not generated by its top weight line")
-    wx, wy = Delta.weights, Nabla.weights
-    targets = [[m for m in range(Nabla.dim) if wy[m] == wx[j]] for j in range(Delta.dim)]
-    allowed = [(m, j) for j in range(Delta.dim) for m in targets[j]]
-    var_index = {pair: n for n, pair in enumerate(allowed)}
-    s = len(allowed)
-    equations = []
-    for w in {**a, **b}:
-        per_row: dict[int, dict] = {}
-        for j, c in a.get(w, {}).items():
-            for m in targets[j]:
-                per_row.setdefault(m, {})[var_index[m, j]] = c
-        for m, c in b.get(w, {}).items():
-            per_row.setdefault(m, {})[s] = -c
-        equations.extend(per_row.values())
-    solutions = nullspace_sparse(equations, s + 1)
+    solutions = _intertwiners(weights, Nabla.weights, [(v_plus, row)], Nabla.coaction.__getitem__)
     if len(solutions) != 1:
         raise VerificationError(
             f"Hom(Delta, nabla) for {lam} has dimension {len(solutions)}, expected 1"
         )
-    sol = solutions[0]
+    s = solutions[0][w_plus, v_plus]
     matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
-    for (m, j), n in var_index.items():
-        matrix[m][j] = sol[n] / sol[s]
+    for (m, j), c in solutions[0].items():
+        matrix[m][j] = c / s
     return ComoduleMap(Delta, Nabla, matrix)
 
 

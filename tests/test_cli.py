@@ -260,7 +260,7 @@ class TestErrors:
         # dim Hom(Delta, nabla) = 1
         import ncgl2.standard
 
-        monkeypatch.setattr(ncgl2.standard, "nullspace_sparse", lambda equations, n: [])
+        monkeypatch.setattr(ncgl2.standard, "_intertwiners", lambda wx, wy, x_rows, y_row: [])
         assert main(["nabla", "d"]) == 1
         assert "expected 1" in capsys.readouterr().err
         assert main(["nf", "d**a"]) == 2

@@ -30,6 +30,7 @@ from ncgl2.comodules import (
 )
 import ncgl2
 from ncgl2 import ncalg
+from ncgl2.linalg import accumulate, nullspace_sparse
 from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
     build_R,
@@ -294,6 +295,44 @@ class TestSubQuotient:
         assert comodule_axiom_failures(X) == []
 
 
+def hom_space_blocked_oracle(X: Comodule, Y: Comodule) -> list[list[list[Fraction]]]:
+    """The matrices of the reduced basis of Hom(X, Y), an oracle for hom_space.
+
+    The hand-written weight-blocked system: for every row i of X and
+    target m, the equations in the entries of equal weight, grouped by
+    word, with repeated equations dropped and the unknowns (k, i) in
+    k-major order.
+    """
+    wx, wy = X.weights, Y.weights
+    allowed = [(k, i) for k in range(Y.dim) for i in range(X.dim) if wy[k] == wx[i]]
+    var_index = {pair: n for n, pair in enumerate(allowed)}
+    equations, seen = [], set()
+    cx, cy = X.coaction, Y.coaction
+    for i in range(X.dim):
+        for m in range(Y.dim):
+            per_word = {}
+            for k in range(Y.dim):
+                if (k, i) in var_index:
+                    for w, c in cy[k][m].items():
+                        per_word.setdefault(w, {})[var_index[k, i]] = c
+            for j in range(X.dim):
+                if (m, j) in var_index:
+                    for w, c in cx[i][j].items():
+                        accumulate(per_word.setdefault(w, {}), ((var_index[m, j], -c),))
+            for equation in per_word.values():
+                key = frozenset(equation.items())
+                if key and key not in seen:
+                    seen.add(key)
+                    equations.append(equation)
+    matrices = []
+    for sol in nullspace_sparse(equations, len(allowed)):
+        matrix = [[Fraction(0)] * X.dim for _ in range(Y.dim)]
+        for (k, i), n in var_index.items():
+            matrix[k][i] = sol[n]
+        matrices.append(matrix)
+    return matrices
+
+
 class TestHom:
     def test_endomorphisms_of_standard(self):
         maps = hom_space(V, V)
@@ -329,6 +368,22 @@ class TestHom:
             span_fast = [[c for row in f.matrix for c in row] for f in fast]
             span_slow = [[c for row in f.matrix for c in row] for f in slow]
             assert rref(span_fast)[0] == rref(span_slow)[0], (X.labels, Y.labels)
+
+    @pytest.mark.parametrize("kind", ["delta-nabla", "nabla-nabla", "W-W"])
+    def test_bases_match_the_blocked_oracle(self, kind):
+        # are_isomorphic tries the basis maps themselves, so the basis,
+        # not only its span, must be the unique reduced one
+        labels = list(enumerate_lambda(3))
+        source = {"delta-nabla": build_delta, "nabla-nabla": build_nabla}
+        if kind == "W-W":
+            pairs = [(W, W)]
+        else:
+            sources = [source[kind](lam) for lam in labels]
+            targets = [build_nabla(mu) for mu in labels]
+            pairs = list(product(sources, targets))
+        for X, Y in pairs:
+            matrices = [[list(row) for row in f.matrix] for f in hom_space(X, Y)]
+            assert matrices == hom_space_blocked_oracle(X, Y), (X.labels, Y.labels)
 
     def test_sparse_intertwiner_matches_dense_oracle(self):
         # every canonical map with ell <= 3, and each copy of it with one

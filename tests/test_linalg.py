@@ -119,6 +119,26 @@ def test_accumulate_is_the_only_accumulation_loop():
     assert hits == []
 
 
+def test_only_the_intertwining_solver_solves_hom_systems():
+    # hom_space, canonical_map and semi_invariants share one equation
+    # builder, comodules._intertwiners; a hand-written system elsewhere
+    # would name nullspace_sparse.  Truncated induction solves a system
+    # over words of O, not an intertwining one.
+    allowed = {("comodules.py", "_intertwiners"), ("borel.py", "induced_truncated")}
+    package = Path(ncgl2.__file__).parent
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "linalg.py"
+        for top in ast.parse(path.read_text()).body
+        if (path.name, getattr(top, "name", None)) not in allowed
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "nullspace_sparse"
+        or isinstance(node, ast.Attribute) and node.attr == "nullspace_sparse"
+    ]
+    assert hits == []
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names a module imports and never references, outside __future__.
 
