@@ -261,7 +261,8 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
                 accumulate(rows.setdefault((u, key), {}), ((k, coeff),))
     for w in words:
         accumulate(rows.setdefault((w, g), {}), ((index[w], -1),))
-    basis = linalg.nullspace_sparse(list(rows.values()), len(words))
+    # terms that cancel leave an empty equation, which no system needs
+    basis = linalg.nullspace_sparse([row for row in rows.values() if row], len(words))
     out = []
     for vec in basis:
         out.append(

@@ -135,11 +135,13 @@ def _suite_layers(bounds: dict) -> list[dict]:
 def _suite_multisets(bounds: dict) -> list[dict]:
     from .linalg import accumulate
     from .standard import (
-        _atom_dimension,
         char_M,
         char_delta,
         char_nabla,
         delta_multiset,
+        factor_dim,
+        monoid_factors,
+        nabla_factors,
         nabla_multiset,
     )
     from .weights import enumerate_lambda, parse_lambda
@@ -167,12 +169,12 @@ def _suite_multisets(bounds: dict) -> list[dict]:
         D = delta_multiset(lam)
         if N[lam] != 1 or D[lam] != 1:
             once = False
-        # dimensions from the runs of d, not from built comodules; the
-        # builders are checked against _atom_dimension in the test suite
-        m_dim = _atom_dimension(lam, sym=False)
-        if sum(_atom_dimension(mu, sym=True) * k for mu, k in N.items()) != m_dim:
+        # dimensions from the factor words, not from built comodules; the
+        # builders are checked against factor_dim in the test suite
+        m_dim = factor_dim(monoid_factors(lam))
+        if sum(factor_dim(nabla_factors(mu)) * k for mu, k in N.items()) != m_dim:
             dims = False
-        if sum(_atom_dimension(mu.star_inv(), sym=True) * k for mu, k in D.items()) != m_dim:
+        if sum(factor_dim(nabla_factors(mu.star_inv())) * k for mu, k in D.items()) != m_dim:
             dims = False
         cn: dict = {}
         for mu, k in N.items():

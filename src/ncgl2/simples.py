@@ -38,12 +38,13 @@ the transfer operator, which match the two inequalities exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 
-from .weights import LambdaWord, Weight
-from .comodules import Comodule, VerificationError, char_mul, tensor_many, trivial
+from .weights import LambdaWord
+from .comodules import VerificationError, image, weight_decomposition
 from . import linalg
 from .linalg import accumulate
+from .standard import Factor, canonical_map, factor_char, factor_dim
 
 __all__ = [
     "BlockExpression",
@@ -51,18 +52,11 @@ __all__ = [
     "split_segments",
     "delta_grouping",
     "classify",
-    "block_comodule",
-    "block_char",
     "classify_crosscheck",
     "validate_adjacency",
     "sl2_rank_oracle",
     "sl2_commutation_check",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Factor = tuple[str, int]
 
 
 class ClassifierError(VerificationError):
@@ -72,8 +66,9 @@ class ClassifierError(VerificationError):
 class BlockExpression:
     """A tensor word in the blocks S^k V, T^t V, R^i.
 
-    Factors are (kind, exponent) pairs with kind in {"S", "T", "R"}; the
-    expression denotes the tensor product of the named comodules in order.
+    Its factors are a factor word of `standard`: (kind, exponent) pairs with
+    kind in {"S", "T", "R"}, denoting the tensor product of the named
+    comodules in order; standard.factor_comodule builds it.
     """
 
     __slots__ = ("factors",)
@@ -83,11 +78,7 @@ class BlockExpression:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for kind, exp in self.factors:
-            if kind in ("S", "T"):
-                out *= exp + 1
-        return out
+        return factor_dim(self.factors)
 
     def render(self) -> str:
         if not self.factors:
@@ -384,38 +375,6 @@ def classify(lam: LambdaWord) -> BlockExpression:
 # realization and cross-checks
 
 
-def block_comodule(expr: BlockExpression) -> Comodule:
-    """The tensor product comodule named by a block expression."""
-    from .standard import build_R, build_SymV, build_TV
-
-    if not expr.factors:
-        return trivial()
-    parts = []
-    for kind, exp in expr.factors:
-        if kind == "S":
-            parts.append(build_SymV(exp))
-        elif kind == "T":
-            parts.append(build_TV(exp))
-        else:
-            parts.append(build_R(exp))
-    return tensor_many(parts)
-
-
-def block_char(expr: BlockExpression) -> dict[Weight, int]:
-    """Formal character of a block expression (product of factor characters)."""
-    from .standard import char_R, char_S, char_T
-
-    out: dict[Weight, int] = {Weight(0, 0): 1}
-    for kind, exp in expr.factors:
-        if kind == "S":
-            out = char_mul(out, char_S(exp))
-        elif kind == "T":
-            out = char_mul(out, char_T(exp))
-        else:
-            out = char_mul(out, char_R(exp))
-    return out
-
-
 def classify_crosscheck(lam: LambdaWord) -> dict:
     """Compare the combinatorial answer with the linear-algebra construction.
 
@@ -423,14 +382,11 @@ def classify_crosscheck(lam: LambdaWord) -> dict:
     equal the rank of the canonical map Delta(lam) -> nabla(lam) and the
     block character to equal the character of its image L(lam).
     """
-    from .standard import canonical_map
-    from .comodules import image, weight_decomposition
-
     expr = classify(lam)
     f = canonical_map(lam)
     rank = f.rank()
     L, _ = image(f)
-    char_ok = block_char(expr) == weight_decomposition(L)
+    char_ok = factor_char(expr.factors) == weight_decomposition(L)
     return {
         "lambda": str(lam),
         "expression": expr.render(),
@@ -471,17 +427,17 @@ def sl2_rank_oracle(a: int, b: int, direction: str = "left") -> dict:
     rows = []
     for i in range(a + 1):
         for j in range(b + 1):
-            row = [_ZERO] * target_dim
+            row = [0] * target_dim
             if direction == "left":
                 if i >= 1:
-                    row[(i - 1) * (b + 2) + (j + 1)] += Fraction(i)
+                    row[(i - 1) * (b + 2) + (j + 1)] += i
                 if a - i >= 1 and a >= 1:
-                    row[i * (b + 2) + j] += Fraction(a - i)
+                    row[i * (b + 2) + j] += a - i
             else:
                 if j >= 1:
-                    row[(i + 1) * b + (j - 1)] += Fraction(j)
+                    row[(i + 1) * b + (j - 1)] += j
                 if b - j >= 1:
-                    row[i * b + j] += Fraction(b - j)
+                    row[i * b + j] += b - j
             rows.append(row)
     rank = linalg.rank(rows) if target_dim else 0
     return {
@@ -523,16 +479,14 @@ def sl2_commutation_check(max_exp: int = 4) -> bool:
     every monomial of x-degree a, y-degree b, z-degree c with a, b, c up to
     max_exp.
     """
-    from itertools import product as iproduct
-
     E1 = ((2, 0), (3, 1))
     E2 = ((2, 4), (3, 5))
-    for a, b, c in iproduct(range(max_exp + 1), repeat=3):
+    for a, b, c in product(range(max_exp + 1), repeat=3):
         for i in range(a + 1):
             for j in range(b + 1):
                 for k in range(c + 1):
                     mono = (i, a - i, j, b - j, k, c - k)
-                    poly = {mono: _ONE}
+                    poly = {mono: 1}
                     lhs = _apply_operator(_apply_operator(poly, E1), E2)
                     rhs = _apply_operator(_apply_operator(poly, E2), E1)
                     if lhs != rhs:

@@ -7,17 +7,23 @@ comodules nabla(lam) and standard comodules Delta(lam), the simple socles
 L(lam), and the combinatorics that glues them together (filtration multisets,
 formal characters, the layer decomposition of the coordinate ring).
 
-Everything is indexed by words lam in the weight monoid of `weights`: a word
-in d and delta^{+-1} picks the tensor factors
+A tensor-built comodule is named by a factor word, a tuple of (kind, n)
+pairs: ("S", y) is S^y V, ("T", y) is T^y V and ("R", k) is R^k.  One
+table, _FACTORS, gives each kind its builder and its character, and three
+interpreters read it: factor_comodule builds the tensor product of the
+factors in order, factor_char multiplies their characters and factor_dim
+reads the dimension off them without building anything.
 
-    delta^{x}            -> R^x        (a line)
-    d^{y} (a run of d's) -> S^y V      (dimension y + 1)
+Everything is indexed by words lam in the weight monoid of `weights`.  The
+factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
+d^y of d's to S^y V; that of M(lam) (monoid_factors) sends d^y to y copies
+of V = S^1 V instead.  The simples classifier names L(lam) by a factor word
+too.
 
-and nabla(lam) is the tensor product of those factors in the order the atoms
-appear in lam.  Delta(lam) is the dual of nabla(star_inv(lam)) taken with the
-inverse antipode, which is the dual for which V* (x) R ~ V; since the
-determinant is not central the two duals genuinely differ and only this one
-makes the canonical map Delta(lam) -> nabla(lam) exist.
+Delta(lam) is the dual of nabla(star_inv(lam)) taken with the inverse
+antipode, which is the dual for which V* (x) R ~ V; since the determinant is
+not central the two duals genuinely differ and only this one makes the
+canonical map Delta(lam) -> nabla(lam) exist.
 
 >>> from .weights import parse_lambda
 >>> build_nabla(parse_lambda("d^2")).dim
@@ -33,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import prod
 from itertools import combinations, product
 from typing import Sequence
 
@@ -77,7 +84,11 @@ __all__ = [
     "build_L",
     "nabla_multiset",
     "delta_multiset",
-    "char_V",
+    "factor_comodule",
+    "factor_char",
+    "factor_dim",
+    "nabla_factors",
+    "monoid_factors",
     "char_R",
     "char_S",
     "char_T",
@@ -160,45 +171,76 @@ def build_TV(y: int) -> Comodule:
     return tensor(left_dual(build_SymV(y)), build_R(1))
 
 
+def char_R(k: int = 1) -> dict[Weight, int]:
+    return {Weight(k, k): 1}
+
+
+def char_S(y: int) -> dict[Weight, int]:
+    return {Weight(y - k, k): 1 for k in range(y + 1)}
+
+
+def char_T(y: int) -> dict[Weight, int]:
+    """Character of T^y V: the S^y V character shifted by (ad)^{1-y}."""
+    return {Weight(k - y + 1, 1 - k): 1 for k in range(y + 1)}
+
+
 # ---------------------------------------------------------------------------
-# lam-indexed families
+# factor words
 
 
-def _atom_factors(lam: LambdaWord, sym: bool) -> list[Comodule]:
-    """Tensor factors of M(lam) (sym=False) or nabla(lam) (sym=True)."""
-    factors: list[Comodule] = []
-    V = build_V()
-    for kind, value in lam.atoms():
-        if kind == "delta":
-            factors.append(build_R(value))
-        elif sym:
-            factors.append(build_SymV(value))
-        else:
-            factors.extend([V] * value)
-    return factors
+Factor = tuple[str, int]
+
+# the one place that says what each factor kind builds and what its character is
+_FACTORS = {
+    "S": (build_SymV, char_S),
+    "T": (build_TV, char_T),
+    "R": (build_R, char_R),
+}
 
 
-def _atom_dimension(lam: LambdaWord, sym: bool) -> int:
-    """dim M(lam) (sym=False) or dim nabla(lam) (sym=True), from lam's runs.
+def _built(word: Sequence[Factor]) -> list[Comodule]:
+    return [_FACTORS[kind][0](n) for kind, n in word]
 
-    A run d^y gives the factor V^{(x) y} of dimension 2^y, or S^y V of
-    dimension y + 1; a determinant power gives a line.  Nothing is built.
-    """
-    dim = 1
-    for kind, value in lam.atoms():
-        if kind == "d":
-            dim *= value + 1 if sym else 2**value
-    return dim
+
+def factor_comodule(word: Sequence[Factor]) -> Comodule:
+    """The tensor product of the factors of a factor word; trivial() if empty."""
+    return tensor_many(_built(word))
+
+
+def factor_char(word: Sequence[Factor]) -> dict[Weight, int]:
+    """The character of a factor word: the product of its factors' characters."""
+    out: dict[Weight, int] = {Weight(0, 0): 1}
+    for kind, n in word:
+        out = char_mul(out, _FACTORS[kind][1](n))
+    return out
+
+
+def factor_dim(word: Sequence[Factor]) -> int:
+    """The dimension of a factor word, summed off its factors' characters; nothing is built."""
+    return prod(sum(_FACTORS[kind][1](n).values()) for kind, n in word)
+
+
+def nabla_factors(lam: LambdaWord) -> tuple[Factor, ...]:
+    """The factor word of nabla(lam): delta^x -> R^x and each run d^y -> S^y V."""
+    return tuple(("R", n) if kind == "delta" else ("S", n) for kind, n in lam.atoms())
+
+
+def monoid_factors(lam: LambdaWord) -> tuple[Factor, ...]:
+    """The factor word of M(lam): delta^x -> R^x and each run d^y -> y copies of V = S^1 V."""
+    word: list[Factor] = []
+    for kind, n in lam.atoms():
+        word.extend([("R", n)] if kind == "delta" else [("S", 1)] * n)
+    return tuple(word)
 
 
 def build_M(lam: LambdaWord) -> Comodule:
-    """The monoid comodule M(lam): delta^x -> R^x and each run d^y -> V^{(x) y}."""
-    return tensor_many(_atom_factors(lam, sym=False))
+    """The monoid comodule M(lam)."""
+    return factor_comodule(monoid_factors(lam))
 
 
 def build_nabla(lam: LambdaWord) -> Comodule:
-    """The costandard comodule nabla(lam): delta^x -> R^x and d^y -> S^y V."""
-    return tensor_many(_atom_factors(lam, sym=True))
+    """The costandard comodule nabla(lam)."""
+    return factor_comodule(nabla_factors(lam))
 
 
 def _dual_factors(lam: LambdaWord) -> list[Comodule]:
@@ -206,7 +248,7 @@ def _dual_factors(lam: LambdaWord) -> list[Comodule]:
 
     With no factors (lam = 1) the one dual factor is left_dual(trivial()).
     """
-    factors = _atom_factors(lam.star_inv(), sym=True) or [trivial()]
+    factors = _built(nabla_factors(lam.star_inv())) or [trivial()]
     return [left_dual(f) for f in factors]
 
 
@@ -503,29 +545,8 @@ def delta_multiset(lam: LambdaWord) -> Counter:
 # characters
 
 
-def char_V() -> dict[Weight, int]:
-    return {Weight(1, 0): 1, Weight(0, 1): 1}
-
-
-def char_R(k: int = 1) -> dict[Weight, int]:
-    return {Weight(k, k): 1}
-
-
-def char_S(y: int) -> dict[Weight, int]:
-    return {Weight(y - k, k): 1 for k in range(y + 1)}
-
-
-def char_T(y: int) -> dict[Weight, int]:
-    """Character of T^y V: the S^y V character shifted by (ad)^{1-y}."""
-    return {Weight(k - y + 1, 1 - k): 1 for k in range(y + 1)}
-
-
 def char_nabla(lam: LambdaWord) -> dict[Weight, int]:
-    out: dict[Weight, int] = {Weight(0, 0): 1}
-    for kind, value in lam.atoms():
-        factor = char_R(value) if kind == "delta" else char_S(value)
-        out = char_mul(out, factor)
-    return out
+    return factor_char(nabla_factors(lam))
 
 
 def char_delta(lam: LambdaWord) -> dict[Weight, int]:
@@ -535,14 +556,7 @@ def char_delta(lam: LambdaWord) -> dict[Weight, int]:
 
 
 def char_M(lam: LambdaWord) -> dict[Weight, int]:
-    out: dict[Weight, int] = {Weight(0, 0): 1}
-    for kind, value in lam.atoms():
-        if kind == "delta":
-            out = char_mul(out, char_R(value))
-        else:
-            for _ in range(value):
-                out = char_mul(out, char_V())
-    return out
+    return factor_char(monoid_factors(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -590,4 +604,4 @@ def _layer_word_ok(word: tuple[str, ...]) -> bool:
 
 def layer_dimension(n: int) -> int:
     """Dimension of the n-th layer, as a sum of costandard dimensions."""
-    return sum(_atom_dimension(label, sym=True) for _, label in decompose_layer(n))
+    return sum(factor_dim(nabla_factors(label)) for _, label in decompose_layer(n))

@@ -17,8 +17,6 @@ from ncgl2.comodules import (
 from ncgl2.simples import (
     BlockExpression,
     ClassifierError,
-    block_char,
-    block_comodule,
     classify,
     classify_crosscheck,
     delta_grouping,
@@ -27,7 +25,7 @@ from ncgl2.simples import (
     split_segments,
     validate_adjacency,
 )
-from ncgl2.standard import build_L, canonical_map
+from ncgl2.standard import build_L, canonical_map, factor_char, factor_comodule
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
 
 
@@ -163,13 +161,13 @@ class TestCrosscheck:
     def test_block_comodule_realizes_simple(self):
         for text in ("d", "d^2", "d.Di.d", "D", "d.Di.d^2"):
             L, _ = build_L(lam(text))
-            B = block_comodule(classify(lam(text)))
+            B = factor_comodule(classify(lam(text)).factors)
             assert are_isomorphic(B, L)
 
     def test_block_char_matches_simple(self):
         for l in enumerate_lambda(3):
             L, _ = build_L(l)
-            assert block_char(classify(l)) == weight_decomposition(L)
+            assert factor_char(classify(l).factors) == weight_decomposition(L)
 
     @given(st.sampled_from(enumerate_lambda(5)))
     @settings(max_examples=25, deadline=None)

@@ -1,8 +1,10 @@
 """Named comodules: standards, costandards, simples, multisets, layers."""
 
+import ast
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +21,13 @@ from ncgl2.comodules import (
     hom_space,
     image,
     left_dual,
+    tensor_many,
     weight_decomposition,
 )
 from ncgl2.linalg import Echelon, nullspace_sparse
 from ncgl2.ncalg import NCElement, one
 from ncgl2.simples import classify
 from ncgl2.standard import (
-    _atom_dimension,
     build_L,
     build_M,
     build_R,
@@ -42,7 +44,12 @@ from ncgl2.standard import (
     char_nabla,
     decompose_layer,
     delta_multiset,
+    factor_char,
+    factor_comodule,
+    factor_dim,
     layer_dimension,
+    monoid_factors,
+    nabla_factors,
     nabla_multiset,
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
@@ -204,10 +211,10 @@ class TestBuilders:
             assert build_M(lam(text)).dim == dim
 
     def test_dimensions_from_runs_match_builders(self):
-        # the multisets suite reads dimensions off the runs of d, unbuilt
+        # the multisets suite reads dimensions off the factor words, unbuilt
         for l in enumerate_lambda(5):
-            assert build_M(l).dim == _atom_dimension(l, sym=False), str(l)
-            assert build_nabla(l).dim == _atom_dimension(l, sym=True), str(l)
+            assert build_M(l).dim == factor_dim(monoid_factors(l)), str(l)
+            assert build_nabla(l).dim == factor_dim(nabla_factors(l)), str(l)
 
     def test_nabla_surjection(self):
         for text in ("d", "d^2", "d.Di.d", "d^2.Di.d"):
@@ -238,6 +245,50 @@ class TestBuilders:
                 for w, m in char_nabla(l.star_inv()).items()
             }
             assert char_delta(l) == mirrored
+
+
+class TestFactorWords:
+    def test_dim_and_char_match_the_built_comodule(self):
+        # every word of at most two factors from S^0..S^3, T^0..T^3 and
+        # R^-2..R^2; the character is scanned afresh from the coaction
+        factors = [("S", n) for n in range(4)] + [("T", n) for n in range(4)]
+        factors += [("R", k) for k in range(-2, 3)]
+        for word in [()] + [(f,) for f in factors] + list(product(factors, repeat=2)):
+            X = factor_comodule(word)
+            assert factor_dim(word) == X.dim, word
+            assert factor_char(word) == weight_decomposition(Comodule(X.labels, X.coaction)), word
+
+    def test_M_is_the_tensor_power_of_V(self):
+        # monoid_factors writes each d of a run as S^1 V, which has V's
+        # coaction in V's basis order
+        V = build_V()
+        for l in enumerate_lambda(4):
+            factors = []
+            for kind, value in l.atoms():
+                factors.extend([build_R(value)] if kind == "delta" else [V] * value)
+            assert build_M(l).coaction == tensor_many(factors).coaction, str(l)
+
+    def test_only_the_factor_table_names_the_factor_builders(self):
+        # what each factor kind builds, and its character, is decided by
+        # standard._FACTORS alone; build_TV builds on build_SymV
+        names = {"build_SymV", "build_TV", "char_S", "char_T", "char_R"}
+        allowed = {("standard.py", "_FACTORS"), ("standard.py", "build_TV")}
+        package = Path(ncgl2.standard.__file__).parent
+        hits = []
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                owner = getattr(top, "name", None)
+                if isinstance(top, ast.Assign):
+                    owner = getattr(top.targets[0], "id", None)
+                if (path.name, owner) in allowed:
+                    continue
+                hits.extend(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                )
+        assert hits == []
 
 
 def break_manin(monkeypatch):
