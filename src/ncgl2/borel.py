@@ -47,6 +47,7 @@ from .ncalg import (
     column_weight,
     coproduct,
     enumerate_basis,
+    is_normal_word,
     normal_form,
     word_key,
 )
@@ -274,35 +275,16 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
 def induced_predicted(t: Weight, n: int) -> list[Word]:
     """Monomial semi-invariants, a subset of the truncated induction.
 
-    These are the normal words in b, d, delta^{+-1} (no a, no c) of length
-    at most n whose right B-character is g_t: with x the net delta exponent
-    and m the number of b's and d's, the character is (x, x + m).  Outside
-    the dominant cone the list is empty.  They span the whole induction
-    only at the bounds where `check induced` passes, n <= 4: at t = a^-1
-    with n = 5 they give 8 of the 20 dimensions `induced_truncated` solves,
-    missing elements such as b*Di^2*b*a - a*Di^2*b^2 that contain a or c.
+    These are the normal words (`is_normal_word`) in b, d, delta^{+-1}
+    (no a, no c) of length at most n whose right B-character is g_t; the
+    character of such a word is its column weight (`column_weight`).
+    Outside the dominant cone the list is empty.  They span the whole
+    induction only at the bounds where `check induced` passes, n <= 4: at
+    t = a^-1 with n = 5 they give 8 of the 20 dimensions
+    `induced_truncated` solves, missing elements such as
+    b*Di^2*b*a - a*Di^2*b^2 that contain a or c.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    out: list[Word] = []
-    for length in range(n + 1):
-        for word in product(("b", "d", "D", "Di"), repeat=length):
-            ok = True
-            for p in range(length - 1):
-                if word[p] == "d" and word[p + 1] == "b":
-                    ok = False
-                    break
-                if word[p] == "D" and word[p + 1] == "Di":
-                    ok = False
-                    break
-                if word[p] == "Di" and word[p + 1] == "D":
-                    ok = False
-                    break
-            if not ok:
-                continue
-            x = word.count("D") - word.count("Di")
-            m = word.count("b") + word.count("d")
-            if Weight(x, x + m) == t:
-                out.append(word)
-    out.sort(key=word_key)
-    return out
+    words = (w for length in range(n + 1) for w in product(("b", "d", "D", "Di"), repeat=length))
+    return sorted((w for w in words if is_normal_word(w) and column_weight(w) == t), key=word_key)

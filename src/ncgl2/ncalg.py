@@ -97,14 +97,12 @@ RULES: tuple[tuple[Word, dict[Word, int]], ...] = (
     (("d", "Di", "a"), {("c", "Di", "b"): 1, (): 1}),
 )
 
-_LHS_BY_LENGTH: dict[int, dict[Word, dict[Word, int]]] = {}
-for _lhs, _rhs in RULES:
-    _LHS_BY_LENGTH.setdefault(len(_lhs), {})[_lhs] = _rhs
-
-# The redex index of _first_redex, derived from RULES: the right side of
-# each length-2 left side, and the letter pairs that begin a length-3 one.
-_LHS2 = _LHS_BY_LENGTH[2]
-_LHS3 = _LHS_BY_LENGTH[3]
+# The redex index, derived from RULES: the right side of each length-2 and
+# length-3 left side, and the letter pairs that begin a length-3 one.  It is
+# the one test of normality: _first_redex (so is_normal_word and
+# normal_form_word) and enumerate_basis read it.
+_LHS2 = {lhs: rhs for lhs, rhs in RULES if len(lhs) == 2}
+_LHS3 = {lhs: rhs for lhs, rhs in RULES if len(lhs) == 3}
 _LHS3_HEADS = frozenset(lhs[:2] for lhs in _LHS3)
 
 
@@ -153,6 +151,7 @@ def _first_redex(word: Word):
 
 
 def is_normal_word(word: Word) -> bool:
+    """True iff no rule left side occurs in word."""
     return _first_redex(word) is None
 
 
@@ -364,7 +363,8 @@ def enumerate_basis(max_len: int) -> list[Word]:
 
     A word is normal iff no rule left side occurs in it, and left sides
     have length 2 or 3, so extending a normal word by one letter stays
-    normal iff no left side ends at the new letter.
+    normal iff no left side ends at the new letter, looked up in the
+    redex index.
     """
     if max_len < 0:
         raise ValueError("length must be nonnegative")
@@ -375,24 +375,19 @@ def enumerate_basis(max_len: int) -> list[Word]:
         for word in layer:
             for letter in LETTERS:
                 extended = word + (letter,)
-                if _suffix_normal(extended):
+                if extended[-2:] not in _LHS2 and extended[-3:] not in _LHS3:
                     next_layer.append(extended)
         layer = next_layer
         basis.extend(layer)
     return basis
 
 
-def _suffix_normal(word: Word) -> bool:
-    for length, table in _LHS_BY_LENGTH.items():
-        if len(word) >= length and word[-length:] in table:
-            return False
-    return True
-
-
 def enumerate_basis_by_pattern(max_len: int) -> list[Word]:
     """Normal words of length <= max_len by a structural description.
 
-    Independent of the rule table: a word is accepted iff
+    Independent of the rule table on purpose: it is the oracle that the
+    confluence check compares enumerate_basis against, so it must not read
+    RULES.  A word is accepted iff
       (1) every maximal run of determinant letters uses only D or only Di,
       (2) adjacent entry letters have non-decreasing row index,
       (3) a lone Di flanked by entry letters has non-decreasing column

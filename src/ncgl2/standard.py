@@ -51,6 +51,7 @@ from .ncalg import (
     coproduct,
     counit,
     gen,
+    is_normal_word,
     one,
     render_word,
 )
@@ -571,35 +572,17 @@ def decompose_layer(n: int) -> list[tuple[tuple[str, ...], LambdaWord]]:
 
     The layer O_{<=n} / O_{<=n-1} decomposes as a direct sum of costandard
     comodules indexed by the normal words of length n in the letters
-    c, d, delta^{+-1} (no a, no b); the costandard label of a word is
-    obtained by replacing every c with d.  Returns (word, label) pairs.
+    c, d, delta^{+-1} (no a, no b), normal as `ncalg.is_normal_word`
+    decides; the costandard label of a word is obtained by replacing every
+    c with d.  Returns (word, label) pairs.
 
     >>> [(w, str(t)) for w, t in decompose_layer(1)]
     [(('D',), 'D'), (('Di',), 'Di'), (('c',), 'd'), (('d',), 'd')]
     """
     if n < 0:
         raise ValueError("layer index must be nonnegative")
-    if n == 0:
-        return [((), LambdaWord.one())]
-    out = []
-    for word in product(_LAYER_LETTERS, repeat=n):
-        if _layer_word_ok(word):
-            label = LambdaWord(tuple("d" if x == "c" else x for x in word))
-            out.append((word, label))
-    out.sort(key=lambda pair: pair[0])
-    return out
-
-
-def _layer_word_ok(word: tuple[str, ...]) -> bool:
-    for t in range(len(word) - 1):
-        if word[t] == "D" and word[t + 1] == "Di":
-            return False
-        if word[t] == "Di" and word[t + 1] == "D":
-            return False
-    for t in range(len(word) - 2):
-        if word[t] == "d" and word[t + 1] == "Di" and word[t + 2] == "c":
-            return False
-    return True
+    words = sorted(w for w in product(_LAYER_LETTERS, repeat=n) if is_normal_word(w))
+    return [(w, LambdaWord(tuple("d" if x == "c" else x for x in w))) for w in words]
 
 
 def layer_dimension(n: int) -> int:

@@ -155,14 +155,6 @@ class LambdaWord:
         word._letters = _reduce(self._letters + other._letters)
         return word
 
-    def __pow__(self, n: int) -> "LambdaWord":
-        if n < 0:
-            raise ValueError("Lambda is a monoid; only d-free words are invertible")
-        result = LambdaWord.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def star(self) -> "LambdaWord":
         """The star anti-homomorphism: d -> d.Di, delta -> delta inverse."""
         images = {"d": ("d", "Di"), "D": ("Di",), "Di": ("D",)}

@@ -267,6 +267,14 @@ class TestInduction:
                     )
                     assert solved == predicted, (t, n)
 
+    def test_predicted_words_are_normal_words_of_their_column_weight(self):
+        for n in range(6):
+            words = [w for w in enumerate_basis(n) if not {"a", "c"} & set(w)]
+            for i in range(-3, 4):
+                for j in range(-3, 4):
+                    expected = [w for w in words if column_weight(w) == (i, j)]
+                    assert induced_predicted(Weight(i, j), n) == expected, (i, j, n)
+
     @pytest.mark.xfail(
         strict=True,
         reason="known defect (perfbench/NOTES.md, 'Known defect'): at a^-1 "

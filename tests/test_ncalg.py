@@ -4,11 +4,14 @@ Expected values are either asserted directly from the defining relations,
 or computed by an independent method and frozen into the test.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncgl2
 from ncgl2.ncalg import (
     LETTERS,
     RULES,
@@ -473,3 +476,27 @@ class TestSyntax:
     @settings(max_examples=80, deadline=None)
     def test_render_parse_roundtrip(self, x):
         assert parse_expression(render_element(x)) == x
+
+
+def test_only_ncalg_matches_rule_left_sides():
+    # normality is decided by the redex index ncalg builds from RULES; a
+    # module that compares word[p + 1] with a letter re-spells a left side
+    package = Path(ncgl2.__file__).parent
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "ncalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            computed = any(
+                isinstance(side, ast.Subscript) and isinstance(side.slice, ast.BinOp)
+                for side in sides
+            )
+            letter = any(
+                isinstance(side, ast.Constant) and side.value in LETTERS for side in sides
+            )
+            if computed and letter:
+                hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert hits == []

@@ -25,7 +25,7 @@ from ncgl2.comodules import (
     weight_decomposition,
 )
 from ncgl2.linalg import Echelon, nullspace_sparse
-from ncgl2.ncalg import NCElement, one
+from ncgl2.ncalg import NCElement, enumerate_basis, one
 from ncgl2.simples import classify
 from ncgl2.standard import (
     build_L,
@@ -481,6 +481,13 @@ class TestLayers:
             (("c",), "d"),
             (("d",), "d"),
         ]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_layer_words_are_the_normal_words_without_a_and_b(self, n):
+        expected = sorted(
+            w for w in enumerate_basis(n) if len(w) == n and not {"a", "b"} & set(w)
+        )
+        assert [word for word, _ in decompose_layer(n)] == expected
 
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 6), (2, 30), (3, 142), (4, 666)])
     def test_layer_dimension_counts_basis(self, n, count):
