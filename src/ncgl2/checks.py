@@ -294,17 +294,20 @@ def _suite_induced(bounds: dict) -> list[dict]:
 
 
 def _suite_classifier(bounds: dict) -> list[dict]:
-    from .simples import ClassifierError, classify, classify_crosscheck, validate_adjacency
+    from .simples import ClassifierError, classify, classify_crosscheck
     from .weights import enumerate_lambda, parse_lambda
 
     n = bounds.get("len", 4)
-    consistent = True
+    # classify validates its expression against the adjacency table, so a
+    # ClassifierError fails that table and leaves the label unchecked
+    consistent = table_ok = True
     count = 0
     for lam in enumerate_lambda(n):
         count += 1
-        rep = classify_crosscheck(lam)
-        if not rep["consistent"]:
-            consistent = False
+        try:
+            consistent &= classify_crosscheck(lam)["consistent"]
+        except ClassifierError:
+            consistent = table_ok = False
     out = [
         _result(
             f"crosscheck-len{n}",
@@ -323,12 +326,6 @@ def _suite_classifier(bounds: dict) -> list[dict]:
         if expr.render() != want or expr.dim != want_dim:
             ex_ok = False
     out.append(_result("named-examples", ex_ok, "three reference classifications"))
-    table_ok = True
-    for lam in enumerate_lambda(n):
-        try:
-            validate_adjacency(classify(lam).factors)
-        except ClassifierError:
-            table_ok = False
     out.append(
         _result(
             f"adjacency-table-len{n}", table_ok, "every emitted expression passes"

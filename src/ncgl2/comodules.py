@@ -27,6 +27,8 @@ Echelon until the coaction components of each basis row lie in the span,
 then reads the coaction off at the leading columns.  The subspace, image,
 kernel, generated, quotient and regular cases differ only in the span
 they start from and in how a vector's coaction splits into components.
+image_character reads the character of an image without building it,
+from the ranks of the map's weight blocks.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "subspace_comodule",
     "quotient",
     "image",
+    "image_character",
     "kernel",
     "generated_subcomodule",
     "comodule_from_regular",
@@ -534,6 +537,32 @@ def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
 def image(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The image subcomodule of the target, with its inclusion."""
     return subspace_comodule(f.target, zip(*f.matrix))
+
+
+def image_character(f: ComoduleMap) -> dict[Weight, int]:
+    """The character of image(f), from the ranks of f's weight blocks.
+
+    f must be a comodule map (standard.canonical_map certifies its
+    result), so its image is a subcomodule and nothing is closed under
+    the coaction.  A comodule map preserves torus weights, so F is block
+    diagonal by weight: the multiplicity of weight t in the image is the
+    rank of the rows of F at the target vectors of weight t, and the
+    ranks add up to rank F.  One exact pass over the nonzero entries of F
+    checks the blocks first, and raises VerificationError on an entry
+    that pairs two different weights.
+    """
+    wx, wy = f.source.weights, f.target.weights
+    blocks: dict[Weight, list[dict[int, Fraction]]] = {}
+    for k, row in enumerate(f.matrix):
+        entries = {i: x for i, x in enumerate(row) if x}
+        for i in entries:
+            if wx[i] != wy[k]:
+                raise VerificationError(
+                    f"map entry ({k}, {i}) pairs weight {wy[k]} with weight {wx[i]}"
+                )
+        if entries:
+            blocks.setdefault(wy[k], []).append(entries)
+    return {t: linalg.rank(rows) for t, rows in blocks.items()}
 
 
 def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:

@@ -156,6 +156,8 @@ def is_normal_word(word: Word) -> bool:
 
 
 _NF_CACHE: dict[Word, dict[Word, int]] = {}
+# past this many entries a miss clears _NF_CACHE, so long runs stay bounded
+_NF_CACHE_LIMIT = 200_000
 
 
 def _exact(value) -> Coeff:
@@ -173,12 +175,18 @@ def normal_form_word(word: Word) -> dict[Word, int]:
     word's normal form is unique (the rules are confluent, see
     check_confluence), so a cached entry is returned as it is, and
     _reduce runs only on a miss; reading the cache here, not only in
-    _reduce, saves a call on the hit path, which most calls take.  The
+    _reduce, saves a call on the hit path, which most calls take.  A miss
+    first clears the cache in place once it holds more than
+    _NF_CACHE_LIMIT entries; uniqueness makes that change no result.  The
     result is shared: do not mutate it.
     """
     word = tuple(word)
     found = _NF_CACHE.get(word)
-    return found if found is not None else _reduce(word, _NF_CACHE)
+    if found is not None:
+        return found
+    if len(_NF_CACHE) > _NF_CACHE_LIMIT:
+        _NF_CACHE.clear()
+    return _reduce(word, _NF_CACHE)
 
 
 def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:

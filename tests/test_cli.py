@@ -266,6 +266,28 @@ class TestErrors:
         assert main(["nf", "d**a"]) == 2
         assert main(["check", "nonsense", "--len", "1"]) == 2
 
+    def test_classifier_error_fails_its_results(self, capsys, monkeypatch):
+        # a ClassifierError on one label fails the crosscheck and the
+        # adjacency table; it does not escape from the suite
+        import ncgl2.simples
+        from ncgl2.simples import ClassifierError
+
+        classify = ncgl2.simples.classify
+
+        def broken(lam):
+            if str(lam) == "d^2":
+                raise ClassifierError("adjacency violated")
+            return classify(lam)
+
+        monkeypatch.setattr(ncgl2.simples, "classify", broken)
+        code, out = run(capsys, "--format", "pretty", "check", "classifier", "--len", "2")
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "[FAIL] classifier.crosscheck-len2: 11 words: block dim = canonical rank, characters agree",
+            "[pass] classifier.named-examples: three reference classifications",
+            "[FAIL] classifier.adjacency-table-len2: every emitted expression passes",
+        ]
+
     def test_failing_verification_exit_code(self, capsys):
         # the simple verb reports and exits nonzero if inconsistent; on a
         # consistent label it exits zero (guards the exit-code contract)

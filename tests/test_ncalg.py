@@ -5,6 +5,7 @@ or computed by an independent method and frozen into the test.
 """
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -418,6 +419,28 @@ class TestCoproductMemo:
             result.clear()
         assert memo == stored
         assert results({}) == expected == results(memo)
+
+
+class TestCacheBound:
+    def test_bounded_cache_gives_the_same_normal_forms(self, monkeypatch):
+        rng = random.Random(7)
+        words = [tuple(rng.choice(LETTERS) for _ in range(6)) for _ in range(300)]
+        cache = ncgl2.ncalg._NF_CACHE
+        expected, fresh = {}, []
+        for word in words:
+            cache.clear()
+            expected[word] = dict(normal_form_word(word))
+            fresh.append(len(cache))
+        cache.clear()
+        monkeypatch.setattr(ncgl2.ncalg, "_NF_CACHE_LIMIT", 50)
+        sizes = []
+        for word in words:
+            assert normal_form_word(word) == expected[word], word
+            sizes.append(len(cache))
+        # the cache was cleared in place, never rebound, and stayed bounded
+        assert ncgl2.ncalg._NF_CACHE is cache
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        assert max(sizes) <= 50 + max(fresh)
 
 
 class TestTensorElement:

@@ -1,7 +1,9 @@
 """The block classifier for simple comodules and the differential oracle."""
 
+import ast
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from ncgl2 import simples
 from ncgl2.checks import run_check_suite
 from ncgl2.comodules import (
+    ComoduleMap,
     VerificationError,
     are_isomorphic,
     generated_subcomodule,
+    image,
+    image_character,
     weight_decomposition,
 )
 from ncgl2.simples import (
@@ -25,7 +30,7 @@ from ncgl2.simples import (
     split_segments,
     validate_adjacency,
 )
-from ncgl2.standard import build_L, canonical_map, factor_char, factor_comodule
+from ncgl2.standard import build_L, build_V, canonical_map, factor_char, factor_comodule
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
 
 
@@ -117,25 +122,29 @@ class TestClassifier:
     def test_classifier_suite_fails_only_on_classifier_errors(self, monkeypatch):
         # a ClassifierError is a failed check; any other exception is a bug
         # and propagates instead of showing as a FAIL line.  The patched
-        # validators misbehave only when the suite calls them, so that
-        # classify itself still runs.
-        validate = simples.validate_adjacency
+        # classifier misbehaves only inside classify_crosscheck, so that the
+        # named examples still run.
+        classifier = simples.classify
 
-        def in_suite(error):
-            def patched(factors):
-                if sys._getframe(1).f_code.co_name == "_suite_classifier":
+        def in_crosscheck(error):
+            def patched(lam):
+                if sys._getframe(1).f_code.co_name == "classify_crosscheck":
                     raise error
-                return validate(factors)
+                return classifier(lam)
 
             return patched
 
-        rejects = in_suite(ClassifierError("rejected"))
-        broken = in_suite(TypeError("broken validator"))
-        monkeypatch.setattr(simples, "validate_adjacency", rejects)
-        table = run_check_suite(["classifier"], {"len": 1})[-1]
-        assert (table["name"], table["pass"]) == ("classifier.adjacency-table-len1", False)
-        monkeypatch.setattr(simples, "validate_adjacency", broken)
-        with pytest.raises(TypeError, match="broken validator"):
+        rejects = in_crosscheck(ClassifierError("rejected"))
+        broken = in_crosscheck(TypeError("broken classifier"))
+        monkeypatch.setattr(simples, "classify", rejects)
+        results = run_check_suite(["classifier"], {"len": 1})
+        assert [(r["name"], r["pass"]) for r in results] == [
+            ("classifier.crosscheck-len1", False),
+            ("classifier.named-examples", True),
+            ("classifier.adjacency-table-len1", False),
+        ]
+        monkeypatch.setattr(simples, "classify", broken)
+        with pytest.raises(TypeError, match="broken classifier"):
             run_check_suite(["classifier"], {"len": 1})
 
     def test_classifier_deterministic(self):
@@ -168,6 +177,24 @@ class TestCrosscheck:
         for l in enumerate_lambda(3):
             L, _ = build_L(l)
             assert factor_char(classify(l).factors) == weight_decomposition(L)
+
+    def test_block_ranks_match_the_built_image(self):
+        # the oracle: the character and dimension read off F's weight
+        # blocks equal those of image(f), built by closing its span, and
+        # the rank of the whole matrix
+        for l in enumerate_lambda(6):
+            f = canonical_map(l)
+            char = image_character(f)
+            assert char == weight_decomposition(image(f)[0]), str(l)
+            assert sum(char.values()) == f.rank(), str(l)
+
+    def test_weight_crossing_entry_raises(self):
+        V = build_V()
+        assert image_character(ComoduleMap(V, V, [[1, 0], [0, 3]])) == {
+            w: 1 for w in V.weights
+        }
+        with pytest.raises(VerificationError, match="pairs weight"):
+            image_character(ComoduleMap(V, V, [[1, 2], [0, 1]]))
 
     @given(st.sampled_from(enumerate_lambda(5)))
     @settings(max_examples=25, deadline=None)
@@ -222,3 +249,25 @@ class TestDifferentialOracle:
 
     def test_commutation(self):
         assert sl2_commutation_check(3)
+
+
+def test_crosscheck_builds_no_image():
+    # classify_crosscheck reads L(lam)'s character from the canonical map's
+    # weight-block ranks; closing the image or ranking the whole matrix
+    # would redo that work
+    tree = ast.parse(Path(simples.__file__).read_text())
+    body = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "classify_crosscheck"
+    )
+    hits = []
+    for node in ast.walk(body):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("image", "_close", "weight_decomposition") or (
+            name == "rank" and isinstance(func, ast.Attribute) and not node.args
+        ):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+    assert hits == []
