@@ -39,7 +39,6 @@ under the right triangular coaction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .ncalg import (
     NCElement,
@@ -47,9 +46,7 @@ from .ncalg import (
     column_weight,
     coproduct,
     enumerate_basis,
-    is_normal_word,
     normal_form,
-    word_key,
 )
 from .weights import Weight
 from .comodules import (
@@ -275,16 +272,14 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
 def induced_predicted(t: Weight, n: int) -> list[Word]:
     """Monomial semi-invariants, a subset of the truncated induction.
 
-    These are the normal words (`is_normal_word`) in b, d, delta^{+-1}
-    (no a, no c) of length at most n whose right B-character is g_t; the
-    character of such a word is its column weight (`column_weight`).
+    These are the normal words in b, d, delta^{+-1} (no a, no c) of
+    length at most n, grown by `enumerate_basis` over those letters,
+    whose right B-character is g_t; the character of such a word is its
+    column weight (`column_weight`).
     Outside the dominant cone the list is empty.  They span the whole
     induction only at the bounds where `check induced` passes, n <= 4: at
     t = a^-1 with n = 5 they give 8 of the 20 dimensions
     `induced_truncated` solves, missing elements such as
     b*Di^2*b*a - a*Di^2*b^2 that contain a or c.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    words = (w for length in range(n + 1) for w in product(("b", "d", "D", "Di"), repeat=length))
-    return sorted((w for w in words if is_normal_word(w) and column_weight(w) == t), key=word_key)
+    return [w for w in enumerate_basis(n, ("b", "d", "D", "Di")) if column_weight(w) == t]

@@ -155,7 +155,10 @@ class ComoduleMap:
     def __init__(self, source: Comodule, target: Comodule, matrix: Sequence[Sequence]):
         self.source = source
         self.target = target
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        # entries that are Fractions already, as canonical_map's are, are kept
+        rows = tuple(
+            tuple(x if x.__class__ is Fraction else Fraction(x) for x in row) for row in matrix
+        )
         if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
             raise ValueError(f"map matrix must be {target.dim} x {source.dim}")
         self.matrix = rows

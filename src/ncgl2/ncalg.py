@@ -366,22 +366,25 @@ def gen(letter: str) -> NCElement:
 # ---------------------------------------------------------------------------
 # Basis enumeration
 
-def enumerate_basis(max_len: int) -> list[Word]:
-    """All normal words of length <= max_len, sorted by deglex.
+def enumerate_basis(max_len: int, letters: Iterable[str] = LETTERS) -> list[Word]:
+    """All normal words of length <= max_len over the letters, sorted by deglex.
 
     A word is normal iff no rule left side occurs in it, and left sides
     have length 2 or 3, so extending a normal word by one letter stays
     normal iff no left side ends at the new letter, looked up in the
-    redex index.
+    redex index.  Every subword of a normal word is normal, so growing
+    only normal words over a subset of LETTERS gives exactly the normal
+    words over that subset.
     """
     if max_len < 0:
         raise ValueError("length must be nonnegative")
+    letters = sorted(letters, key=LETTER_ORDER.__getitem__)
     basis: list[Word] = [()]
     layer: list[Word] = [()]
     for _ in range(max_len):
         next_layer: list[Word] = []
         for word in layer:
-            for letter in LETTERS:
+            for letter in letters:
                 extended = word + (letter,)
                 if extended[-2:] not in _LHS2 and extended[-3:] not in _LHS3:
                     next_layer.append(extended)

@@ -9,10 +9,16 @@ formal characters, the layer decomposition of the coordinate ring).
 
 A tensor-built comodule is named by a factor word, a tuple of (kind, n)
 pairs: ("S", y) is S^y V, ("T", y) is T^y V and ("R", k) is R^k.  One
-table, _FACTORS, gives each kind its builder and its character, and three
-interpreters read it: factor_comodule builds the tensor product of the
-factors in order, factor_char multiplies their characters and factor_dim
-reads the dimension off them without building anything.
+table, _FACTORS, gives each kind four columns: its builder, its character
+(whose weights come in basis order), its entry function (n, k, l) -> the
+coaction entry at (k, l), and its basis labels.  The entry of S^y V is a
+sum of binomially many normal words, which build_SymV writes entry by
+entry; that of R^k is D^k or Di^-k; that of T^y V is S^-1 of the
+transposed S^y V entry times D.  Four interpreters read the table:
+factor_comodule builds the tensor product of the factors in order,
+factor_char multiplies their characters, factor_dim reads the dimension
+off them without building anything, and canonical_map computes single
+coaction rows of nabla(lam) and Delta(lam) from the entries and labels.
 
 Everything is indexed by words lam in the weight monoid of `weights`.  The
 factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
@@ -38,10 +44,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import prod
-from itertools import combinations, product
-from typing import Sequence
+from itertools import combinations
+from typing import Callable, NamedTuple, Sequence
 
 from .ncalg import (
     LETTERS,
@@ -50,9 +56,8 @@ from .ncalg import (
     antipode_inv,
     coproduct,
     counit,
+    enumerate_basis,
     gen,
-    is_normal_word,
-    one,
     render_word,
 )
 from .weights import LambdaWord, Weight
@@ -102,6 +107,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ZERO_ELEMENT = NCElement._raw({})
 
 
 # ---------------------------------------------------------------------------
@@ -121,46 +127,49 @@ def build_V() -> Comodule:
 
 def build_R(k: int = 1) -> Comodule:
     """The determinant line R^k; k may be negative (then delta^{-|k|} coacts)."""
-    if k >= 0:
-        element = NCElement({("D",) * k: 1})
-    else:
-        element = NCElement({("Di",) * (-k): 1})
-    label = "r" if k == 1 else f"r{k}"
-    return Comodule((label,), ((element,),))
+    return Comodule(_det_labels(k), ((_det_entry(k, 0, 0),),))
+
+
+def _det_labels(k: int) -> tuple[str]:
+    return ("r" if k == 1 else f"r{k}",)
+
+
+def _det_entry(k: int, i: int, j: int) -> NCElement:
+    """The one coaction entry of R^k: D^k, or Di^-k when k < 0."""
+    return NCElement._raw({("D",) * k if k >= 0 else ("Di",) * -k: 1})
 
 
 def build_SymV(y: int) -> Comodule:
-    """Symmetric power S^y V on monomial lines m_0 .. m_y.
-
-    The coaction entry P[k][l] is the coefficient of x^(y-l) y^l in
-    rho(x)^(y-k) rho(y)^k: the sum of the words whose t-th letter has row
-    1 for t < y - k and row 2 after, with l letters in column 2.  Every
-    such word is already normal: its row-1 letters come before its row-2
-    letters, while the left side of every rule puts a row-2 letter before
-    a row-1 letter or contains D or Di.  The words are distinct, so each
-    coefficient is 1.
-    """
+    """Symmetric power S^y V on monomial lines m_0 .. m_y, entry by entry (_sym_entry)."""
     if y < 0:
         raise ValueError("symmetric power needs y >= 0")
-    if y == 0:
-        return Comodule(("m0",), ((one(),),))
-    letters = (("a", "b"), ("c", "d"))
-    labels = tuple(f"m{k}" for k in range(y + 1))
-    coaction = []
-    for k in range(y + 1):
-        row_letters = [letters[0]] * (y - k) + [letters[1]] * k
-        entries = []
-        for l in range(y + 1):
-            terms = {}
-            # the y - l positions in column 1
-            for column1 in combinations(range(y), y - l):
-                word = [pair[1] for pair in row_letters]
-                for t in column1:
-                    word[t] = row_letters[t][0]
-                terms[tuple(word)] = 1
-            entries.append(NCElement._raw(terms))
-        coaction.append(tuple(entries))
-    return Comodule(labels, tuple(coaction))
+    entries = [[_sym_entry(y, k, l) for l in range(y + 1)] for k in range(y + 1)]
+    return Comodule(_sym_labels(y), entries)
+
+
+def _sym_labels(y: int) -> tuple[str, ...]:
+    return tuple(f"m{k}" for k in range(y + 1))
+
+
+def _sym_entry(y: int, k: int, l: int) -> NCElement:
+    """The coaction entry P[k][l] of S^y V.
+
+    It is the coefficient of x^(y-l) y^l in rho(x)^(y-k) rho(y)^k: the sum
+    of the words whose t-th letter has row 1 for t < y - k and row 2
+    after, with l letters in column 2.  Every such word is already normal:
+    its row-1 letters come before its row-2 letters, while the left side
+    of every rule puts a row-2 letter before a row-1 letter or contains D
+    or Di.  The words are distinct, so each coefficient is 1.
+    """
+    row_letters = [("a", "b")] * (y - k) + [("c", "d")] * k
+    terms = {}
+    # the y - l positions in column 1
+    for column1 in combinations(range(y), y - l):
+        word = [pair[1] for pair in row_letters]
+        for t in column1:
+            word[t] = row_letters[t][0]
+        terms[tuple(word)] = 1
+    return NCElement._raw(terms)
 
 
 def build_TV(y: int) -> Comodule:
@@ -170,6 +179,15 @@ def build_TV(y: int) -> Comodule:
     S^y V even though the characters agree up to a determinant twist.
     """
     return tensor(left_dual(build_SymV(y)), build_R(1))
+
+
+def _twisted_labels(y: int) -> tuple[str, ...]:
+    return tuple(f"*{l}*r" for l in _sym_labels(y))
+
+
+def _twisted_entry(y: int, k: int, l: int) -> NCElement:
+    """The coaction entry of T^y V at (k, l): S^-1(P[l][k]) * D, as build_TV tensors it."""
+    return antipode_inv(_sym_entry(y, l, k)) * _det_entry(1, 0, 0)
 
 
 def char_R(k: int = 1) -> dict[Weight, int]:
@@ -191,16 +209,26 @@ def char_T(y: int) -> dict[Weight, int]:
 
 Factor = tuple[str, int]
 
-# the one place that says what each factor kind builds and what its character is
+
+class _Kind(NamedTuple):
+    build: Callable[[int], Comodule]
+    char: Callable[[int], dict[Weight, int]]
+    entry: Callable[[int, int, int], NCElement]
+    labels: Callable[[int], tuple[str, ...]]
+
+
+# the one place that says what each factor kind builds, what its character,
+# its coaction entries and its basis labels are; each character lists the
+# basis weights in basis order
 _FACTORS = {
-    "S": (build_SymV, char_S),
-    "T": (build_TV, char_T),
-    "R": (build_R, char_R),
+    "S": _Kind(build_SymV, char_S, _sym_entry, _sym_labels),
+    "T": _Kind(build_TV, char_T, _twisted_entry, _twisted_labels),
+    "R": _Kind(build_R, char_R, _det_entry, _det_labels),
 }
 
 
 def _built(word: Sequence[Factor]) -> list[Comodule]:
-    return [_FACTORS[kind][0](n) for kind, n in word]
+    return [_FACTORS[kind].build(n) for kind, n in word]
 
 
 def factor_comodule(word: Sequence[Factor]) -> Comodule:
@@ -212,13 +240,13 @@ def factor_char(word: Sequence[Factor]) -> dict[Weight, int]:
     """The character of a factor word: the product of its factors' characters."""
     out: dict[Weight, int] = {Weight(0, 0): 1}
     for kind, n in word:
-        out = char_mul(out, _FACTORS[kind][1](n))
+        out = char_mul(out, _FACTORS[kind].char(n))
     return out
 
 
 def factor_dim(word: Sequence[Factor]) -> int:
     """The dimension of a factor word, summed off its factors' characters; nothing is built."""
-    return prod(sum(_FACTORS[kind][1](n).values()) for kind, n in word)
+    return prod(sum(_FACTORS[kind].char(n).values()) for kind, n in word)
 
 
 def nabla_factors(lam: LambdaWord) -> tuple[Factor, ...]:
@@ -244,37 +272,55 @@ def build_nabla(lam: LambdaWord) -> Comodule:
     return factor_comodule(nabla_factors(lam))
 
 
-def _dual_factors(lam: LambdaWord) -> list[Comodule]:
-    """left_dual(F_1), ..., left_dual(F_k) for the factors F_t of nabla(star_inv(lam)).
+Part = tuple[tuple[str, ...], tuple[Weight, ...], Callable[[int, int], NCElement]]
 
-    With no factors (lam = 1) the one dual factor is left_dual(trivial()).
+
+def _factor_parts(word: Sequence[Factor]) -> list[Part]:
+    """Labels, weights and entry function (k, l) -> C[k][l] of each factor.
+
+    Read off _FACTORS; no factor is built.  The empty word has the one
+    factor trivial(), as factor_comodule has.
     """
-    factors = _built(nabla_factors(lam.star_inv())) or [trivial()]
-    return [left_dual(f) for f in factors]
+    if not word:
+        t = trivial()
+        return [(t.labels, t.weights, lambda k, l: t.coaction[k][l])]
+    parts = []
+    for kind, n in word:
+        table = _FACTORS[kind]
+        parts.append((table.labels(n), tuple(table.char(n)), partial(table.entry, n)))
+    return parts
 
 
-def _delta_basis(duals: Sequence[Comodule]) -> tuple[tuple, ...]:
-    """Digits, labels, weights and positions of Delta's basis, in index order.
+def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, ...]:
+    """Digits, labels and weights of the basis of F_1 # ... # F_k, in index order.
 
-    The basis index I = (i_1, ..., i_k) of Delta(lam) picks basis vector
-    i_t of the dual factor L_t = duals[t], with i_1 most significant; its
-    digits are that tuple.  Its label is the concatenated labels of the
-    picks, and its torus weight the sum of theirs, since the torus
-    quotient is a Hopf map onto a commutative Hopf algebra.  Its position
-    is its index in L_k # ... # L_1, where L_t has stride
-    dim L_1 * ... * dim L_{t-1}.  Nothing but the small factors is read.
+    The basis index I = (i_1, ..., i_k) picks basis vector i_t of the
+    factor F_t, with i_1 most significant, as tensor flattens; its digits
+    are that tuple.  Its label joins the labels of the picks with "*", and
+    its torus weight is the sum of theirs, since the torus quotient is a
+    Hopf map onto a commutative Hopf algebra.
     """
-    basis = [((), "", Weight(0, 0), 0)]
-    stride = 1
-    for dual in duals:
-        picks = list(enumerate(zip(dual.labels, dual.weights)))
+    basis = [((), "", Weight(0, 0))]
+    for labels, weights, _ in parts:
+        picks = [(i, "*" + l, v) for i, (l, v) in enumerate(zip(labels, weights))]
         basis = [
-            (digits + (i,), label + l, Weight(w.i + v.i, w.j + v.j), p + i * stride)
-            for digits, label, w, p in basis
-            for i, (l, v) in picks
+            (digits + (i,), label + l, Weight(w.i + v.i, w.j + v.j))
+            for digits, label, w in basis
+            for i, l, v in picks
         ]
-        stride *= dual.dim
-    return tuple(zip(*basis))
+    digits, labels, weights = zip(*basis)
+    # each label so far is "*" before every pick's label
+    return digits, tuple(l[1:] for l in labels), weights
+
+
+def _delta_basis(parts: Sequence[Part]) -> tuple[tuple, ...]:
+    """Digits, labels and weights of Delta(lam), from the parts of nabla(star_inv(lam)).
+
+    Delta(lam) is the left dual of nabla(star_inv(lam)): the same digits,
+    the labels "*" + label and the negated weights.
+    """
+    digits, labels, weights = _factor_basis(parts)
+    return digits, tuple(f"*{l}" for l in labels), tuple(Weight(-w.i, -w.j) for w in weights)
 
 
 def build_delta(lam: LambdaWord) -> Comodule:
@@ -285,34 +331,55 @@ def build_delta(lam: LambdaWord) -> Comodule:
     nabla(lam)) is one dimensional.
 
     nabla(star_inv(lam)) is never built.  S^-1 is an anti-homomorphism, so
-    the dual of F_1 # ... # F_k is left_dual(F_k) # ... # left_dual(F_1)
-    with the factor digits of each basis index reversed: the entry at
-    ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the reversed product
-    at ((i_k, ..., i_1), (j_k, ..., j_1)), found at the positions of
-    _delta_basis.  Normal forms are unique, so the entries equal those of
-    left_dual(build_nabla(star_inv(lam))), and so do the labels "*" + the
-    nabla label.  Only the small factors V, S^y V and R^k are dualized,
-    and tensor_many folds each dual line R^-k into the factor beside it,
-    which cancels letters: S^-1(a) * D = d.
+    the dual of F_1 # ... # F_k is L_k # ... # L_1 with L_t =
+    left_dual(F_t) and the factor digits of each basis index reversed: the
+    entry at ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the
+    reversed product at ((i_k, ..., i_1), (j_k, ..., j_1)), whose position
+    there has i_k most significant.  Normal forms are unique, so the
+    entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
+    the labels.  Only the small factors V, S^y V and R^k are dualized, and
+    tensor_many folds each dual line R^-k into the factor beside it, which
+    cancels letters: S^-1(a) * D = d.
     """
-    duals = _dual_factors(lam)
-    _, labels, weights, position = _delta_basis(duals)
+    word = nabla_factors(lam.star_inv())
+    digits, labels, weights = _delta_basis(_factor_parts(word))
+    duals = [left_dual(f) for f in _built(word) or [trivial()]]
+    position = []
+    for key in digits:
+        p = 0
+        for dual, i in zip(duals[::-1], key[::-1]):
+            p = p * dual.dim + i
+        position.append(p)
     rows = tensor_many(duals[::-1]).coaction
     return Comodule(labels, [[rows[p][q] for q in position] for p in position], weights)
 
 
-def _delta_row(duals: Sequence[Comodule], digits: tuple) -> dict[tuple, NCElement]:
-    """Row `digits` of Delta's coaction, keyed by the digits of its columns.
+def _row_product(rows: Sequence[Sequence[NCElement]]) -> dict[tuple, NCElement]:
+    """The products rows[0][j_1] * ... * rows[-1][j_k], keyed by (j_1, ..., j_k).
 
-    The entry at column J is L_k[i_k][j_k] * ... * L_1[i_1][j_1], as in
-    build_delta, so the row is folded from the last dual factor, one
-    factor row at a time; zero entries of the factor rows are skipped.
+    Row I of a tensor product of comodules, with factor t at row i_t,
+    holds these products of the factor rows.  They are folded left to
+    right, one factor row at a time, starting from the first row itself;
+    zero entries of the factor rows are skipped.  rows is not empty.
     """
-    row = {(): one()}
-    for dual, i in zip(duals[::-1], digits[::-1]):
-        entries = [(j, e) for j, e in enumerate(dual.coaction[i]) if not e.is_zero()]
-        row = {(j,) + key: element * e for key, element in row.items() for j, e in entries}
+    first, *rest = rows
+    row = {(j,): e for j, e in enumerate(first) if not e.is_zero()}
+    for factor_row in rest:
+        entries = [(j, e) for j, e in enumerate(factor_row) if not e.is_zero()]
+        row = {key + (j,): element * e for key, element in row.items() for j, e in entries}
     return row
+
+
+def _factor_row(part: Part, i: int) -> list[NCElement]:
+    """Row i of the factor's coaction, entry by entry."""
+    labels, _, entry = part
+    return [entry(i, l) for l in range(len(labels))]
+
+
+def _dual_row(part: Part, i: int, memo: dict) -> list[NCElement]:
+    """Row i of left_dual of the factor: S^-1 of its column i, rewritten through memo."""
+    labels, _, entry = part
+    return [antipode_inv(entry(j, i), memo) for j in range(len(labels))]
 
 
 @cache
@@ -390,25 +457,35 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is solved from the top weight vector v+ of Delta(lam) alone,
-    and Delta(lam) is never built.  In a highest-weight category
+    The map is solved from two coaction rows, computed from the factor
+    entries of _FACTORS: the row of the top weight vector v+ of Delta(lam)
+    and the row of the top weight vector w+ of nabla(lam).  Neither
+    comodule is built, and no factor is dualized whole.  In a
+    highest-weight category
     Delta(lam) has simple head L(lam) (Cline, Parshall and Scott, J. reine
     angew. Math. 391, 1988; Jantzen, Representations of Algebraic Groups,
     II.4), so v+ generates it, and a comodule map F is fixed by F(v+),
     which lies in the one dimensional weight-wt(lam) space of nabla(lam):
     F(v+) = s w+.
 
-    - The coaction row of v+ is the only row of Delta(lam) read.  It is
-      the product of the dual factors' rows at v+'s digits (_delta_row);
-      Delta's labels, weights and dimension come from the factors alone
-      (_delta_basis).
+    - The basis of each side comes from its factors' labels and weights
+      (_factor_basis; _delta_basis dualizes that of nabla(star_inv(lam))).
+    - Delta(lam) is the dual of nabla(star_inv(lam)) = F_1 # ... # F_k.
+      Row i of left_dual(F_t) is S^-1 of column i of F_t (_dual_row), with
+      one rewrite memo per call, so the normal-form cache does not grow
+      from it.  The row of v+ is the product L_k[i_k] * ... * L_1[i_1] of
+      the dual rows at v+'s digits, in reverse factor order, as in
+      build_delta.
+    - The row of w+ is the product F_1[i_1] * ... * F_k[i_k] of the rows
+      of nabla(lam)'s factors at w+'s digits (_factor_row).  Both
+      products are folded by _row_product.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam), checked
       by one echelon rank.  So F is fixed by s, and dim Hom <= 1.
     - The intertwining condition at v+ reads F a_w = s b_w for every w.
       It is the condition of comodules._intertwiners on the one row v+,
-      whose unknowns are the entries F[m][j] pairing basis vectors of
+      which reads nabla's coaction only at w+; its unknowns are the entries F[m][j] pairing basis vectors of
       equal weight: w+ is the only basis vector of nabla(lam) of v+'s
       weight, so s is the unknown F[w+][v+].  Generation leaves at most
       one solution up to scale; it is divided by its entry F[w+][v+].
@@ -431,29 +508,37 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     The result is the generator of Hom(Delta(lam), nabla(lam)) whose
     coefficient between the two weight-wt(lam) basis vectors is 1: the
     counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
-    socle L(lam).  Its source carries labels, weights and dimension; the
-    coaction is built by build_delta on first read.  Raises
+    socle L(lam).  Its source and target carry labels, weights and
+    dimension; their coactions are built by build_delta and build_nabla
+    on first read.  Raises
     VerificationError when the certificate fails, when v+ does not
     generate Delta(lam) or when the solution space is not a line.
     """
     failures = comodule_certificate()
     if failures:
         raise VerificationError("comodule certificate fails: " + "; ".join(failures))
-    duals = _dual_factors(lam)
-    digits, labels, weights, _ = _delta_basis(duals)
+    parts = _factor_parts(nabla_factors(lam))
+    dual_parts = _factor_parts(nabla_factors(lam.star_inv()))
+    digits, labels, weights = _delta_basis(dual_parts)
     Delta = Comodule(labels, lambda: build_delta(lam).coaction, weights)
-    Nabla = build_nabla(lam)
+    target_digits, target_labels, target_weights = _factor_basis(parts)
+    Nabla = Comodule(target_labels, lambda: build_nabla(lam).coaction, target_weights)
     top = lam.wt()
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
+    memo: dict = {}
+    dual_rows = [_dual_row(part, i, memo) for part, i in zip(dual_parts, digits[v_plus])]
     column = {key: j for j, key in enumerate(digits)}
-    row = {column[key]: entry for key, entry in _delta_row(duals, digits[v_plus]).items()}
+    row = {column[key[::-1]]: entry for key, entry in _row_product(dual_rows[::-1]).items()}
     a: dict[tuple, dict[int, int]] = {}
     for j, entry in row.items():
         for w, c in entry.items():
             a.setdefault(w, {})[j] = c
     if len(Echelon(a.values())) != Delta.dim:
         raise VerificationError(f"Delta({lam}) is not generated by its top weight line")
-    solutions = _intertwiners(weights, Nabla.weights, [(v_plus, row)], Nabla.coaction.__getitem__)
+    factor_rows = [_factor_row(part, i) for part, i in zip(parts, target_digits[w_plus])]
+    products = _row_product(factor_rows)
+    target_rows = {w_plus: [products.get(key, _ZERO_ELEMENT) for key in target_digits]}
+    solutions = _intertwiners(weights, target_weights, [(v_plus, row)], target_rows.__getitem__)
     if len(solutions) != 1:
         raise VerificationError(
             f"Hom(Delta, nabla) for {lam} has dimension {len(solutions)}, expected 1"
@@ -572,16 +657,16 @@ def decompose_layer(n: int) -> list[tuple[tuple[str, ...], LambdaWord]]:
 
     The layer O_{<=n} / O_{<=n-1} decomposes as a direct sum of costandard
     comodules indexed by the normal words of length n in the letters
-    c, d, delta^{+-1} (no a, no b), normal as `ncalg.is_normal_word`
-    decides; the costandard label of a word is obtained by replacing every
-    c with d.  Returns (word, label) pairs.
+    c, d, delta^{+-1} (no a, no b), grown by `ncalg.enumerate_basis` over
+    those letters; the costandard label of a word is obtained by replacing
+    every c with d.  Returns (word, label) pairs.
 
     >>> [(w, str(t)) for w, t in decompose_layer(1)]
     [(('D',), 'D'), (('Di',), 'Di'), (('c',), 'd'), (('d',), 'd')]
     """
     if n < 0:
         raise ValueError("layer index must be nonnegative")
-    words = sorted(w for w in product(_LAYER_LETTERS, repeat=n) if is_normal_word(w))
+    words = sorted(w for w in enumerate_basis(n, _LAYER_LETTERS) if len(w) == n)
     return [(w, LambdaWord(tuple("d" if x == "c" else x for x in w))) for w in words]
 
 

@@ -122,6 +122,15 @@ class TestRewriting:
         assert dict(counts) == {0: 1, 1: 6, 2: 30, 3: 142, 4: 666}
         assert set(basis) == set(enumerate_basis_by_pattern(4))
 
+    @pytest.mark.parametrize(
+        "letters", [("c", "d", "D", "Di"), ("b", "d", "D", "Di"), ("d", "a"), ("D", "Di"), ()]
+    )
+    def test_letters_give_the_normal_words_over_them(self, letters):
+        # subwords of normal words are normal, so growing over fewer
+        # letters keeps exactly the normal words over them, in deglex order
+        expected = [w for w in enumerate_basis(6) if set(w) <= set(letters)]
+        assert enumerate_basis(6, letters) == expected
+
     def test_negative_length_rejected(self):
         assert enumerate_basis(0) == [()]
         with pytest.raises(ValueError, match="nonnegative"):

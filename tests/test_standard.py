@@ -1,6 +1,7 @@
 """Named comodules: standards, costandards, simples, multisets, layers."""
 
 import ast
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -22,6 +23,7 @@ from ncgl2.comodules import (
     image,
     left_dual,
     tensor_many,
+    trivial,
     weight_decomposition,
 )
 from ncgl2.linalg import Echelon, nullspace_sparse
@@ -372,11 +374,17 @@ class TestSimpleQuotients:
             assert canonical_map(l) == canonical_map_by_hom_space(l), str(l)
 
     def test_non_cyclic_delta_raises(self, monkeypatch):
-        # V (+) R as the one dual factor: the top vector of V generates
-        # only V, so the stand-in for Delta(d) is not generated by its top
-        # weight line
-        stand_in = direct_sum(build_delta(lam("d")), build_R(1))
-        monkeypatch.setattr(ncgl2.standard, "_dual_factors", lambda l: [stand_in])
+        # nabla(Di.d) (+) R^-1 as the one factor of nabla(star_inv(d)):
+        # its dual rows give a stand-in for Delta(d) of the form V (+) R,
+        # and the top vector of V generates only V, so the stand-in is
+        # not generated by its top weight line
+        stand_in = direct_sum(build_nabla(lam("Di.d")), build_R(-1))
+        part = (stand_in.labels, stand_in.weights, lambda k, l: stand_in.coaction[k][l])
+        dual_word = nabla_factors(lam("d").star_inv())
+        real = ncgl2.standard._factor_parts
+        monkeypatch.setattr(
+            ncgl2.standard, "_factor_parts", lambda word: [part] if word == dual_word else real(word)
+        )
         with pytest.raises(VerificationError, match="not generated by its top weight line"):
             canonical_map(lam("d"))
 
@@ -454,6 +462,99 @@ class TestSimpleQuotients:
         for text in ("D", "Di", "D^2"):
             L, _ = build_L(lam(text))
             assert L.dim == 1
+
+
+# sha256 of the lines " ".join(str(x) for x in row) of canonical_map(d^k).matrix,
+# computed with the earlier route, which built all of nabla(lam) and
+# dualized every factor of nabla(star_inv(lam)) whole (commit 9de9f08)
+MATRIX_DIGESTS = {
+    9: "c5c4d46a4fb78a00383c4c5520b2ba23cb55de29d51011df7c09da18dfea1202",
+    10: "067412b4db204973744485c6d48dbf44b9379747d6b5dbe792b96011fd999e6c",
+    11: "a71c7f023fe685e2800a6a4230bd2b000dacb4c3d52e25e961f79b5f7d361f60",
+    12: "1d04035aff455a9ee4e100f2651afa29cb92df5b62c02de3fb8f6b9650e45950",
+}
+
+
+class TestStreamedRows:
+    """canonical_map reads two coaction rows off the factor entries."""
+
+    @pytest.mark.parametrize(
+        "kind,ns", [("S", range(7)), ("T", range(5)), ("R", range(-3, 4))]
+    )
+    def test_entry_functions_reproduce_the_built_factors(self, kind, ns):
+        table = ncgl2.standard._FACTORS[kind]
+        for n in ns:
+            X = table.build(n)
+            assert table.labels(n) == X.labels, n
+            # the weights are scanned afresh from the built coaction
+            assert tuple(table.char(n)) == Comodule(X.labels, X.coaction).weights, n
+            entries = [[table.entry(n, k, l) for l in range(X.dim)] for k in range(X.dim)]
+            assert entries == [list(row) for row in X.coaction], n
+
+    def test_streamed_nabla_rows_match_build_nabla(self):
+        for l in enumerate_lambda(6):
+            parts = ncgl2.standard._factor_parts(nabla_factors(l))
+            digits, labels, weights = ncgl2.standard._factor_basis(parts)
+            N = build_nabla(l)
+            assert (labels, weights) == (N.labels, N.weights), str(l)
+            w_plus = N.weights.index(l.wt())
+            rows = [ncgl2.standard._factor_row(p, i) for p, i in zip(parts, digits[w_plus])]
+            products = ncgl2.standard._row_product(rows)
+            row = [products.get(key, NCElement({})) for key in digits]
+            assert row == list(N.coaction[w_plus]), str(l)
+
+    def test_streamed_dual_rows_match_left_dual(self):
+        for l in enumerate_lambda(6):
+            word = nabla_factors(l.star_inv())
+            parts = ncgl2.standard._factor_parts(word)
+            memo = {}
+            for part, F in zip(parts, [factor_comodule((f,)) for f in word] or [trivial()]):
+                L = left_dual(F)
+                for i in range(F.dim):
+                    assert ncgl2.standard._dual_row(part, i, memo) == list(L.coaction[i]), str(l)
+
+    def test_delta_top_row_is_the_reversed_product_of_dual_rows(self):
+        for l in enumerate_lambda(5):
+            parts = ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
+            digits, labels, weights = ncgl2.standard._delta_basis(parts)
+            delta = build_delta(l)
+            assert (labels, weights) == (delta.labels, delta.weights), str(l)
+            v_plus = weights.index(l.wt())
+            memo = {}
+            rows = [ncgl2.standard._dual_row(p, i, memo) for p, i in zip(parts, digits[v_plus])]
+            products = ncgl2.standard._row_product(rows[::-1])
+            row = [products.get(key[::-1], NCElement({})) for key in digits]
+            assert row == list(delta.coaction[v_plus]), str(l)
+
+    def test_target_is_nabla_with_its_coaction_built_on_read(self):
+        for l in enumerate_lambda(5):
+            f = canonical_map(l)
+            N = build_nabla(l)
+            assert callable(f.target._coaction), str(l)
+            assert (f.target.labels, f.target.weights) == (N.labels, N.weights), str(l)
+            assert f.target.coaction == N.coaction, str(l)
+
+    @pytest.mark.parametrize("k", sorted(MATRIX_DIGESTS))
+    def test_matrix_digests_equal_the_earlier_route(self, k):
+        f = canonical_map(lam(f"d^{k}"))
+        text = "\n".join(" ".join(str(x) for x in row) for row in f.matrix)
+        assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_DIGESTS[k]
+        assert all(type(x) is Fraction for row in f.matrix for x in row)
+
+
+def test_canonical_map_builds_only_inside_its_lazy_coactions():
+    # nabla(lam), Delta(lam) and the whole factors are built only when a
+    # caller reads f.source.coaction or f.target.coaction
+    builders = {"build_nabla", "build_delta", "left_dual", "factor_comodule", "_built", "tensor_many"}
+    tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
+    (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
+    lazy = {id(n) for node in ast.walk(function) if isinstance(node, ast.Lambda) for n in ast.walk(node)}
+    calls = [
+        (n.func.id, id(n) in lazy)
+        for n in ast.walk(function)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in builders
+    ]
+    assert sorted(calls) == [("build_delta", True), ("build_nabla", True)]
 
 
 class TestMultisets:
