@@ -73,7 +73,10 @@ def _suite_hopf(bounds: dict) -> list[dict]:
     n = bounds.get("len", 2)
     basis = enumerate_basis(n)
     coassoc = counit_ax = conv = inv = True
-    memo: dict = {}  # normal-form coproduct of each word, shared by the whole sweep
+    # one image per normal word for the whole sweep: memo holds coproducts,
+    # s_memo antipodes; each is filled on first use and only read after
+    memo: dict = {}
+    s_memo: dict = {}
     for w in basis:
         el = NCElement({w: 1})
         two = coproduct(el, memo)
@@ -84,9 +87,9 @@ def _suite_hopf(bounds: dict) -> list[dict]:
         if multiply_legs(counit_leg(two, 0)) != el or multiply_legs(counit_leg(two, 1)) != el:
             counit_ax = False
         eps = counit(el) * one()
-        if multiply_legs(antipode_leg(two, 0)) != eps:
+        if multiply_legs(antipode_leg(two, 0, s_memo)) != eps:
             conv = False
-        if multiply_legs(antipode_leg(two, 1)) != eps:
+        if multiply_legs(antipode_leg(two, 1, s_memo)) != eps:
             conv = False
         if antipode_inv(antipode(el)) != el or antipode(antipode_inv(el)) != el:
             inv = False

@@ -367,7 +367,9 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
     with wy[k] == wx[i], k-major, and column j meets only the targets m of
     weight wx[j].  Repeated equations are dropped; their order does not
     matter, since the reduced echelon form, and so the basis, is unique.
-    Each basis map is the sparse dict {(k, i): F[k][i]}.
+    Each basis map is the sparse dict {(k, i): F[k][i]}.  When no weight
+    of X is a weight of Y there are no unknowns, and [] is returned before
+    any row is read.
 
     >>> from .ncalg import gen
     >>> C = ((gen("a"), gen("b")), (gen("c"), gen("d")))
@@ -375,6 +377,8 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
     >>> _intertwiners(w, w, enumerate(C), C.__getitem__) == [{(0, 0): 1, (1, 1): 1}]
     True
     """
+    if set(wx).isdisjoint(wy):
+        return []
     targets = {w: [k for k, v in enumerate(wy) if v == w] for w in set(wy)}
     unknowns = [(k, i) for k, w in enumerate(wy) for i, v in enumerate(wx) if v == w]
     index = {pair: n for n, pair in enumerate(unknowns)}

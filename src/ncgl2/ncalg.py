@@ -130,15 +130,18 @@ def column_weight(word: Word) -> tuple[int, int]:
     return (i, j)
 
 
-def _first_redex(word: Word):
-    """Leftmost rule match (i, length, rhs), or None.
+def _first_redex(word: Word, start: int = 0):
+    """Leftmost rule match (i, length, rhs) at a position >= start, or None.
 
     At most one rule matches a position.  Left sides have length 2 or 3,
     so each position looks up its letter pair once, in the index built
     from RULES, and reads a third letter only when the pair begins a
-    length-3 left side.
+    length-3 left side.  No left side may begin before start, so the
+    match is the word's leftmost one.  That holds for start = len(u) - 2
+    when the word begins with a normal word u: a left side has at most 3
+    letters, so one that began earlier would lie inside u.
     """
-    for i in range(len(word) - 1):
+    for i in range(start, len(word) - 1):
         pair = word[i : i + 2]
         rhs = _LHS2.get(pair)
         if rhs is not None:
@@ -189,7 +192,24 @@ def normal_form_word(word: Word) -> dict[Word, int]:
     return _reduce(word, _NF_CACHE)
 
 
-def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
+def _product(left: Word, right: Word) -> dict[Word, int]:
+    """normal_form_word(left + right) for a normal word left.
+
+    Reads _NF_CACHE and clears it past its bound exactly as
+    normal_form_word does, so the cache ends up the same.  A miss starts
+    the reduction at the seam: no left side begins in left before
+    len(left) - 2, since left is normal.  right need not be normal.
+    """
+    word = left + right
+    found = _NF_CACHE.get(word)
+    if found is not None:
+        return found
+    if len(_NF_CACHE) > _NF_CACHE_LIMIT:
+        _NF_CACHE.clear()
+    return _reduce(word, _NF_CACHE, max(0, len(left) - 2))
+
+
+def _reduce(word: Word, memo: dict[Word, dict[Word, int]], start: int = 0) -> dict[Word, int]:
     """Normal form of word, storing every intermediate word in memo.
 
     Reads _NF_CACHE, then memo, and writes new entries only into memo,
@@ -197,15 +217,24 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
     the global cache.  A word already known is found by the first step
     of the loop.  Iterative so that long reduction chains cannot
     overflow the stack.
+
+    start is a position before which no left side begins in word.  A
+    rewrite at position i leaves the letters before i as they were, so
+    each child is scanned from max(0, i - 2), the first position where a
+    left side can now reach the rewritten letters.  Every step still
+    rewrites the leftmost redex, so the intermediate words, and the memo
+    keys, are those of a scan from position 0.  A word with one child of
+    coefficient 1 stores the child's normal-form dict itself, not a copy;
+    entries are shared and never mutated.
     """
     cache = _NF_CACHE
-    stack = [word]
+    stack = [(word, start)]
     while stack:
-        w = stack[-1]
+        w, s = stack[-1]
         if w in cache or w in memo:
             stack.pop()
             continue
-        redex = _first_redex(w)
+        redex = _first_redex(w, s)
         if redex is None:
             memo[w] = {w: 1}
             stack.pop()
@@ -215,15 +244,15 @@ def _reduce(word: Word, memo: dict[Word, dict[Word, int]]) -> dict[Word, int]:
         children = [(prefix + rw + suffix, rc) for rw, rc in rhs.items()]
         missing = [cw for cw, _ in children if cw not in cache and cw not in memo]
         if missing:
-            stack.extend(missing)
+            stack[-1] = (w, i)  # on return the scan finds the redex at once
+            child_start = max(0, i - 2)
+            stack.extend((cw, child_start) for cw in missing)
             continue
-        acc: dict[Word, int] = {}
-        for cw, rc in children:
-            nf = cache.get(cw)
-            if nf is None:
-                nf = memo[cw]
-            accumulate(acc, ((nw, rc * coeff) for nw, coeff in nf.items()))
-        memo[w] = acc
+        nfs = [(cache[cw] if cw in cache else memo[cw], rc) for cw, rc in children]
+        if len(nfs) == 1 and nfs[0][1] == 1:
+            memo[w] = nfs[0][0]
+        else:
+            memo[w] = accumulate({}, ((nw, rc * c) for nf, rc in nfs for nw, c in nf.items()))
         stack.pop()
     found = cache.get(word)
     return found if found is not None else memo[word]
@@ -299,10 +328,10 @@ class NCElement:
         """Element times element or scalar.
 
         An element product is the sum of c1 c2 nf(w1 w2) over all pairs of
-        terms, in one pass with one normal_form_word call per pair; the
-        normal form of a word is unique, so the sum does not depend on the
-        order of pairs.  Checking the class first keeps this common case
-        cheap.
+        terms, in one pass with one _product call per pair, which rewrites
+        from the seam of the two normal words; the normal form of a word is
+        unique, so the sum does not depend on the order of pairs.  Checking
+        the class first keeps this common case cheap.
         """
         if other.__class__ is NCElement:
             right = other._terms.items()
@@ -310,7 +339,7 @@ class NCElement:
                 (nw, c1 * c2 * c)
                 for w1, c1 in self._terms.items()
                 for w2, c2 in right
-                for nw, c in normal_form_word(w1 + w2).items()
+                for nw, c in _product(w1, w2).items()
             )))
         if isinstance(other, (int, Fraction)):
             scalar = _exact(other)
@@ -638,15 +667,27 @@ def antipode_inv(element: NCElement, memo: dict | None = None) -> NCElement:
     return _anti_hom(element, _ANTIPODE_INV_LETTER, {} if memo is None else memo)
 
 
-def antipode_leg(tensor: Mapping[tuple, Coeff], leg: int) -> dict[tuple, Coeff]:
+def antipode_leg(
+    tensor: Mapping[tuple, Coeff], leg: int, memo: dict | None = None
+) -> dict[tuple, Coeff]:
     """Apply the antipode to one leg of a tensor; a fresh dict.
 
-    All terms share one rewrite memo.
+    memo maps a normal word to its antipode, {normal word: coefficient},
+    filled on first use and only read afterwards, as coproduct_leg's memo
+    holds coproducts; pass one dict to share it across related calls, and
+    drop it afterwards.  A fresh dict is used when memo is None.  The
+    words missing from memo are rewritten with one intermediate memo per
+    call, which stays out of _NF_CACHE.
     """
-    memo: dict[Word, dict[Word, int]] = {}
+    if memo is None:
+        memo = {}
+    rewrites: dict[Word, dict[Word, int]] = {}
     acc: dict[tuple, Coeff] = {}
     for key, coeff in tensor.items():
-        image = antipode(NCElement._raw({key[leg]: 1}), memo)
+        word = key[leg]
+        image = memo.get(word)
+        if image is None:
+            image = memo[word] = antipode(NCElement._raw({word: 1}), rewrites)._terms
         head, tail = key[:leg], key[leg + 1 :]
         accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
     return acc
@@ -655,12 +696,15 @@ def antipode_leg(tensor: Mapping[tuple, Coeff], leg: int) -> dict[tuple, Coeff]:
 def multiply_legs(tensor: Mapping[tuple, Coeff]) -> NCElement:
     """Multiply all legs together in order (the convolution product step).
 
-    One accumulate over all terms, one normal_form_word call per term.
+    Every leg must be a normal word, as in every tensor of this module.
+    One accumulate over all terms, one rewrite per term: a two-leg term
+    goes through _product, which starts at the seam, any other through
+    normal_form_word of the concatenated legs.
     """
     return NCElement._raw(accumulate({}, (
         (nw, coeff * c)
         for key, coeff in tensor.items()
-        for nw, c in normal_form_word(sum(key, ())).items()
+        for nw, c in (_product(*key) if len(key) == 2 else normal_form_word(sum(key, ()))).items()
     )))
 
 

@@ -163,6 +163,20 @@ class TestSemiInvariants:
                 dim = len(semi_invariants(nab, BOREL_UPPER, t))
                 assert dim == (1 if t == l.wt() else 0), (str(l), str(t))
 
+    def test_off_support_weight_builds_no_system(self, monkeypatch):
+        # no basis vector has weight t, so the solver has no unknowns and
+        # is never called
+        def no_system(equations, nvars):
+            raise AssertionError("an off-support weight has no unknowns")
+
+        nab = build_nabla(parse_lambda("d^2.Di.d"))
+        top = parse_lambda("d^2.Di.d").wt()
+        t = Weight(top.i + 1, top.j + 1)
+        assert t not in nab.weights
+        monkeypatch.setattr(linalg, "nullspace_sparse", no_system)
+        for quotient in QUOTIENTS:
+            assert semi_invariants(nab, quotient, t) == []
+
     def test_semi_invariant_vector_d2(self):
         nab = build_nabla(parse_lambda("d^2"))
         vecs = semi_invariants(nab, BOREL_UPPER, parse_weight("d^2"))

@@ -343,6 +343,29 @@ class TestHom:
         assert hom_space(build_R(1), build_R(2)) == []
         assert hom_space(V, build_R(1)) == []
 
+    def test_weight_disjoint_pair_builds_no_system(self, monkeypatch):
+        # Delta(d) has weights (0,1), (1,0) and nabla(d^2) has (2,0), (1,1),
+        # (0,2): no unknown exists, so no system reaches the solver
+        def no_system(equations, nvars):
+            raise AssertionError("a weight-disjoint pair has no unknowns")
+
+        X, Y = build_delta(parse_lambda("d")), build_nabla(parse_lambda("d^2"))
+        assert set(X.weights).isdisjoint(Y.weights)
+        monkeypatch.setattr(ncgl2.linalg, "nullspace_sparse", no_system)
+        assert hom_space(X, Y) == []
+        assert hom_space(Y, X) == []
+
+    def test_weight_disjoint_pair_still_needs_a_torus_diagonal_basis(self):
+        # the early exit reads the weights first, so a basis that has none
+        # still raises, on either side
+        a, b, c, d = (gen(x) for x in "abcd")
+        X = Comodule(("u1", "u2"), ((a + c, b + d - a - c), (c, d - c)))
+        line = build_R(1)
+        with pytest.raises(ValueError, match="torus-diagonal"):
+            hom_space(X, line)
+        with pytest.raises(ValueError, match="torus-diagonal"):
+            hom_space(line, X)
+
     def test_hom_tensor_square(self):
         # V x V is indecomposable: scalar endomorphisms only, the
         # determinant line includes but does not split off

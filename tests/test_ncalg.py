@@ -40,6 +40,8 @@ from ncgl2.ncalg import (
     antipode_leg,
     _coproduct_word,
     _first_redex,
+    _product,
+    _reduce,
 )
 from ncgl2.linalg import accumulate
 
@@ -199,7 +201,54 @@ def product_oracle(x: NCElement, y: NCElement) -> dict:
     return acc
 
 
+def plain_reduce(word: tuple, memo: dict) -> dict:
+    """Oracle for _reduce: rewrite the leftmost redex, scanning from position 0.
+
+    Finds the redex by trying every rule of RULES at every position, and
+    stores every word it meets in memo, as _reduce does.
+    """
+    if word not in memo:
+        for i in range(len(word)):
+            hit = next(((lhs, rhs) for lhs, rhs in RULES if word[i : i + len(lhs)] == lhs), None)
+            if hit is not None:
+                lhs, rhs = hit
+                acc: dict = {}
+                for rw, rc in rhs.items():
+                    child = word[:i] + rw + word[i + len(lhs) :]
+                    accumulate(acc, ((nw, rc * c) for nw, c in plain_reduce(child, memo).items()))
+                memo[word] = acc
+                break
+        else:
+            memo[word] = {word: 1}
+    return memo[word]
+
+
 class TestProductKernel:
+    def test_scan_bound_keeps_normal_forms_and_memo_keys(self, monkeypatch):
+        # with _NF_CACHE empty, _reduce stores every word it meets in memo;
+        # scanning each child from two letters before the rewrite must meet
+        # exactly the words of the plain leftmost-redex reduction
+        monkeypatch.setattr(ncgl2.ncalg, "_NF_CACHE", {})
+        for word in all_words(5):
+            memo, plain = {}, {}
+            assert _reduce(word, memo) == plain_reduce(word, plain), word
+            assert set(memo) == set(plain), word
+
+    def test_product_matches_normal_form_word_on_a_cold_cache(self, monkeypatch):
+        # _product starts at the seam; the result, and what it leaves in
+        # _NF_CACHE, must be those of normal_form_word on the whole word
+        cache: dict = {}
+        monkeypatch.setattr(ncgl2.ncalg, "_NF_CACHE", cache)
+        rights = enumerate_basis(2)
+        for x in enumerate_basis(3):
+            for y in rights:
+                cache.clear()
+                product = _product(x, y)
+                after_product = dict(cache)
+                cache.clear()
+                assert product == normal_form_word(x + y), (x, y)
+                assert after_product == cache, (x, y)
+
     def test_first_redex_matches_brute_force_scan(self):
         words = all_words(5)
         assert len(words) == 9331
@@ -254,7 +303,8 @@ class TestProductKernel:
         for word in enumerate_basis(3):
             two = coproduct(NCElement({word: 1}), memo)
             mixed = accumulate({key: 3 * c for key, c in two.items()}, (((("a",), ("d",)), -1),))
-            for tensor in (two, coproduct_leg(two, 0, memo), mixed):
+            legs = (antipode_leg(two, 0), antipode_leg(two, 1), antipode_leg(mixed, 1))
+            for tensor in (two, coproduct_leg(two, 0, memo), mixed, *legs):
                 assert multiply_legs(tensor).terms == per_term_loop(tensor), word
 
 
@@ -420,6 +470,37 @@ class TestCoproductMemo:
         memo = {}
         owned = results(memo) + results(memo)  # the second round reads only the memo
         stored = {word: dict(pairs) for word, pairs in memo.items()}
+        for result in owned:
+            key = next(iter(result))
+            result[key] *= 5
+            del result[key]
+            result[key] = 1
+            result.clear()
+        assert memo == stored
+        assert results({}) == expected == results(memo)
+
+
+class TestAntipodeMemo:
+    def test_shared_memo_matches_fresh_calls(self):
+        memo, seen = {}, set()
+        coproducts = {}
+        for word in enumerate_basis(4):
+            two = coproduct(NCElement({word: 1}), coproducts)
+            for leg in (0, 1):
+                assert antipode_leg(two, leg, memo) == antipode_leg(two, leg), (word, leg)
+                seen.update(key[leg] for key in two)
+        assert set(memo) == seen
+
+    def test_results_leave_the_memo_unchanged(self):
+        def results(memo):
+            two = coproduct(element("a*b - 2*Di*c + 3"))
+            three = coproduct_leg(two, 1)
+            return [antipode_leg(two, 0, memo), antipode_leg(three, 2, memo), antipode_leg(two, 1, memo)]
+
+        expected = results({})
+        memo = {}
+        owned = results(memo) + results(memo)  # the second round reads only the memo
+        stored = {word: dict(image) for word, image in memo.items()}
         for result in owned:
             key = next(iter(result))
             result[key] *= 5

@@ -173,6 +173,16 @@ class TestCrosscheck:
             B = factor_comodule(classify(lam(text)).factors)
             assert are_isomorphic(B, L)
 
+    def test_block_comodule_is_the_simple_through_ell_6(self):
+        # the paper's claim itself, not only its dimension and character:
+        # L(lam) is the tensor product of the classifier's factors.  Exact,
+        # since Hom between simples has dimension at most 1
+        labels = enumerate_lambda(6)
+        assert len(labels) == 407
+        for l in labels:
+            L, _ = build_L(l)
+            assert are_isomorphic(factor_comodule(classify(l).factors), L), str(l)
+
     def test_block_char_matches_simple(self):
         for l in enumerate_lambda(3):
             L, _ = build_L(l)
