@@ -84,25 +84,32 @@ class VerificationError(ValueError):
 
 
 class Comodule:
-    """A right comodule given by its coaction matrix.
+    """A right comodule given by its coaction matrix, and perhaps its weights.
 
-    The matrix may be given as a function that returns it.  It is then
-    built on the first read of `coaction`, and kept; the labels, the
-    dimension and carried weights are there without it.
+    The dimension is the number of rows of the matrix.  The matrix may
+    instead be given as a function that returns it, together with the
+    weights; the dimension is then the number of weights, and the matrix
+    is built on the first read of `coaction`, and kept.  Raises ValueError
+    when such a function comes without weights, when the matrix is not
+    square, or when the weights do not match its size.
     """
 
-    __slots__ = ("dim", "labels", "_coaction", "_weights")
+    __slots__ = ("dim", "_coaction", "_weights")
 
     def __init__(
         self,
-        labels: Sequence[str],
         coaction: Sequence[Sequence[NCElement]] | Callable[[], Sequence[Sequence[NCElement]]],
         weights: Sequence[Weight] | None = None,
     ):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self._coaction = coaction if callable(coaction) else self._square(coaction)
         self._weights = None if weights is None else tuple(weights)
+        if callable(coaction):
+            if self._weights is None:
+                raise ValueError("a coaction given as a function needs its weights")
+            self.dim = len(self._weights)
+            self._coaction = coaction
+        else:
+            self.dim = len(coaction)
+            self._coaction = self._square(coaction)
         if self._weights is not None and len(self._weights) != self.dim:
             raise ValueError(f"expected {self.dim} weights, got {len(self._weights)}")
 
@@ -144,7 +151,7 @@ class Comodule:
         return self._weights
 
     def __repr__(self):
-        return f"Comodule(dim={self.dim}, labels={list(self.labels)})"
+        return f"Comodule(dim={self.dim})"
 
 
 class ComoduleMap:
@@ -237,7 +244,7 @@ def comodule_axiom_failures(X: Comodule) -> list[str]:
 
 
 def trivial() -> Comodule:
-    return Comodule(("1",), ((one(),),))
+    return Comodule(((one(),),))
 
 
 def tensor(X: Comodule, Y: Comodule) -> Comodule:
@@ -246,7 +253,6 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
     The basis vector (i, p) has weight wt_X(i) + wt_Y(p), so the product
     is never scanned; a factor that is not torus-diagonal raises ValueError.
     """
-    labels = tuple(f"{lx}*{ly}" for lx in X.labels for ly in Y.labels)
     weights = [Weight(u.i + v.i, u.j + v.j) for u in X.weights for v in Y.weights]
     cx, cy = X.coaction, Y.coaction
     coaction = [
@@ -258,7 +264,7 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
         for i in range(X.dim)
         for p in range(Y.dim)
     ]
-    return Comodule(labels, coaction, weights)
+    return Comodule(coaction, weights)
 
 
 def tensor_many(factors: Sequence[Comodule]) -> Comodule:
@@ -268,7 +274,7 @@ def tensor_many(factors: Sequence[Comodule]) -> Comodule:
     and leading lines into the factor after them, so the chain of tensor
     products runs over the wider factors only.  tensor is strictly
     associative under the lexicographic flattening and normal forms are
-    unique, so the labels and coaction equal those of the plain left fold.
+    unique, so the coaction and weights equal those of the plain left fold.
     A line beside a dual, as in left_dual(V) # R, cancels its letters at
     once: S^-1(a) * D = d * Di * D = d.
     """
@@ -306,12 +312,11 @@ def left_dual(X: Comodule) -> Comodule:
 
     The basis vector *i has weight -wt_X(i).
     """
-    labels = tuple(f"*{l}" for l in X.labels)
     weights = [Weight(-w.i, -w.j) for w in X.weights]
     memo: dict = {}
     C = X.coaction
     coaction = [[antipode_inv(C[j][i], memo) for j in range(X.dim)] for i in range(X.dim)]
-    return Comodule(labels, coaction, weights)
+    return Comodule(coaction, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +508,7 @@ def _closed_span(X: Comodule, vectors: Iterable) -> tuple[list[dict], list[list[
 
 
 def _with_inclusion(X: Comodule, rows: list[dict], coaction) -> tuple[Comodule, ComoduleMap]:
-    labels = tuple(f"u{p + 1}" for p in range(len(rows)))
-    sub = Comodule(labels, coaction)
+    sub = Comodule(coaction)
     return sub, ComoduleMap(sub, X, [[row.get(i, 0) for row in rows] for i in range(X.dim)])
 
 
@@ -536,8 +540,7 @@ def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
         [NCElement({w: sum(c * p[j] for j, c in v.items()) for w, v in rho.items()}) for p in proj]
         for rho in parts
     ]
-    labels = tuple(f"q{t + 1}" for t in range(len(free)))
-    quo = Comodule(labels, coaction)
+    quo = Comodule(coaction)
     return quo, ComoduleMap(X, quo, proj)
 
 
@@ -615,7 +618,6 @@ def comodule_from_regular(elements: Iterable[NCElement]) -> tuple[Comodule, list
 
     echelon = linalg.Echelon({column(w): c for w, c in f.items()} for f in elements)
     rows, coaction = _close(echelon, components)
-    labels = tuple(f"f{p + 1}" for p in range(len(rows)))
     coaction = [row[::-1] for row in coaction[::-1]]
-    return Comodule(labels, coaction), [element(row) for row in rows[::-1]]
+    return Comodule(coaction), [element(row) for row in rows[::-1]]
 

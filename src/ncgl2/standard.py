@@ -9,16 +9,15 @@ formal characters, the layer decomposition of the coordinate ring).
 
 A tensor-built comodule is named by a factor word, a tuple of (kind, n)
 pairs: ("S", y) is S^y V, ("T", y) is T^y V and ("R", k) is R^k.  One
-table, _FACTORS, gives each kind four columns: its builder, its character
-(whose weights come in basis order), its entry function (n, k, l) -> the
-coaction entry at (k, l), and its basis labels.  The entry of S^y V is a
-sum of binomially many normal words, which build_SymV writes entry by
-entry; that of R^k is D^k or Di^-k; that of T^y V is S^-1 of the
-transposed S^y V entry times D.  Four interpreters read the table:
+table, _FACTORS, gives each kind three columns: its builder, its character
+(whose weights come in basis order) and its entry function (n, k, l) -> the
+coaction entry at (k, l).  The entry of S^y V is a sum of binomially many
+normal words, which build_SymV writes entry by entry; that of R^k is D^k
+or Di^-k; that of T^y V is S^-1 of the transposed S^y V entry times D.  Four interpreters read the table:
 factor_comodule builds the tensor product of the factors in order,
 factor_char multiplies their characters, factor_dim reads the dimension
 off them without building anything, and canonical_map computes single
-coaction rows of nabla(lam) and Delta(lam) from the entries and labels.
+coaction rows of nabla(lam) and Delta(lam) from the entries and weights.
 
 Everything is indexed by words lam in the weight monoid of `weights`.  The
 factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
@@ -46,7 +45,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import prod
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 from .ncalg import (
@@ -116,22 +115,12 @@ _ZERO_ELEMENT = NCElement._raw({})
 
 def build_V() -> Comodule:
     """The defining two dimensional comodule, rho(e_i) = sum_j C[i][j] (x) e_j."""
-    return Comodule(
-        ("e1", "e2"),
-        (
-            (gen("a"), gen("b")),
-            (gen("c"), gen("d")),
-        ),
-    )
+    return Comodule(((gen("a"), gen("b")), (gen("c"), gen("d"))))
 
 
 def build_R(k: int = 1) -> Comodule:
     """The determinant line R^k; k may be negative (then delta^{-|k|} coacts)."""
-    return Comodule(_det_labels(k), ((_det_entry(k, 0, 0),),))
-
-
-def _det_labels(k: int) -> tuple[str]:
-    return ("r" if k == 1 else f"r{k}",)
+    return Comodule(((_det_entry(k, 0, 0),),))
 
 
 def _det_entry(k: int, i: int, j: int) -> NCElement:
@@ -144,11 +133,7 @@ def build_SymV(y: int) -> Comodule:
     if y < 0:
         raise ValueError("symmetric power needs y >= 0")
     entries = [[_sym_entry(y, k, l) for l in range(y + 1)] for k in range(y + 1)]
-    return Comodule(_sym_labels(y), entries)
-
-
-def _sym_labels(y: int) -> tuple[str, ...]:
-    return tuple(f"m{k}" for k in range(y + 1))
+    return Comodule(entries)
 
 
 def _sym_entry(y: int, k: int, l: int) -> NCElement:
@@ -181,10 +166,6 @@ def build_TV(y: int) -> Comodule:
     return tensor(left_dual(build_SymV(y)), build_R(1))
 
 
-def _twisted_labels(y: int) -> tuple[str, ...]:
-    return tuple(f"*{l}*r" for l in _sym_labels(y))
-
-
 def _twisted_entry(y: int, k: int, l: int) -> NCElement:
     """The coaction entry of T^y V at (k, l): S^-1(P[l][k]) * D, as build_TV tensors it."""
     return antipode_inv(_sym_entry(y, l, k)) * _det_entry(1, 0, 0)
@@ -214,16 +195,15 @@ class _Kind(NamedTuple):
     build: Callable[[int], Comodule]
     char: Callable[[int], dict[Weight, int]]
     entry: Callable[[int, int, int], NCElement]
-    labels: Callable[[int], tuple[str, ...]]
 
 
-# the one place that says what each factor kind builds, what its character,
-# its coaction entries and its basis labels are; each character lists the
-# basis weights in basis order
+# the one place that says what each factor kind builds, what its character
+# and its coaction entries are; each character lists the basis weights in
+# basis order
 _FACTORS = {
-    "S": _Kind(build_SymV, char_S, _sym_entry, _sym_labels),
-    "T": _Kind(build_TV, char_T, _twisted_entry, _twisted_labels),
-    "R": _Kind(build_R, char_R, _det_entry, _det_labels),
+    "S": _Kind(build_SymV, char_S, _sym_entry),
+    "T": _Kind(build_TV, char_T, _twisted_entry),
+    "R": _Kind(build_R, char_R, _det_entry),
 }
 
 
@@ -272,55 +252,43 @@ def build_nabla(lam: LambdaWord) -> Comodule:
     return factor_comodule(nabla_factors(lam))
 
 
-Part = tuple[tuple[str, ...], tuple[Weight, ...], Callable[[int, int], NCElement]]
+Part = tuple[tuple[Weight, ...], Callable[[int, int], NCElement]]
 
 
 def _factor_parts(word: Sequence[Factor]) -> list[Part]:
-    """Labels, weights and entry function (k, l) -> C[k][l] of each factor.
+    """Weights and entry function (k, l) -> C[k][l] of each factor.
 
     Read off _FACTORS; no factor is built.  The empty word has the one
     factor trivial(), as factor_comodule has.
     """
     if not word:
         t = trivial()
-        return [(t.labels, t.weights, lambda k, l: t.coaction[k][l])]
-    parts = []
-    for kind, n in word:
-        table = _FACTORS[kind]
-        parts.append((table.labels(n), tuple(table.char(n)), partial(table.entry, n)))
-    return parts
+        return [(t.weights, lambda k, l: t.coaction[k][l])]
+    return [(tuple(_FACTORS[kind].char(n)), partial(_FACTORS[kind].entry, n)) for kind, n in word]
 
 
-def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, ...]:
-    """Digits, labels and weights of the basis of F_1 # ... # F_k, in index order.
+def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
+    """Digits and weights of the basis of F_1 # ... # F_k, in index order.
 
     The basis index I = (i_1, ..., i_k) picks basis vector i_t of the
     factor F_t, with i_1 most significant, as tensor flattens; its digits
-    are that tuple.  Its label joins the labels of the picks with "*", and
-    its torus weight is the sum of theirs, since the torus quotient is a
-    Hopf map onto a commutative Hopf algebra.
+    are that tuple.  Its torus weight is the sum of the picks' weights,
+    since the torus quotient is a Hopf map onto a commutative Hopf algebra.
     """
-    basis = [((), "", Weight(0, 0))]
-    for labels, weights, _ in parts:
-        picks = [(i, "*" + l, v) for i, (l, v) in enumerate(zip(labels, weights))]
-        basis = [
-            (digits + (i,), label + l, Weight(w.i + v.i, w.j + v.j))
-            for digits, label, w in basis
-            for i, l, v in picks
-        ]
-    digits, labels, weights = zip(*basis)
-    # each label so far is "*" before every pick's label
-    return digits, tuple(l[1:] for l in labels), weights
+    digits = tuple(product(*(range(len(weights)) for weights, _ in parts)))
+    sums = [(0, 0)]
+    for weights, _ in parts:
+        sums = [(i + v.i, j + v.j) for i, j in sums for v in weights]
+    return digits, tuple(map(Weight._make, sums))
 
 
-def _delta_basis(parts: Sequence[Part]) -> tuple[tuple, ...]:
-    """Digits, labels and weights of Delta(lam), from the parts of nabla(star_inv(lam)).
+def _delta_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
+    """Digits and weights of Delta(lam), from the parts of nabla(star_inv(lam)).
 
-    Delta(lam) is the left dual of nabla(star_inv(lam)): the same digits,
-    the labels "*" + label and the negated weights.
+    Delta(lam) is the left dual of nabla(star_inv(lam)): the same digits
+    and the negated weights, summed from the negated weights of the parts.
     """
-    digits, labels, weights = _factor_basis(parts)
-    return digits, tuple(f"*{l}" for l in labels), tuple(Weight(-w.i, -w.j) for w in weights)
+    return _factor_basis([(tuple(Weight(-w.i, -w.j) for w in ws), e) for ws, e in parts])
 
 
 def build_delta(lam: LambdaWord) -> Comodule:
@@ -337,12 +305,12 @@ def build_delta(lam: LambdaWord) -> Comodule:
     reversed product at ((i_k, ..., i_1), (j_k, ..., j_1)), whose position
     there has i_k most significant.  Normal forms are unique, so the
     entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
-    the labels.  Only the small factors V, S^y V and R^k are dualized, and
+    the weights.  Only the small factors V, S^y V and R^k are dualized, and
     tensor_many folds each dual line R^-k into the factor beside it, which
     cancels letters: S^-1(a) * D = d.
     """
     word = nabla_factors(lam.star_inv())
-    digits, labels, weights = _delta_basis(_factor_parts(word))
+    digits, weights = _delta_basis(_factor_parts(word))
     duals = [left_dual(f) for f in _built(word) or [trivial()]]
     position = []
     for key in digits:
@@ -351,7 +319,7 @@ def build_delta(lam: LambdaWord) -> Comodule:
             p = p * dual.dim + i
         position.append(p)
     rows = tensor_many(duals[::-1]).coaction
-    return Comodule(labels, [[rows[p][q] for q in position] for p in position], weights)
+    return Comodule([[rows[p][q] for q in position] for p in position], weights)
 
 
 def _row_product(rows: Sequence[Sequence[NCElement]]) -> dict[tuple, NCElement]:
@@ -372,14 +340,14 @@ def _row_product(rows: Sequence[Sequence[NCElement]]) -> dict[tuple, NCElement]:
 
 def _factor_row(part: Part, i: int) -> list[NCElement]:
     """Row i of the factor's coaction, entry by entry."""
-    labels, _, entry = part
-    return [entry(i, l) for l in range(len(labels))]
+    weights, entry = part
+    return [entry(i, l) for l in range(len(weights))]
 
 
 def _dual_row(part: Part, i: int, memo: dict) -> list[NCElement]:
     """Row i of left_dual of the factor: S^-1 of its column i, rewritten through memo."""
-    labels, _, entry = part
-    return [antipode_inv(entry(j, i), memo) for j in range(len(labels))]
+    weights, entry = part
+    return [antipode_inv(entry(j, i), memo) for j in range(len(weights))]
 
 
 @cache
@@ -468,7 +436,7 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     which lies in the one dimensional weight-wt(lam) space of nabla(lam):
     F(v+) = s w+.
 
-    - The basis of each side comes from its factors' labels and weights
+    - The basis of each side comes from its factors' weights
       (_factor_basis; _delta_basis dualizes that of nabla(star_inv(lam))).
     - Delta(lam) is the dual of nabla(star_inv(lam)) = F_1 # ... # F_k.
       Row i of left_dual(F_t) is S^-1 of column i of F_t (_dual_row), with
@@ -508,7 +476,7 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     The result is the generator of Hom(Delta(lam), nabla(lam)) whose
     coefficient between the two weight-wt(lam) basis vectors is 1: the
     counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
-    socle L(lam).  Its source and target carry labels, weights and
+    socle L(lam).  Its source and target carry their weights and
     dimension; their coactions are built by build_delta and build_nabla
     on first read.  Raises
     VerificationError when the certificate fails, when v+ does not
@@ -519,10 +487,10 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
         raise VerificationError("comodule certificate fails: " + "; ".join(failures))
     parts = _factor_parts(nabla_factors(lam))
     dual_parts = _factor_parts(nabla_factors(lam.star_inv()))
-    digits, labels, weights = _delta_basis(dual_parts)
-    Delta = Comodule(labels, lambda: build_delta(lam).coaction, weights)
-    target_digits, target_labels, target_weights = _factor_basis(parts)
-    Nabla = Comodule(target_labels, lambda: build_nabla(lam).coaction, target_weights)
+    digits, weights = _delta_basis(dual_parts)
+    Delta = Comodule(lambda: build_delta(lam).coaction, weights)
+    target_digits, target_weights = _factor_basis(parts)
+    Nabla = Comodule(lambda: build_nabla(lam).coaction, target_weights)
     top = lam.wt()
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
     memo: dict = {}

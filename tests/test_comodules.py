@@ -58,8 +58,7 @@ def direct_sum(*parts: Comodule) -> Comodule:
         for i in range(part.dim):
             for j in range(part.dim):
                 coaction[start + i][start + j] = part.coaction[i][j]
-    labels = [f"{n}.{label}" for n, part in enumerate(parts) for label in part.labels]
-    return Comodule(labels, coaction)
+    return Comodule(coaction)
 
 
 def dense_is_intertwiner(f: ComoduleMap) -> bool:
@@ -161,10 +160,10 @@ class TestBasics:
              "consecutive-lines", "only-lines", "dual-lines"],
     )
     def test_tensor_many_equals_left_fold(self, factors):
-        # folding the lines in first changes neither labels nor coaction
+        # folding the lines in first changes neither coaction nor weights
         folded, plain = tensor_many(factors), left_fold(factors)
-        assert folded.labels == plain.labels
         assert folded.coaction == plain.coaction
+        assert folded.weights == plain.weights
 
     def test_char_mul(self):
         cV = weight_decomposition(V)
@@ -175,7 +174,7 @@ class TestBasics:
         # coaction is not diagonal in the torus quotient, so it has no
         # basis weights and the weight-blocked hom solver rejects it
         a, b, c, d = (gen(x) for x in "abcd")
-        X = Comodule(("u1", "u2"), ((a + c, b + d - a - c), (c, d - c)))
+        X = Comodule(((a + c, b + d - a - c), (c, d - c)))
         assert comodule_axiom_failures(X) == []
         with pytest.raises(ValueError, match="torus-diagonal"):
             X.weights
@@ -200,7 +199,7 @@ class TestSubQuotient:
         assert are_isomorphic(sub, build_R(1))
         # a sparse dict spanning the same line gives the same result
         sparse_sub, sparse_incl = subspace_comodule(W, [{1: 2, 2: -2}])
-        assert (sparse_sub.labels, sparse_sub.coaction) == (sub.labels, sub.coaction)
+        assert sparse_sub.coaction == sub.coaction
         assert sparse_incl.matrix == incl.matrix
 
     def test_non_subspace_rejected(self):
@@ -359,7 +358,7 @@ class TestHom:
         # the early exit reads the weights first, so a basis that has none
         # still raises, on either side
         a, b, c, d = (gen(x) for x in "abcd")
-        X = Comodule(("u1", "u2"), ((a + c, b + d - a - c), (c, d - c)))
+        X = Comodule(((a + c, b + d - a - c), (c, d - c)))
         line = build_R(1)
         with pytest.raises(ValueError, match="torus-diagonal"):
             hom_space(X, line)
@@ -390,7 +389,7 @@ class TestHom:
             slow = hom_space(X, Y)
             span_fast = [[c for row in f.matrix for c in row] for f in fast]
             span_slow = [[c for row in f.matrix for c in row] for f in slow]
-            assert rref(span_fast)[0] == rref(span_slow)[0], (X.labels, Y.labels)
+            assert rref(span_fast)[0] == rref(span_slow)[0], (X, Y)
 
     @pytest.mark.parametrize("kind", ["delta-nabla", "nabla-nabla", "W-W"])
     def test_bases_match_the_blocked_oracle(self, kind):
@@ -406,7 +405,7 @@ class TestHom:
             pairs = list(product(sources, targets))
         for X, Y in pairs:
             matrices = [[list(row) for row in f.matrix] for f in hom_space(X, Y)]
-            assert matrices == hom_space_blocked_oracle(X, Y), (X.labels, Y.labels)
+            assert matrices == hom_space_blocked_oracle(X, Y), (X, Y)
 
     def test_sparse_intertwiner_matches_dense_oracle(self):
         # every canonical map with ell <= 3, and each copy of it with one
@@ -485,7 +484,29 @@ class TestDuals:
 class TestInvariantChecks:
     def test_ragged_coaction_raises_value_error(self):
         with pytest.raises(ValueError):
-            Comodule(("x", "y"), [[one(), one()], [one()]])
+            Comodule([[one(), one()], [one()]])
+
+    def test_lazy_coaction_without_weights_raises_value_error(self):
+        # the dimension of a lazy comodule is the number of its weights
+        with pytest.raises(ValueError, match="needs its weights"):
+            Comodule(lambda: V.coaction)
+
+    def test_lazy_coaction_of_the_wrong_size_raises_on_first_read(self):
+        calls = []
+
+        def built():
+            calls.append(1)
+            return V.coaction
+
+        X = Comodule(built, (Weight(1, 0),))
+        assert (X.dim, calls) == (1, [])
+        with pytest.raises(ValueError, match="1 x 1 matrix"):
+            X.coaction
+        assert calls == [1]
+
+    def test_eager_coaction_with_the_wrong_weight_count_raises_value_error(self):
+        with pytest.raises(ValueError, match="expected 2 weights, got 1"):
+            Comodule(V.coaction, (Weight(1, 0),))
 
     def test_map_shape_raises_value_error(self):
         with pytest.raises(ValueError):
@@ -503,7 +524,7 @@ class TestInvariantChecks:
             "from ncgl2.comodules import Comodule\n"
             "from ncgl2.ncalg import one\n"
             "try:\n"
-            "    Comodule(('x', 'y'), [[one(), one()], [one()]])\n"
+            "    Comodule([[one(), one()], [one()]])\n"
             "except ValueError:\n"
             "    print('ValueError')\n"
         )

@@ -188,7 +188,6 @@ class TestBuilders:
         # routes agree entry for entry
         for l in labels:
             delta, oracle = build_delta(l), delta_oracle(l)
-            assert delta.labels == oracle.labels
             assert delta.coaction == oracle.coaction
 
     @pytest.mark.parametrize(
@@ -201,7 +200,7 @@ class TestBuilders:
             delta = build_delta(l)
             assert delta._weights is not None, str(l)
             for X in (delta, build_nabla(l)):
-                assert X.weights == Comodule(X.labels, X.coaction).weights, str(l)
+                assert X.weights == Comodule(X.coaction).weights, str(l)
 
     def test_delta_satisfies_comodule_axioms(self):
         # independent of the oracle: coassociativity and counit, entrywise
@@ -258,7 +257,7 @@ class TestFactorWords:
         for word in [()] + [(f,) for f in factors] + list(product(factors, repeat=2)):
             X = factor_comodule(word)
             assert factor_dim(word) == X.dim, word
-            assert factor_char(word) == weight_decomposition(Comodule(X.labels, X.coaction)), word
+            assert factor_char(word) == weight_decomposition(Comodule(X.coaction)), word
 
     def test_M_is_the_tensor_power_of_V(self):
         # monoid_factors writes each d of a run as S^1 V, which has V's
@@ -379,7 +378,7 @@ class TestSimpleQuotients:
         # and the top vector of V generates only V, so the stand-in is
         # not generated by its top weight line
         stand_in = direct_sum(build_nabla(lam("Di.d")), build_R(-1))
-        part = (stand_in.labels, stand_in.weights, lambda k, l: stand_in.coaction[k][l])
+        part = (stand_in.weights, lambda k, l: stand_in.coaction[k][l])
         dual_word = nabla_factors(lam("d").star_inv())
         real = ncgl2.standard._factor_parts
         monkeypatch.setattr(
@@ -403,7 +402,6 @@ class TestSimpleQuotients:
                 patch.setattr(ComoduleMap, "is_intertwiner", no_intertwiner_check)
                 f = canonical_map(l)
             assert f.matrix == expected.matrix, str(l)
-            assert f.source.labels == expected.source.labels, str(l)
             assert f.source.weights == expected.source.weights, str(l)
 
     def test_source_coaction_is_built_on_first_read(self, monkeypatch):
@@ -417,11 +415,7 @@ class TestSimpleQuotients:
 
         monkeypatch.setattr(ncgl2.standard, "build_delta", counted)
         f = canonical_map(l)
-        assert (f.source.dim, f.source.labels, f.source.weights) == (
-            delta.dim,
-            delta.labels,
-            delta.weights,
-        )
+        assert (f.source.dim, f.source.weights) == (delta.dim, delta.weights)
         assert f.rank() == image(f)[0].dim == classify(l).dim
         assert calls == []
         assert f.source.coaction == delta.coaction
@@ -485,18 +479,18 @@ class TestStreamedRows:
         table = ncgl2.standard._FACTORS[kind]
         for n in ns:
             X = table.build(n)
-            assert table.labels(n) == X.labels, n
             # the weights are scanned afresh from the built coaction
-            assert tuple(table.char(n)) == Comodule(X.labels, X.coaction).weights, n
+            assert tuple(table.char(n)) == Comodule(X.coaction).weights, n
             entries = [[table.entry(n, k, l) for l in range(X.dim)] for k in range(X.dim)]
             assert entries == [list(row) for row in X.coaction], n
 
     def test_streamed_nabla_rows_match_build_nabla(self):
         for l in enumerate_lambda(6):
             parts = ncgl2.standard._factor_parts(nabla_factors(l))
-            digits, labels, weights = ncgl2.standard._factor_basis(parts)
+            digits, weights = ncgl2.standard._factor_basis(parts)
             N = build_nabla(l)
-            assert (labels, weights) == (N.labels, N.weights), str(l)
+            assert digits == tuple(product(*(range(len(w)) for w, _ in parts))), str(l)
+            assert weights == N.weights, str(l)
             w_plus = N.weights.index(l.wt())
             rows = [ncgl2.standard._factor_row(p, i) for p, i in zip(parts, digits[w_plus])]
             products = ncgl2.standard._row_product(rows)
@@ -516,9 +510,10 @@ class TestStreamedRows:
     def test_delta_top_row_is_the_reversed_product_of_dual_rows(self):
         for l in enumerate_lambda(5):
             parts = ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
-            digits, labels, weights = ncgl2.standard._delta_basis(parts)
+            digits, weights = ncgl2.standard._delta_basis(parts)
             delta = build_delta(l)
-            assert (labels, weights) == (delta.labels, delta.weights), str(l)
+            assert digits == tuple(product(*(range(len(w)) for w, _ in parts))), str(l)
+            assert weights == delta.weights, str(l)
             v_plus = weights.index(l.wt())
             memo = {}
             rows = [ncgl2.standard._dual_row(p, i, memo) for p, i in zip(parts, digits[v_plus])]
@@ -531,7 +526,7 @@ class TestStreamedRows:
             f = canonical_map(l)
             N = build_nabla(l)
             assert callable(f.target._coaction), str(l)
-            assert (f.target.labels, f.target.weights) == (N.labels, N.weights), str(l)
+            assert f.target.weights == N.weights, str(l)
             assert f.target.coaction == N.coaction, str(l)
 
     @pytest.mark.parametrize("k", sorted(MATRIX_DIGESTS))
