@@ -57,7 +57,6 @@ __all__ = [
     "comodule_axiom_failures",
     "trivial",
     "tensor",
-    "tensor_many",
     "left_dual",
     "torus_project",
     "hom_space",
@@ -267,31 +266,6 @@ def tensor(X: Comodule, Y: Comodule) -> Comodule:
     return Comodule(coaction, weights)
 
 
-def tensor_many(factors: Sequence[Comodule]) -> Comodule:
-    """The tensor product of the factors, in order.
-
-    Each line (1-dim factor) is multiplied into the factor before it first,
-    and leading lines into the factor after them, so the chain of tensor
-    products runs over the wider factors only.  tensor is strictly
-    associative under the lexicographic flattening and normal forms are
-    unique, so the coaction and weights equal those of the plain left fold.
-    A line beside a dual, as in left_dual(V) # R, cancels its letters at
-    once: S^-1(a) * D = d * Di * D = d.
-    """
-    chain: list[Comodule] = []
-    for factor in factors:
-        if chain and 1 in (chain[-1].dim, factor.dim):
-            chain[-1] = tensor(chain[-1], factor)
-        else:
-            chain.append(factor)
-    if not chain:
-        return trivial()
-    result = chain[0]
-    for factor in chain[1:]:
-        result = tensor(result, factor)
-    return result
-
-
 def left_dual(X: Comodule) -> Comodule:
     """The dual comodule built with the inverse antipode.
 
@@ -308,7 +282,8 @@ def left_dual(X: Comodule) -> Comodule:
     S^-1 is an algebra anti-homomorphism, so the dual of a tensor product
     is the tensor product of the duals in reverse order, entry for entry:
     left_dual(X # Y)[(i, p)][(j, q)] = (left_dual(Y) # left_dual(X))[(p, i)][(q, j)].
-    standard.build_delta uses this to dualize small factors only.
+    standard._dual writes the same entries for one part of a factor word,
+    so standard.build_delta dualizes the parts only, never their product.
 
     The basis vector *i has weight -wt_X(i).
     """

@@ -358,7 +358,11 @@ class NCElement:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # __eq__ coerces numbers, so a scalar {(): c} hashes as c and zero as 0
+        terms = self._terms
+        if terms.keys() <= {()}:
+            return hash(terms.get((), 0))
+        return hash(frozenset(terms.items()))
 
     @property
     def terms(self) -> dict[Word, Coeff]:
@@ -536,14 +540,10 @@ _ANTIPODE_LETTER: dict[str, tuple[int, Word]] = {
     "Di": (1, ("D",)),
 }
 
-# Inverse antipode: the determinant factor moves to the other side.
+# Inverse antipode: each image word of S reversed, so the determinant
+# factor moves to the other side.
 _ANTIPODE_INV_LETTER: dict[str, tuple[int, Word]] = {
-    "a": (1, ("d", "Di")),
-    "b": (-1, ("b", "Di")),
-    "c": (-1, ("c", "Di")),
-    "d": (1, ("a", "Di")),
-    "D": (1, ("Di",)),
-    "Di": (1, ("D",)),
+    letter: (sign, word[::-1]) for letter, (sign, word) in _ANTIPODE_LETTER.items()
 }
 
 

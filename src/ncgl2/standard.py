@@ -9,15 +9,17 @@ formal characters, the layer decomposition of the coordinate ring).
 
 A tensor-built comodule is named by a factor word, a tuple of (kind, n)
 pairs: ("S", y) is S^y V, ("T", y) is T^y V and ("R", k) is R^k.  One
-table, _FACTORS, gives each kind three columns: its builder, its character
-(whose weights come in basis order) and its entry function (n, k, l) -> the
+table, _FACTORS, gives each kind two columns: its character (whose
+weights come in basis order) and its entry function (n, k, l) -> the
 coaction entry at (k, l).  The entry of S^y V is a sum of binomially many
 normal words, which build_SymV writes entry by entry; that of R^k is D^k
-or Di^-k; that of T^y V is S^-1 of the transposed S^y V entry times D.  Four interpreters read the table:
-factor_comodule builds the tensor product of the factors in order,
-factor_char multiplies their characters, factor_dim reads the dimension
-off them without building anything, and canonical_map computes single
-coaction rows of nabla(lam) and Delta(lam) from the entries and weights.
+or Di^-k; that of T^y V is S^-1 of the transposed S^y V entry times D.
+_factor_parts reads a word as parts, merging each line into a neighbour,
+and _dual dualizes a part.  Five interpreters read them: factor_comodule
+and build_delta tensor the built parts or dual parts, factor_char and
+factor_dim read characters and dimensions without building anything, and
+canonical_map computes single coaction rows of nabla(lam) and Delta(lam)
+from the parts' entries.
 
 Everything is indexed by words lam in the weight monoid of `weights`.  The
 factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from math import prod
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
@@ -71,8 +73,6 @@ from .comodules import (
     image,
     left_dual,
     tensor,
-    tensor_many,
-    trivial,
 )
 from .linalg import Echelon, accumulate
 
@@ -192,28 +192,73 @@ Factor = tuple[str, int]
 
 
 class _Kind(NamedTuple):
-    build: Callable[[int], Comodule]
     char: Callable[[int], dict[Weight, int]]
     entry: Callable[[int, int, int], NCElement]
 
 
-# the one place that says what each factor kind builds, what its character
-# and its coaction entries are; each character lists the basis weights in
-# basis order
+# the one place that says what each factor kind's character and coaction
+# entries are; each character lists the basis weights in basis order
 _FACTORS = {
-    "S": _Kind(build_SymV, char_S, _sym_entry),
-    "T": _Kind(build_TV, char_T, _twisted_entry),
-    "R": _Kind(build_R, char_R, _det_entry),
+    "S": _Kind(char_S, _sym_entry),
+    "T": _Kind(char_T, _twisted_entry),
+    "R": _Kind(char_R, _det_entry),
 }
 
 
-def _built(word: Sequence[Factor]) -> list[Comodule]:
-    return [_FACTORS[kind].build(n) for kind, n in word]
+Part = tuple[tuple[Weight, ...], Callable[[int, int], NCElement]]
+
+
+def _merged(left: Part, right: Part) -> Part:
+    """The part left # right, one of them a line: weights summed, entries times the line's."""
+    (left_weights, left_entry), (right_weights, right_entry) = left, right
+    weights = tuple(Weight(u.i + v.i, u.j + v.j) for u in left_weights for v in right_weights)
+    if len(left_weights) == 1:
+        c = left_entry(0, 0)
+        return weights, lambda k, l: c * right_entry(k, l)
+    c = right_entry(0, 0)
+    return weights, lambda k, l: left_entry(k, l) * c
+
+
+def _factor_parts(word: Sequence[Factor]) -> list[Part]:
+    """The parts of a factor word: weights and entry function (k, l) -> C[k][l].
+
+    Read off _FACTORS; no factor is built.  Each line (a 1-dim factor,
+    S^0 V and T^0 V too) merges into the factor after it, and trailing
+    lines into the factor before them, so a part is 1-dim only when every
+    factor is a line; the empty word is the part R^0.  tensor is strictly
+    associative and normal forms are unique, so the parts' product is the
+    factors', entry for entry.  The direction keeps dual parts short:
+    star_inv(d) = Di.d, so each R^-1 of nabla(star_inv(d^k)) stands just
+    before its V, and the dual entry S^-1(Di * x) = S^-1(x) * D cancels
+    its D within one rewrite.
+    """
+    parts: list[Part] = []
+    line = None
+    for kind, n in word or [("R", 0)]:
+        part = tuple(_FACTORS[kind].char(n)), partial(_FACTORS[kind].entry, n)
+        part = part if line is None else _merged(line, part)
+        line = part if len(part[0]) == 1 else None
+        if line is None:
+            parts.append(part)
+    if line is not None:
+        parts[-1:] = [_merged(parts[-1], line)] if parts else [line]
+    return parts
+
+
+def _dual(part: Part, memo: dict) -> Part:
+    """The part's left_dual: negated weights, entries S^-1(C[l][k]) rewritten through memo."""
+    weights, entry = part
+    return tuple(Weight(-w.i, -w.j) for w in weights), lambda k, l: antipode_inv(entry(l, k), memo)
+
+
+def _built(parts: Sequence[Part]) -> list[Comodule]:
+    """Each part as a comodule, its coaction written entry by entry."""
+    return [Comodule([_factor_row(p, k) for k in range(len(p[0]))], p[0]) for p in parts]
 
 
 def factor_comodule(word: Sequence[Factor]) -> Comodule:
-    """The tensor product of the factors of a factor word; trivial() if empty."""
-    return tensor_many(_built(word))
+    """The tensor product of the factors of a factor word; R^0 if it is empty."""
+    return reduce(tensor, _built(_factor_parts(word)))
 
 
 def factor_char(word: Sequence[Factor]) -> dict[Weight, int]:
@@ -252,21 +297,6 @@ def build_nabla(lam: LambdaWord) -> Comodule:
     return factor_comodule(nabla_factors(lam))
 
 
-Part = tuple[tuple[Weight, ...], Callable[[int, int], NCElement]]
-
-
-def _factor_parts(word: Sequence[Factor]) -> list[Part]:
-    """Weights and entry function (k, l) -> C[k][l] of each factor.
-
-    Read off _FACTORS; no factor is built.  The empty word has the one
-    factor trivial(), as factor_comodule has.
-    """
-    if not word:
-        t = trivial()
-        return [(t.weights, lambda k, l: t.coaction[k][l])]
-    return [(tuple(_FACTORS[kind].char(n)), partial(_FACTORS[kind].entry, n)) for kind, n in word]
-
-
 def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
     """Digits and weights of the basis of F_1 # ... # F_k, in index order.
 
@@ -282,15 +312,6 @@ def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
     return digits, tuple(map(Weight._make, sums))
 
 
-def _delta_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
-    """Digits and weights of Delta(lam), from the parts of nabla(star_inv(lam)).
-
-    Delta(lam) is the left dual of nabla(star_inv(lam)): the same digits
-    and the negated weights, summed from the negated weights of the parts.
-    """
-    return _factor_basis([(tuple(Weight(-w.i, -w.j) for w in ws), e) for ws, e in parts])
-
-
 def build_delta(lam: LambdaWord) -> Comodule:
     """The standard comodule Delta(lam) = nabla(star_inv(lam))*.
 
@@ -299,26 +320,20 @@ def build_delta(lam: LambdaWord) -> Comodule:
     nabla(lam)) is one dimensional.
 
     nabla(star_inv(lam)) is never built.  S^-1 is an anti-homomorphism, so
-    the dual of F_1 # ... # F_k is L_k # ... # L_1 with L_t =
-    left_dual(F_t) and the factor digits of each basis index reversed: the
+    the dual of its parts' product P_1 # ... # P_k is L_k # ... # L_1 with
+    L_t = _dual(P_t) and the part digits of each basis index reversed: the
     entry at ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the
-    reversed product at ((i_k, ..., i_1), (j_k, ..., j_1)), whose position
-    there has i_k most significant.  Normal forms are unique, so the
-    entries equal those of left_dual(build_nabla(star_inv(lam))), and so do
-    the weights.  Only the small factors V, S^y V and R^k are dualized, and
-    tensor_many folds each dual line R^-k into the factor beside it, which
-    cancels letters: S^-1(a) * D = d.
+    reversed product at ((i_k, ..., i_1), (j_k, ..., j_1)).  Normal forms
+    are unique, so the entries equal those of
+    left_dual(build_nabla(star_inv(lam))), and so do the weights.
     """
-    word = nabla_factors(lam.star_inv())
-    digits, weights = _delta_basis(_factor_parts(word))
-    duals = [left_dual(f) for f in _built(word) or [trivial()]]
-    position = []
-    for key in digits:
-        p = 0
-        for dual, i in zip(duals[::-1], key[::-1]):
-            p = p * dual.dim + i
-        position.append(p)
-    rows = tensor_many(duals[::-1]).coaction
+    memo: dict = {}
+    duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
+    digits, weights = _factor_basis(duals)
+    built = _built(duals[::-1])
+    index = {key[::-1]: p for p, key in enumerate(product(*(range(X.dim) for X in built)))}
+    position = [index[key] for key in digits]
+    rows = reduce(tensor, built).coaction
     return Comodule([[rows[p][q] for q in position] for p in position], weights)
 
 
@@ -342,12 +357,6 @@ def _factor_row(part: Part, i: int) -> list[NCElement]:
     """Row i of the factor's coaction, entry by entry."""
     weights, entry = part
     return [entry(i, l) for l in range(len(weights))]
-
-
-def _dual_row(part: Part, i: int, memo: dict) -> list[NCElement]:
-    """Row i of left_dual of the factor: S^-1 of its column i, rewritten through memo."""
-    weights, entry = part
-    return [antipode_inv(entry(j, i), memo) for j in range(len(weights))]
 
 
 @cache
@@ -375,8 +384,8 @@ def comodule_certificate() -> tuple[str, ...]:
     comodule algebra, whose degree-y part is S^y V: build_SymV writes the
     coefficients of rho(x)^(y-k) rho(y)^k.  R^k is a tensor power of R or
     R^-1, and a basis permutation keeps a comodule a comodule.  So every
-    nabla(lam), and every Delta(lam) built from the duals of its factors,
-    is a comodule, for every lam.
+    nabla(lam), and every Delta(lam) built from the duals of its parts
+    (each part a tensor product of factors), is a comodule, for every lam.
 
     Checked once per process; about 2 ms.
     """
@@ -425,10 +434,10 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is solved from two coaction rows, computed from the factor
-    entries of _FACTORS: the row of the top weight vector v+ of Delta(lam)
-    and the row of the top weight vector w+ of nabla(lam).  Neither
-    comodule is built, and no factor is dualized whole.  In a
+    The map is solved from two coaction rows, computed from the entries
+    of the parts (_factor_parts): the row of the top weight vector v+ of
+    Delta(lam) and the row of the top weight vector w+ of nabla(lam).
+    Neither comodule is built, and no part is dualized whole.  In a
     highest-weight category
     Delta(lam) has simple head L(lam) (Cline, Parshall and Scott, J. reine
     angew. Math. 391, 1988; Jantzen, Representations of Algebraic Groups,
@@ -436,17 +445,17 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     which lies in the one dimensional weight-wt(lam) space of nabla(lam):
     F(v+) = s w+.
 
-    - The basis of each side comes from its factors' weights
-      (_factor_basis; _delta_basis dualizes that of nabla(star_inv(lam))).
-    - Delta(lam) is the dual of nabla(star_inv(lam)) = F_1 # ... # F_k.
-      Row i of left_dual(F_t) is S^-1 of column i of F_t (_dual_row), with
-      one rewrite memo per call, so the normal-form cache does not grow
-      from it.  The row of v+ is the product L_k[i_k] * ... * L_1[i_1] of
-      the dual rows at v+'s digits, in reverse factor order, as in
-      build_delta.
-    - The row of w+ is the product F_1[i_1] * ... * F_k[i_k] of the rows
-      of nabla(lam)'s factors at w+'s digits (_factor_row).  Both
-      products are folded by _row_product.
+    - The basis of each side comes from its parts' weights
+      (_factor_basis); Delta's from those of the dual parts.
+    - Delta(lam) is the dual of nabla(star_inv(lam)) = P_1 # ... # P_k.
+      Row i of the dual part L_t = _dual(P_t) is S^-1 of column i of P_t,
+      with one rewrite memo per call, so the normal-form cache does not
+      grow from it.  The row of v+ is the product L_k[i_k] * ... *
+      L_1[i_1] of the dual rows at v+'s digits, in reverse part order, as
+      in build_delta.
+    - The row of w+ is the product P_1[i_1] * ... * P_k[i_k] of the rows
+      of nabla(lam)'s parts at w+'s digits.  _factor_row reads each row
+      and _row_product folds both products.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam), checked
@@ -486,15 +495,15 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     if failures:
         raise VerificationError("comodule certificate fails: " + "; ".join(failures))
     parts = _factor_parts(nabla_factors(lam))
-    dual_parts = _factor_parts(nabla_factors(lam.star_inv()))
-    digits, weights = _delta_basis(dual_parts)
+    memo: dict = {}
+    duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
+    digits, weights = _factor_basis(duals)
     Delta = Comodule(lambda: build_delta(lam).coaction, weights)
     target_digits, target_weights = _factor_basis(parts)
     Nabla = Comodule(lambda: build_nabla(lam).coaction, target_weights)
     top = lam.wt()
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
-    memo: dict = {}
-    dual_rows = [_dual_row(part, i, memo) for part, i in zip(dual_parts, digits[v_plus])]
+    dual_rows = [_factor_row(part, i) for part, i in zip(duals, digits[v_plus])]
     column = {key: j for j, key in enumerate(digits)}
     row = {column[key[::-1]]: entry for key, entry in _row_product(dual_rows[::-1]).items()}
     a: dict[tuple, dict[int, int]] = {}

@@ -41,6 +41,10 @@ __all__ = [
 _LAMBDA_LETTERS = ("D", "Di", "d")
 _LAMBDA_ORDER = {"D": 0, "Di": 1, "d": 2}
 _INVERSE = {"D": "Di", "Di": "D"}
+# the letter images of the star anti-homomorphism; those of its inverse
+# are the same words reversed
+_STAR_IMAGES = {"d": ("d", "Di"), "D": ("Di",), "Di": ("D",)}
+_STAR_INV_IMAGES = {letter: word[::-1] for letter, word in _STAR_IMAGES.items()}
 
 
 class Weight(NamedTuple):
@@ -157,19 +161,11 @@ class LambdaWord:
 
     def star(self) -> "LambdaWord":
         """The star anti-homomorphism: d -> d.Di, delta -> delta inverse."""
-        images = {"d": ("d", "Di"), "D": ("Di",), "Di": ("D",)}
-        letters: list[str] = []
-        for letter in reversed(self._letters):
-            letters.extend(images[letter])
-        return LambdaWord(letters)
+        return LambdaWord(x for letter in reversed(self._letters) for x in _STAR_IMAGES[letter])
 
     def star_inv(self) -> "LambdaWord":
         """The inverse anti-homomorphism: d -> Di.d, delta -> delta inverse."""
-        images = {"d": ("Di", "d"), "D": ("Di",), "Di": ("D",)}
-        letters: list[str] = []
-        for letter in reversed(self._letters):
-            letters.extend(images[letter])
-        return LambdaWord(letters)
+        return LambdaWord(x for letter in reversed(self._letters) for x in _STAR_INV_IMAGES[letter])
 
     def covers_down(self) -> set["LambdaWord"]:
         """Elements reached by one downward move.

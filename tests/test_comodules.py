@@ -23,7 +23,6 @@ from ncgl2.comodules import (
     quotient,
     subspace_comodule,
     tensor,
-    tensor_many,
     torus_project,
     trivial,
     weight_decomposition,
@@ -95,11 +94,11 @@ def sym_power_via_quotient(y: int):
         for pos in range(y - 1)
         if bits[pos:pos + 2] == (0, 1)
     ]
-    return quotient(tensor_many([V] * y), relations)
+    return quotient(left_fold([V] * y), relations)
 
 
 def left_fold(factors) -> Comodule:
-    """The plain left fold of tensor, the oracle for tensor_many."""
+    """The plain left fold of tensor; trivial() if there are no factors."""
     if not factors:
         return trivial()
     result = factors[0]
@@ -109,7 +108,6 @@ def left_fold(factors) -> Comodule:
 
 
 DET_LINE = [[Fraction(0), Fraction(1), Fraction(-1), Fraction(0)]]
-R, RI, S2, V_DUAL = build_R(1), build_R(-1), build_SymV(2), left_dual(V)
 
 
 class TestBasics:
@@ -137,33 +135,6 @@ class TestBasics:
             Weight(0, 2): 1,
         }
         assert highest_weight(W) == (Weight(0, 2), 1)
-
-    def test_tensor_many_matches_iterated(self):
-        left = tensor_many([V, V, V])
-        right = tensor(tensor(V, V), V)
-        assert are_isomorphic(left, right)
-
-    @pytest.mark.parametrize(
-        "factors",
-        [
-            [],
-            [V],
-            [R],
-            [R, V, S2],
-            [V, RI, S2],
-            [V, S2, R],
-            [R, RI, V, R, R, S2, RI, RI],
-            [R, RI, R],
-            [V_DUAL, R, V_DUAL, R, V_DUAL, R],
-        ],
-        ids=["none", "one", "one-line", "line-first", "line-middle", "line-last",
-             "consecutive-lines", "only-lines", "dual-lines"],
-    )
-    def test_tensor_many_equals_left_fold(self, factors):
-        # folding the lines in first changes neither coaction nor weights
-        folded, plain = tensor_many(factors), left_fold(factors)
-        assert folded.coaction == plain.coaction
-        assert folded.weights == plain.weights
 
     def test_char_mul(self):
         cV = weight_decomposition(V)

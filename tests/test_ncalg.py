@@ -98,6 +98,14 @@ class TestRewriting:
         # delta = da - bc
         assert render_element(element("d*a - b*c")) == "D"
 
+    def test_scalars_hash_as_the_numbers_they_equal(self):
+        # __eq__ coerces numbers, so a scalar element finds its number's
+        # dict entry and the other way round
+        for x, n in ((one(), 1), (NCElement({}), 0), (element("D*Di*3/2"), Fraction(3, 2))):
+            assert x == n and hash(x) == hash(n)
+            assert {n: "x"}.get(x) == "x" and {x: "x"}.get(n) == "x"
+        assert hash(element("a + 1")) == hash(element("1 + a"))
+
     def test_determinant_not_central(self):
         # a*Di and Di*a are distinct normal words
         assert element("a*Di") != element("Di*a")

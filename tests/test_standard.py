@@ -22,8 +22,6 @@ from ncgl2.comodules import (
     hom_space,
     image,
     left_dual,
-    tensor_many,
-    trivial,
     weight_decomposition,
 )
 from ncgl2.linalg import Echelon, nullspace_sparse
@@ -55,7 +53,7 @@ from ncgl2.standard import (
     nabla_multiset,
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
-from test_comodules import direct_sum
+from test_comodules import direct_sum, left_fold
 
 
 def lam(text: str) -> LambdaWord:
@@ -259,6 +257,35 @@ class TestFactorWords:
             assert factor_dim(word) == X.dim, word
             assert factor_char(word) == weight_decomposition(Comodule(X.coaction)), word
 
+    def test_factor_comodule_is_the_left_fold_of_the_built_factors(self):
+        # merging the lines into their neighbours changes neither
+        # coaction nor weights: every word of at most two factors from
+        # S^0..S^3, T^0..T^3 and R^-2..R^2, and every word of three from
+        # S^0..S^2, T^0..T^2 and R^-2..R^2, which puts lines and wide
+        # factors in every order
+        builders = {"S": build_SymV, "T": build_TV, "R": build_R}
+        lines = [("R", k) for k in range(-2, 3)]
+        small = [("S", n) for n in range(3)] + [("T", n) for n in range(3)] + lines
+        factors = small + [("S", 3), ("T", 3)]
+        built = {f: builders[f[0]](f[1]) for f in factors}
+        words = [w for n in range(3) for w in product(factors, repeat=n)]
+        for word in words + list(product(small, repeat=3)):
+            X, plain = factor_comodule(word), left_fold([built[f] for f in word])
+            assert X.coaction == plain.coaction, word
+            assert X.weights == plain.weights, word
+
+    def test_only_lines_make_a_line_part(self):
+        # a line merges into a neighbour, so a part is 1-dim only when
+        # every factor of the word is a line
+        factors = [("S", n) for n in range(3)] + [("T", n) for n in range(3)]
+        factors += [("R", k) for k in range(-2, 3)]
+        for n in range(4):
+            for word in product(factors, repeat=n):
+                parts = ncgl2.standard._factor_parts(word)
+                all_lines = all(factor_dim((f,)) == 1 for f in word)
+                assert any(len(w) == 1 for w, _ in parts) == all_lines, word
+                assert parts and (not all_lines or len(parts) == 1), word
+
     def test_M_is_the_tensor_power_of_V(self):
         # monoid_factors writes each d of a run as S^1 V, which has V's
         # coaction in V's basis order
@@ -267,11 +294,13 @@ class TestFactorWords:
             factors = []
             for kind, value in l.atoms():
                 factors.extend([build_R(value)] if kind == "delta" else [V] * value)
-            assert build_M(l).coaction == tensor_many(factors).coaction, str(l)
+            assert build_M(l).coaction == left_fold(factors).coaction, str(l)
 
     def test_only_the_factor_table_names_the_factor_builders(self):
-        # what each factor kind builds, and its character, is decided by
-        # standard._FACTORS alone; build_TV builds on build_SymV
+        # each factor kind's character and entries are read from
+        # standard._FACTORS alone, and factor_comodule builds the parts
+        # from those entries; of the builders, only build_TV builds on
+        # build_SymV, and the tests use them as oracles for the table
         names = {"build_SymV", "build_TV", "char_S", "char_T", "char_R"}
         allowed = {("standard.py", "_FACTORS"), ("standard.py", "build_TV")}
         package = Path(ncgl2.standard.__file__).parent
@@ -477,8 +506,9 @@ class TestStreamedRows:
     )
     def test_entry_functions_reproduce_the_built_factors(self, kind, ns):
         table = ncgl2.standard._FACTORS[kind]
+        build = {"S": build_SymV, "T": build_TV, "R": build_R}[kind]
         for n in ns:
-            X = table.build(n)
+            X = build(n)
             # the weights are scanned afresh from the built coaction
             assert tuple(table.char(n)) == Comodule(X.coaction).weights, n
             entries = [[table.entry(n, k, l) for l in range(X.dim)] for k in range(X.dim)]
@@ -499,24 +529,40 @@ class TestStreamedRows:
 
     def test_streamed_dual_rows_match_left_dual(self):
         for l in enumerate_lambda(6):
-            word = nabla_factors(l.star_inv())
-            parts = ncgl2.standard._factor_parts(word)
             memo = {}
-            for part, F in zip(parts, [factor_comodule((f,)) for f in word] or [trivial()]):
-                L = left_dual(F)
-                for i in range(F.dim):
-                    assert ncgl2.standard._dual_row(part, i, memo) == list(L.coaction[i]), str(l)
+            for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv())):
+                L = left_dual(ncgl2.standard._built([part])[0])
+                dual = ncgl2.standard._dual(part, memo)
+                assert dual[0] == L.weights, str(l)
+                for i in range(L.dim):
+                    assert ncgl2.standard._factor_row(dual, i) == list(L.coaction[i]), str(l)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_dual_parts_of_d_powers_are_signed_words(self, k):
+        # each R^-1 of nabla(star_inv(d^k)) merges into the V after it,
+        # and S^-1(Di * x) = S^-1(x) * D cancels down to one signed word
+        # in a, b, c and d; merging it into the V before it would leave
+        # the letters D and Di in the dual entries
+        memo = {}
+        for part in ncgl2.standard._factor_parts(nabla_factors(lam(f"d^{k}").star_inv())):
+            weights, entry = ncgl2.standard._dual(part, memo)
+            for i, j in product(range(len(weights)), repeat=2):
+                ((word, c),) = entry(i, j).items()
+                assert c in (1, -1) and set(word) <= set("abcd"), (k, i, j)
 
     def test_delta_top_row_is_the_reversed_product_of_dual_rows(self):
         for l in enumerate_lambda(5):
-            parts = ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
-            digits, weights = ncgl2.standard._delta_basis(parts)
+            memo = {}
+            parts = [
+                ncgl2.standard._dual(part, memo)
+                for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
+            ]
+            digits, weights = ncgl2.standard._factor_basis(parts)
             delta = build_delta(l)
             assert digits == tuple(product(*(range(len(w)) for w, _ in parts))), str(l)
             assert weights == delta.weights, str(l)
             v_plus = weights.index(l.wt())
-            memo = {}
-            rows = [ncgl2.standard._dual_row(p, i, memo) for p, i in zip(parts, digits[v_plus])]
+            rows = [ncgl2.standard._factor_row(p, i) for p, i in zip(parts, digits[v_plus])]
             products = ncgl2.standard._row_product(rows[::-1])
             row = [products.get(key[::-1], NCElement({})) for key in digits]
             assert row == list(delta.coaction[v_plus]), str(l)
@@ -540,7 +586,7 @@ class TestStreamedRows:
 def test_canonical_map_builds_only_inside_its_lazy_coactions():
     # nabla(lam), Delta(lam) and the whole factors are built only when a
     # caller reads f.source.coaction or f.target.coaction
-    builders = {"build_nabla", "build_delta", "left_dual", "factor_comodule", "_built", "tensor_many"}
+    builders = {"build_nabla", "build_delta", "left_dual", "factor_comodule", "_built"}
     tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
     (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
     lazy = {id(n) for node in ast.walk(function) if isinstance(node, ast.Lambda) for n in ast.walk(node)}
