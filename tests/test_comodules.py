@@ -34,10 +34,12 @@ from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
     build_R,
     build_SymV,
+    build_TV,
     build_V,
     build_delta,
     build_nabla,
     canonical_map,
+    factor_comodule,
 )
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
 from test_ncalg import ANTIPODE_INV_IMAGES, letter_by_letter
@@ -108,6 +110,8 @@ def left_fold(factors) -> Comodule:
 
 
 DET_LINE = [[Fraction(0), Fraction(1), Fraction(-1), Fraction(0)]]
+V1, S2, T1, R, RI = ("S", 1), ("S", 2), ("T", 1), ("R", 1), ("R", -1)
+FACTOR_BUILDERS = {"S": build_SymV, "T": build_TV, "R": build_R}
 
 
 class TestBasics:
@@ -135,6 +139,36 @@ class TestBasics:
             Weight(0, 2): 1,
         }
         assert highest_weight(W) == (Weight(0, 2), 1)
+
+    def test_tensor_many_matches_iterated(self):
+        # factor_comodule is the lines-first tensor fold of a factor word
+        left = factor_comodule([V1, V1, V1])
+        right = tensor(tensor(V, V), V)
+        assert are_isomorphic(left, right)
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            [],
+            [V1],
+            [R],
+            [R, V1, S2],
+            [V1, RI, S2],
+            [V1, S2, R],
+            [R, RI, V1, R, R, S2, RI, RI],
+            [R, RI, R],
+            [T1, R, T1, R, T1, R],
+        ],
+        ids=["none", "one", "one-line", "line-first", "line-middle", "line-last",
+             "consecutive-lines", "only-lines", "dual-lines"],
+    )
+    def test_tensor_many_equals_left_fold(self, word):
+        # merging the lines into their neighbours first changes neither
+        # coaction nor weights
+        folded = factor_comodule(word)
+        plain = left_fold([FACTOR_BUILDERS[kind](n) for kind, n in word])
+        assert folded.coaction == plain.coaction
+        assert folded.weights == plain.weights
 
     def test_char_mul(self):
         cV = weight_decomposition(V)
