@@ -19,8 +19,9 @@ has weight -wt_X(i); each factor is scanned, if at all, on its own.
 
 Maps are stored column-wise: a ComoduleMap f with matrix F sends
 f(v_i) = sum_k F[k][i] w_k.  _intertwiners solves the intertwining
-equations of hom_space, standard.canonical_map and borel.semi_invariants
-exactly, in the matrix entries that pair basis vectors of equal weight.
+equations of hom_space and borel.semi_invariants exactly, in the matrix
+entries that pair basis vectors of equal weight.  standard.canonical_map
+needs no solve: it reads its map off the top row of Delta(lam).
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -339,8 +340,8 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
     """Reduced basis of the maps F: X -> Y intertwining the given rows of C_X.
 
     wx and wy are the basis weights of X and Y.  x_rows holds pairs (i,
-    row i of C_X), a row being a sequence or a {j: entry} dict, and y_row(k)
-    is row k of C_Y, read only where wy[k] == wx[i].  Entries need only
+    row i of C_X), a row being a sequence of entries, and y_row(k) is row
+    k of C_Y, read only where wy[k] == wx[i].  Entries need only
     .items().  Row i of the condition says sum_k C_Y[k][m] F[k][i] =
     sum_j C_X[i][j] F[m][j] for every m, entrywise over the words.  A
     comodule map preserves torus weights, so the unknowns are the F[k][i]
@@ -372,7 +373,7 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
             for m, entry in enumerate(y_row(k)):
                 for w, c in entry.items():
                     per_entry.setdefault((m, w), {})[var] = c
-        for j, entry in row.items() if isinstance(row, dict) else enumerate(row):
+        for j, entry in enumerate(row):
             for m in targets.get(wx[j], ()):
                 var = index[m, j]
                 for w, c in entry.items():

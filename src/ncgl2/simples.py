@@ -383,8 +383,8 @@ def classify_crosscheck(lam: LambdaWord) -> dict:
     nabla(lam), and the block character to equal the character of L(lam),
     its image.  Both are read from the ranks of F's weight blocks
     (comodules.image_character): a comodule map preserves torus weights,
-    and the solver of canonical_map has unknowns only between basis
-    vectors of equal weight, so F is block diagonal by weight; the rank of
+    and canonical_map sets entries only between basis vectors of equal
+    weight, so F is block diagonal by weight; the rank of
     its block at t is the multiplicity of t in L(lam), and dim L = rank F
     is their sum.  image_character raises VerificationError on an entry of
     F between two different weights.  L(lam) itself is never built;

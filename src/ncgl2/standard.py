@@ -66,7 +66,6 @@ from .comodules import (
     Comodule,
     ComoduleMap,
     VerificationError,
-    _intertwiners,
     char_mul,
     comodule_axiom_failures,
     generated_subcomodule,
@@ -74,7 +73,7 @@ from .comodules import (
     left_dual,
     tensor,
 )
-from .linalg import Echelon, accumulate
+from .linalg import accumulate
 
 __all__ = [
     "build_V",
@@ -106,7 +105,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_ZERO_ELEMENT = NCElement._raw({})
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +432,7 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is solved from two coaction rows, computed from the entries
+    The map is read off two coaction rows, computed from the entries
     of the parts (_factor_parts): the row of the top weight vector v+ of
     Delta(lam) and the row of the top weight vector w+ of nabla(lam).
     Neither comodule is built, and no part is dualized whole.  In a
@@ -458,14 +456,22 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
       and _row_product folds both products.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
-      subcomodule generated by v+; it must be all of Delta(lam), checked
-      by one echelon rank.  So F is fixed by s, and dim Hom <= 1.
-    - The intertwining condition at v+ reads F a_w = s b_w for every w.
-      It is the condition of comodules._intertwiners on the one row v+,
-      which reads nabla's coaction only at w+; its unknowns are the entries F[m][j] pairing basis vectors of
-      equal weight: w+ is the only basis vector of nabla(lam) of v+'s
-      weight, so s is the unknown F[w+][v+].  Generation leaves at most
-      one solution up to scale; it is divided by its entry F[w+][v+].
+      subcomodule generated by v+; it must be all of Delta(lam).  No
+      echelon is needed: each entry j of the row of v+ must be one term
+      c_j w_j, and no word may appear twice.  Then w_j has the owner j,
+      a_{w_j} is c_j times the unit vector at j, and the a_w span
+      Delta(lam).  So F is fixed by s, and dim Hom <= 1.
+    - The intertwining condition at v+ reads F a_w = s b_w for every w,
+      in the unknowns F[m][j] that pair basis vectors of equal weight
+      (a comodule map keeps torus weights).  w+ is the only basis vector
+      of nabla(lam) of v+'s weight, so s is the unknown F[w+][v+].  At
+      the word w_j the condition reads c_j F[m][j] = s b_w[m] where
+      wt(m) = wt(j), and 0 = s b_w[m] elsewhere; at a word with no owner
+      it reads 0 = s b_w.  So if every word of every entry m of the row
+      of w+ has an owner j with wt(j) = wt(m), the solutions are s times
+      F[m][j] = b_{w_j}[m] / c_j, read off by one lookup per word, and
+      otherwise s = 0.  The read-off F[w+][v+] must then equal 1, since
+      s = s F[w+][v+]; the counit makes it 1 whenever the rest holds.
 
     Why the solution is a comodule map.  comodule_certificate shows that
     Delta(lam) and nabla(lam) are comodules.  A comodule is a module over
@@ -475,12 +481,13 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     comodules is a comodule map exactly when it commutes with every psi
     in O*, since O* separates the points of O.  Let delta_w in O* be the
     functional dual to the normal word w.  Then a_w = delta_w . v+ and
-    b_w = delta_w . w+, so the solved equations say F(delta_w . v+) =
+    b_w = delta_w . w+, so the equations say F(delta_w . v+) =
     s delta_w . w+ for every w, and by linearity F(phi . v+) = s phi . w+
     for every phi in O*.  For x = phi . v+, coassociativity along the top
     rows gives psi . x = (psi phi) . v+, hence
     F(psi . x) = s (psi phi) . w+ = psi . (s phi . w+) = psi . F(x).  By
-    the rank check these x span Delta(lam), so F commutes with all of O*.
+    the generation check these x span Delta(lam), so F commutes with all
+    of O*.
 
     The result is the generator of Hom(Delta(lam), nabla(lam)) whose
     coefficient between the two weight-wt(lam) basis vectors is 1: the
@@ -488,8 +495,8 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     socle L(lam).  Its source and target carry their weights and
     dimension; their coactions are built by build_delta and build_nabla
     on first read.  Raises
-    VerificationError when the certificate fails, when v+ does not
-    generate Delta(lam) or when the solution space is not a line.
+    VerificationError when the certificate fails, when the row of v+ does
+    not show that v+ generates Delta(lam), or when the solution space is 0.
     """
     failures = comodule_certificate()
     if failures:
@@ -505,25 +512,31 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
     dual_rows = [_factor_row(part, i) for part, i in zip(duals, digits[v_plus])]
     column = {key: j for j, key in enumerate(digits)}
-    row = {column[key[::-1]]: entry for key, entry in _row_product(dual_rows[::-1]).items()}
-    a: dict[tuple, dict[int, int]] = {}
-    for j, entry in row.items():
-        for w, c in entry.items():
-            a.setdefault(w, {})[j] = c
-    if len(Echelon(a.values())) != Delta.dim:
-        raise VerificationError(f"Delta({lam}) is not generated by its top weight line")
-    factor_rows = [_factor_row(part, i) for part, i in zip(parts, target_digits[w_plus])]
-    products = _row_product(factor_rows)
-    target_rows = {w_plus: [products.get(key, _ZERO_ELEMENT) for key in target_digits]}
-    solutions = _intertwiners(weights, target_weights, [(v_plus, row)], target_rows.__getitem__)
-    if len(solutions) != 1:
+    # owner[w] = (j, c) for the entry c w at j: Delta.dim words exactly
+    # when every entry is one term and no word appears twice
+    owner: dict[tuple, tuple] = {}
+    for key, entry in _row_product(dual_rows[::-1]).items():
+        if len(entry.items()) == 1:
+            ((w, c),) = entry.items()
+            owner[w] = column[key[::-1]], c
+    if len(owner) != Delta.dim:
         raise VerificationError(
-            f"Hom(Delta, nabla) for {lam} has dimension {len(solutions)}, expected 1"
+            f"Delta({lam}) is not generated by its top weight line,"
+            f" or its top row is not {Delta.dim} entries of one distinct word each"
         )
-    s = solutions[0][w_plus, v_plus]
+    factor_rows = [_factor_row(part, i) for part, i in zip(parts, target_digits[w_plus])]
+    target_column = {key: m for m, key in enumerate(target_digits)}
     matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
-    for (m, j), c in solutions[0].items():
-        matrix[m][j] = c / s
+    for key, entry in _row_product(factor_rows).items():
+        m = target_column[key]
+        for w, coeff in entry.items():
+            hit = owner.get(w)
+            if hit is None or weights[hit[0]] != target_weights[m]:
+                raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
+            j, c = hit
+            matrix[m][j] = Fraction(coeff, c)
+    if matrix[w_plus][v_plus] != 1:
+        raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
     return ComoduleMap(Delta, Nabla, matrix)
 
 

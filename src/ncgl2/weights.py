@@ -122,7 +122,7 @@ class LambdaWord:
         letters: list[str] = []
         for kind, n in atoms:
             if kind == "delta":
-                letters.extend(("D" if n > 0 else "Di") * abs(n))
+                letters.extend(["D" if n > 0 else "Di"] * abs(n))
             elif kind == "d":
                 letters.extend("d" * n)
             else:

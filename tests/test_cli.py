@@ -256,11 +256,22 @@ class TestErrors:
         assert main([]) == 2
 
     def test_failed_claim_exits_one(self, capsys, monkeypatch):
-        # an empty solution space of the top-line system breaks the claim
-        # dim Hom(Delta, nabla) = 1
+        # a word of nabla(d)'s top row that no entry of Delta(d)'s top row
+        # holds leaves Hom(Delta, nabla) = 0, against the claim that it
+        # is one dimensional
         import ncgl2.standard
+        from ncgl2.ncalg import gen
 
-        monkeypatch.setattr(ncgl2.standard, "_intertwiners", lambda wx, wy, x_rows, y_row: [])
+        factor_parts = ncgl2.standard._factor_parts
+
+        def foreign_word(word):
+            parts = factor_parts(word)
+            if word != (("S", 1),):
+                return parts
+            ((weights, entry),) = parts
+            return [(weights, lambda k, l: gen("a") if (k, l) == (1, 0) else entry(k, l))]
+
+        monkeypatch.setattr(ncgl2.standard, "_factor_parts", foreign_word)
         assert main(["nabla", "d"]) == 1
         assert "expected 1" in capsys.readouterr().err
         assert main(["nf", "d**a"]) == 2

@@ -120,10 +120,11 @@ def test_accumulate_is_the_only_accumulation_loop():
 
 
 def test_only_the_intertwining_solver_solves_hom_systems():
-    # hom_space, canonical_map and semi_invariants share one equation
-    # builder, comodules._intertwiners; a hand-written system elsewhere
-    # would name nullspace_sparse.  Truncated induction solves a system
-    # over words of O, not an intertwining one.
+    # hom_space and semi_invariants share one equation builder,
+    # comodules._intertwiners; a hand-written system elsewhere would name
+    # nullspace_sparse.  canonical_map solves nothing: it reads its map off
+    # Delta's top row (tests/test_standard.py guards that).  Truncated
+    # induction solves a system over words of O, not an intertwining one.
     allowed = {("comodules.py", "_intertwiners"), ("borel.py", "induced_truncated")}
     package = Path(ncgl2.__file__).parent
     hits = [

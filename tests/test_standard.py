@@ -25,7 +25,7 @@ from ncgl2.comodules import (
     weight_decomposition,
 )
 from ncgl2.linalg import Echelon, nullspace_sparse
-from ncgl2.ncalg import NCElement, enumerate_basis, one
+from ncgl2.ncalg import NCElement, enumerate_basis, gen, one
 from ncgl2.simples import classify
 from ncgl2.standard import (
     build_L,
@@ -415,6 +415,63 @@ class TestSimpleQuotients:
         )
         with pytest.raises(VerificationError, match="not generated by its top weight line"):
             canonical_map(lam("d"))
+
+    # Delta(d)'s top row is (d, -c) at the weights d and a; nabla(d)'s is
+    # (c, d) at the weights a and d.  Each case edits one entry of one row.
+    def _edit_delta_row(self, monkeypatch, column, edit):
+        real = ncgl2.standard._dual
+
+        def edited(part, memo):
+            weights, entry = real(part, memo)
+            return weights, lambda k, l: edit(entry(k, l)) if (k, l) == (0, column) else entry(k, l)
+
+        monkeypatch.setattr(ncgl2.standard, "_dual", edited)
+
+    def _edit_nabla_row(self, monkeypatch, column, edit):
+        real = ncgl2.standard._factor_parts
+
+        def edited(word):
+            parts = real(word)
+            if word != nabla_factors(lam("d")):
+                return parts
+            ((weights, entry),) = parts
+            return [(weights, lambda k, l: edit(entry(k, l)) if (k, l) == (1, column) else entry(k, l))]
+
+        monkeypatch.setattr(ncgl2.standard, "_factor_parts", edited)
+
+    @pytest.mark.parametrize(
+        "column,edit",
+        [(1, lambda e: e + gen("d")), (1, lambda e: gen("d"))],
+        ids=["entry-of-two-words", "word-in-two-entries"],
+    )
+    def test_delta_row_that_is_not_one_word_per_entry_raises(self, column, edit, monkeypatch):
+        self._edit_delta_row(monkeypatch, column, edit)
+        with pytest.raises(VerificationError, match="not generated by its top weight line"):
+            canonical_map(lam("d"))
+
+    @pytest.mark.parametrize(
+        "column,edit",
+        [(0, lambda e: e + gen("a")), (0, lambda e: gen("d")), (1, lambda e: e + e)],
+        ids=["word-with-no-owner", "owner-of-another-weight", "top-entry-not-one"],
+    )
+    def test_nabla_row_outside_the_read_off_raises(self, column, edit, monkeypatch):
+        self._edit_nabla_row(monkeypatch, column, edit)
+        with pytest.raises(VerificationError, match="has dimension 0, expected 1"):
+            canonical_map(lam("d"))
+
+    def test_signed_words_read_off_as_their_coefficients(self, monkeypatch):
+        # scaling Delta's entry -c by 2 halves the map's entry at it
+        self._edit_delta_row(monkeypatch, 1, lambda e: e + e)
+        assert canonical_map(lam("d")).matrix == ((0, Fraction(-1, 2)), (1, 0))
+
+    def test_canonical_map_runs_no_linear_solve(self):
+        # the map is read off Delta's top row by word lookups: no echelon,
+        # no intertwining system
+        tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
+        (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
+        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert names.isdisjoint({"Echelon", "_intertwiners", "nullspace_sparse"})
 
     @pytest.mark.parametrize(
         "labels",

@@ -88,8 +88,11 @@ class TestWords:
             enumerate_lambda(-1)
 
     def test_atoms_roundtrip(self):
-        lam = parse_lambda("d^3.D^2.d")
-        assert LambdaWord.from_atoms(lam.atoms()) == lam
+        # every label with ell <= 5, Di runs such as d.Di^2.d among them
+        labels = enumerate_lambda(5)
+        assert any(("delta", -2) in lam.atoms() for lam in labels)
+        for lam in labels:
+            assert LambdaWord.from_atoms(lam.atoms()) == lam, str(lam)
 
 
 class TestWeights:
