@@ -87,18 +87,19 @@ class Comodule:
     """A right comodule given by its coaction matrix, and perhaps its weights.
 
     The dimension is the number of rows of the matrix.  The matrix may
-    instead be given as a function that returns it, together with the
-    weights; the dimension is then the number of weights, and the matrix
-    is built on the first read of `coaction`, and kept.  Raises ValueError
-    when such a function comes without weights, when the matrix is not
-    square, or when the weights do not match its size.
+    instead be given as a function k -> row k, together with the weights;
+    the dimension is then the number of weights.  `row(k)` calls that
+    function, and the first read of `coaction` builds every row and keeps
+    the matrix, which `row` then reads.  Raises ValueError when such a
+    function comes without weights, when the matrix is not square, or when
+    the weights do not match its size.
     """
 
     __slots__ = ("dim", "_coaction", "_weights")
 
     def __init__(
         self,
-        coaction: Sequence[Sequence[NCElement]] | Callable[[], Sequence[Sequence[NCElement]]],
+        coaction: Sequence[Sequence[NCElement]] | Callable[[int], Sequence[NCElement]],
         weights: Sequence[Weight] | None = None,
     ):
         self._weights = None if weights is None else tuple(weights)
@@ -119,11 +120,15 @@ class Comodule:
             raise ValueError(f"coaction must be a {self.dim} x {self.dim} matrix")
         return rows
 
+    def row(self, k: int) -> Sequence[NCElement]:
+        """Row k of the coaction: computed when given as a function, read once built."""
+        return self._coaction(k) if callable(self._coaction) else self._coaction[k]
+
     @property
     def coaction(self) -> tuple[tuple[NCElement, ...], ...]:
-        """The coaction matrix, built on first read when given as a function."""
+        """The coaction matrix, built row by row on first read when given as a function."""
         if callable(self._coaction):
-            self._coaction = self._square(self._coaction())
+            self._coaction = self._square(map(self._coaction, range(self.dim)))
         return self._coaction
 
     @property
@@ -131,7 +136,7 @@ class Comodule:
         """The torus weight of each basis vector.
 
         Either carried in by the constructor that built the comodule
-        (tensor, left_dual and standard.build_delta derive them from their
+        (tensor, left_dual and the builders of standard derive them from their
         inputs' weights) or read off the coaction pushed into the torus
         quotient on first use, and kept, since the coaction never changes.
         The scan raises ValueError when the basis is not torus-diagonal:
@@ -182,6 +187,8 @@ class ComoduleMap:
         Only the nonzero entries of F are visited: for each row i of X's
         coaction, the left side collects column i of F against the rows of
         Y's coaction, and the right side column j of F against C_X[i][j].
+        X's rows are read one at a time through X.row, so a source given
+        by its row function is never held whole.
         """
         X, Y = self.source, self.target
         # the condition is linear in F, so an integer multiple of F will do
@@ -192,7 +199,7 @@ class ComoduleMap:
                 if x:
                     columns[i].append((k, x.numerator * (scale // x.denominator)))
         target_rows = Y.coaction
-        for i, coaction_row in enumerate(X.coaction):
+        for i, coaction_row in enumerate(map(X.row, range(X.dim))):
             difference = accumulate({}, (
                 ((m, w), c * f)
                 for k, f in columns[i]

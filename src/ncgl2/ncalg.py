@@ -174,31 +174,24 @@ def _exact(value) -> Coeff:
 def normal_form_word(word: Word) -> dict[Word, int]:
     """Normal form of a single word as a dict of normal words to ints.
 
+    The product of the empty word and word, so _product's cache policy
+    holds.  The result is shared: do not mutate it.
+    """
+    return _product((), tuple(word))
+
+
+def _product(left: Word, right: Word) -> dict[Word, int]:
+    """Normal form of left + right for a normal word left, through _NF_CACHE.
+
     Every intermediate word of the reduction is cached in _NF_CACHE.  A
     word's normal form is unique (the rules are confluent, see
     check_confluence), so a cached entry is returned as it is, and
     _reduce runs only on a miss; reading the cache here, not only in
     _reduce, saves a call on the hit path, which most calls take.  A miss
     first clears the cache in place once it holds more than
-    _NF_CACHE_LIMIT entries; uniqueness makes that change no result.  The
-    result is shared: do not mutate it.
-    """
-    word = tuple(word)
-    found = _NF_CACHE.get(word)
-    if found is not None:
-        return found
-    if len(_NF_CACHE) > _NF_CACHE_LIMIT:
-        _NF_CACHE.clear()
-    return _reduce(word, _NF_CACHE)
-
-
-def _product(left: Word, right: Word) -> dict[Word, int]:
-    """normal_form_word(left + right) for a normal word left.
-
-    Reads _NF_CACHE and clears it past its bound exactly as
-    normal_form_word does, so the cache ends up the same.  A miss starts
-    the reduction at the seam: no left side begins in left before
-    len(left) - 2, since left is normal.  right need not be normal.
+    _NF_CACHE_LIMIT entries; uniqueness makes that change no result.  A
+    miss starts the reduction at the seam: no left side begins in left
+    before len(left) - 2, since left is normal.  right need not be normal.
     """
     word = left + right
     found = _NF_CACHE.get(word)

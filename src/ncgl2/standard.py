@@ -15,11 +15,12 @@ coaction entry at (k, l).  The entry of S^y V is a sum of binomially many
 normal words, which build_SymV writes entry by entry; that of R^k is D^k
 or Di^-k; that of T^y V is S^-1 of the transposed S^y V entry times D.
 _factor_parts reads a word as parts, merging each line into a neighbour,
-and _dual dualizes a part.  Five interpreters read them: factor_comodule
-and build_delta tensor the built parts or dual parts, factor_char and
-factor_dim read characters and dimensions without building anything, and
-canonical_map computes single coaction rows of nabla(lam) and Delta(lam)
-from the parts' entries.
+and _dual dualizes a part.  Four interpreters read them: factor_comodule
+(for nabla, M and the classifier's blocks) and build_delta (on the dual
+parts) give comodules whose rows are products of part rows, computed only
+when read, and factor_char and factor_dim read characters and dimensions
+without building anything.  canonical_map reads one row of Delta(lam)
+and one of nabla(lam) from those builders.
 
 Everything is indexed by words lam in the weight monoid of `weights`.  The
 factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from math import prod
 from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
@@ -249,14 +250,27 @@ def _dual(part: Part, memo: dict) -> Part:
     return tuple(Weight(-w.i, -w.j) for w in weights), lambda k, l: antipode_inv(entry(l, k), memo)
 
 
-def _built(parts: Sequence[Part]) -> list[Comodule]:
-    """Each part as a comodule, its coaction written entry by entry."""
-    return [Comodule([_factor_row(p, k) for k in range(len(p[0]))], p[0]) for p in parts]
+def _product_comodule(parts: Sequence[Part], fold: Callable[[list], dict]) -> Comodule:
+    """The comodule on the basis of the parts' product, each row computed when read.
+
+    Row I, with digits (i_1, ..., i_k) (_factor_basis), is fold of the
+    part rows P_1[i_1], ..., P_k[i_k] (_factor_row): a dict from the
+    digits (j_1, ..., j_k) of each nonzero column to its entry.  With
+    fold = _row_product it is row I of P_1 # ... # P_k.
+    """
+    digits, weights = _factor_basis(parts)
+    zero = NCElement()
+
+    def row(k: int) -> list[NCElement]:
+        entries = fold([_factor_row(part, i) for part, i in zip(parts, digits[k])])
+        return [entries.get(key, zero) for key in digits]
+
+    return Comodule(row, weights)
 
 
 def factor_comodule(word: Sequence[Factor]) -> Comodule:
-    """The tensor product of the factors of a factor word; R^0 if it is empty."""
-    return reduce(tensor, _built(_factor_parts(word)))
+    """The tensor product of the factors of a factor word, R^0 if it is empty; rows on read."""
+    return _product_comodule(_factor_parts(word), _row_product)
 
 
 def factor_char(word: Sequence[Factor]) -> dict[Weight, int]:
@@ -317,22 +331,21 @@ def build_delta(lam: LambdaWord) -> Comodule:
     choice for which Delta(d) ~ V and more generally Hom(Delta(lam),
     nabla(lam)) is one dimensional.
 
-    nabla(star_inv(lam)) is never built.  S^-1 is an anti-homomorphism, so
-    the dual of its parts' product P_1 # ... # P_k is L_k # ... # L_1 with
-    L_t = _dual(P_t) and the part digits of each basis index reversed: the
-    entry at ((i_1, ..., i_k), (j_1, ..., j_k)) is the entry of the
-    reversed product at ((i_k, ..., i_1), (j_k, ..., j_1)).  Normal forms
-    are unique, so the entries equal those of
+    nabla(star_inv(lam)) is never built, and Delta(lam)'s rows are computed
+    when read.  S^-1 is an anti-homomorphism, so the dual of its parts'
+    product P_1 # ... # P_k is L_k # ... # L_1 with L_t = _dual(P_t) and
+    the part digits of each basis index reversed: the entry at ((i_1, ...,
+    i_k), (j_1, ..., j_k)) is the entry of the reversed product at ((i_k,
+    ..., i_1), (j_k, ..., j_1)).  So the fold multiplies the dual rows in
+    reverse order and reads each key reversed; all rows share one rewrite
+    memo for S^-1.  Normal forms are unique, so the entries equal those of
     left_dual(build_nabla(star_inv(lam))), and so do the weights.
     """
     memo: dict = {}
     duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
-    digits, weights = _factor_basis(duals)
-    built = _built(duals[::-1])
-    index = {key[::-1]: p for p, key in enumerate(product(*(range(X.dim) for X in built)))}
-    position = [index[key] for key in digits]
-    rows = reduce(tensor, built).coaction
-    return Comodule([[rows[p][q] for q in position] for p in position], weights)
+    return _product_comodule(
+        duals, lambda rows: {key[::-1]: e for key, e in _row_product(rows[::-1]).items()}
+    )
 
 
 def _row_product(rows: Sequence[Sequence[NCElement]]) -> dict[tuple, NCElement]:
@@ -432,28 +445,20 @@ def _weight_index(X: Comodule, target: Weight) -> int:
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is read off two coaction rows, computed from the entries
-    of the parts (_factor_parts): the row of the top weight vector v+ of
-    Delta(lam) and the row of the top weight vector w+ of nabla(lam).
-    Neither comodule is built, and no part is dualized whole.  In a
-    highest-weight category
-    Delta(lam) has simple head L(lam) (Cline, Parshall and Scott, J. reine
-    angew. Math. 391, 1988; Jantzen, Representations of Algebraic Groups,
-    II.4), so v+ generates it, and a comodule map F is fixed by F(v+),
-    which lies in the one dimensional weight-wt(lam) space of nabla(lam):
-    F(v+) = s w+.
+    The map is read off two coaction rows: Delta.row(v+) of
+    Delta = build_delta(lam), at its top weight vector v+, and
+    Nabla.row(w+) of Nabla = build_nabla(lam), at its top weight vector
+    w+.  Both builders compute only the rows that are read, so neither
+    comodule is built here.  In a highest-weight category Delta(lam) has
+    simple head L(lam) (Cline, Parshall and Scott, J. reine angew. Math.
+    391, 1988; Jantzen, Representations of Algebraic Groups, II.4), so v+
+    generates it, and a comodule map F is fixed by F(v+), which lies in the
+    one dimensional weight-wt(lam) space of nabla(lam): F(v+) = s w+.
 
-    - The basis of each side comes from its parts' weights
-      (_factor_basis); Delta's from those of the dual parts.
-    - Delta(lam) is the dual of nabla(star_inv(lam)) = P_1 # ... # P_k.
-      Row i of the dual part L_t = _dual(P_t) is S^-1 of column i of P_t,
-      with one rewrite memo per call, so the normal-form cache does not
-      grow from it.  The row of v+ is the product L_k[i_k] * ... *
-      L_1[i_1] of the dual rows at v+'s digits, in reverse part order, as
-      in build_delta.
-    - The row of w+ is the product P_1[i_1] * ... * P_k[i_k] of the rows
-      of nabla(lam)'s parts at w+'s digits.  _factor_row reads each row
-      and _row_product folds both products.
+    - Each row is a product of one row of each part, as the builders
+      compute it: the bases, the digits and Delta's reversed dual fold
+      live there.  The S^-1 rewrites of Delta's row share one memo, so
+      the normal-form cache does not grow from them.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam).  No
@@ -492,43 +497,32 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     The result is the generator of Hom(Delta(lam), nabla(lam)) whose
     coefficient between the two weight-wt(lam) basis vectors is 1: the
     counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
-    socle L(lam).  Its source and target carry their weights and
-    dimension; their coactions are built by build_delta and build_nabla
-    on first read.  Raises
+    socle L(lam).  Its source and target are build_delta(lam) and
+    build_nabla(lam), whose coactions are built on first read.  Raises
     VerificationError when the certificate fails, when the row of v+ does
     not show that v+ generates Delta(lam), or when the solution space is 0.
     """
     failures = comodule_certificate()
     if failures:
         raise VerificationError("comodule certificate fails: " + "; ".join(failures))
-    parts = _factor_parts(nabla_factors(lam))
-    memo: dict = {}
-    duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
-    digits, weights = _factor_basis(duals)
-    Delta = Comodule(lambda: build_delta(lam).coaction, weights)
-    target_digits, target_weights = _factor_basis(parts)
-    Nabla = Comodule(lambda: build_nabla(lam).coaction, target_weights)
+    Delta, Nabla = build_delta(lam), build_nabla(lam)
+    weights, target_weights = Delta.weights, Nabla.weights
     top = lam.wt()
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
-    dual_rows = [_factor_row(part, i) for part, i in zip(duals, digits[v_plus])]
-    column = {key: j for j, key in enumerate(digits)}
     # owner[w] = (j, c) for the entry c w at j: Delta.dim words exactly
     # when every entry is one term and no word appears twice
     owner: dict[tuple, tuple] = {}
-    for key, entry in _row_product(dual_rows[::-1]).items():
+    for j, entry in enumerate(Delta.row(v_plus)):
         if len(entry.items()) == 1:
             ((w, c),) = entry.items()
-            owner[w] = column[key[::-1]], c
+            owner[w] = j, c
     if len(owner) != Delta.dim:
         raise VerificationError(
             f"Delta({lam}) is not generated by its top weight line,"
             f" or its top row is not {Delta.dim} entries of one distinct word each"
         )
-    factor_rows = [_factor_row(part, i) for part, i in zip(parts, target_digits[w_plus])]
-    target_column = {key: m for m, key in enumerate(target_digits)}
     matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
-    for key, entry in _row_product(factor_rows).items():
-        m = target_column[key]
+    for m, entry in enumerate(Nabla.row(w_plus)):
         for w, coeff in entry.items():
             hit = owner.get(w)
             if hit is None or weights[hit[0]] != target_weights[m]:

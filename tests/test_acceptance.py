@@ -131,15 +131,15 @@ def test_criterion_07_truncated_induction_matches_prediction():
 
 
 def test_criterion_08_classifier_matches_canonical_map():
-    """Block expressions predict the simple's dimension for all ell <= 7."""
-    assert suite_results(["classifier"], 7) == [
+    """Block expressions predict the simple's dimension for all ell <= 8."""
+    assert suite_results(["classifier"], 8) == [
         (
-            "classifier.crosscheck-len7",
+            "classifier.crosscheck-len8",
             True,
-            "984 words: block dim = canonical rank, characters agree",
+            "2377 words: block dim = canonical rank, characters agree",
         ),
         ("classifier.named-examples", True, "three reference classifications"),
-        ("classifier.adjacency-table-len7", True, "every emitted expression passes"),
+        ("classifier.adjacency-table-len8", True, "every emitted expression passes"),
     ]
     # duality permutes simples by the star map
     for lam in enumerate_lambda(3):

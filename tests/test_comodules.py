@@ -494,20 +494,32 @@ class TestInvariantChecks:
     def test_lazy_coaction_without_weights_raises_value_error(self):
         # the dimension of a lazy comodule is the number of its weights
         with pytest.raises(ValueError, match="needs its weights"):
-            Comodule(lambda: V.coaction)
+            Comodule(V.coaction.__getitem__)
 
     def test_lazy_coaction_of_the_wrong_size_raises_on_first_read(self):
         calls = []
 
-        def built():
-            calls.append(1)
-            return V.coaction
+        def row(k):
+            calls.append(k)
+            return V.coaction[k]
 
-        X = Comodule(built, (Weight(1, 0),))
+        X = Comodule(row, (Weight(1, 0),))
         assert (X.dim, calls) == (1, [])
         with pytest.raises(ValueError, match="1 x 1 matrix"):
             X.coaction
-        assert calls == [1]
+        assert calls == [0]
+
+    def test_row_calls_the_function_until_the_coaction_is_built(self):
+        calls = []
+
+        def row(k):
+            calls.append(k)
+            return V.coaction[k]
+
+        X = Comodule(row, V.weights)
+        assert X.row(1) == V.coaction[1] and calls == [1]
+        assert X.coaction == V.coaction and calls == [1, 0, 1]
+        assert X.row(1) is X.coaction[1] and calls == [1, 0, 1]
 
     def test_eager_coaction_with_the_wrong_weight_count_raises_value_error(self):
         with pytest.raises(ValueError, match="expected 2 weights, got 1"):

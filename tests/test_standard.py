@@ -2,6 +2,9 @@
 
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -490,23 +493,16 @@ class TestSimpleQuotients:
             assert f.matrix == expected.matrix, str(l)
             assert f.source.weights == expected.source.weights, str(l)
 
-    def test_source_coaction_is_built_on_first_read(self, monkeypatch):
+    def test_source_coaction_is_built_on_first_read(self):
         l = lam("d^2.Di.d")
-        delta = build_delta(l)
-        calls = []
-
-        def counted(label):
-            calls.append(label)
-            return delta
-
-        monkeypatch.setattr(ncgl2.standard, "build_delta", counted)
         f = canonical_map(l)
+        delta = build_delta(l)
         assert (f.source.dim, f.source.weights) == (delta.dim, delta.weights)
         assert f.rank() == image(f)[0].dim == classify(l).dim
-        assert calls == []
+        assert callable(f.source._coaction)
         assert f.source.coaction == delta.coaction
         assert f.source.coaction is f.source.coaction
-        assert calls == [l]
+        assert not callable(f.source._coaction)
 
     def test_d10_completes_without_building_delta(self):
         l = lam("d^10")
@@ -588,7 +584,8 @@ class TestStreamedRows:
         for l in enumerate_lambda(6):
             memo = {}
             for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv())):
-                L = left_dual(ncgl2.standard._built([part])[0])
+                rows = [ncgl2.standard._factor_row(part, k) for k in range(len(part[0]))]
+                L = left_dual(Comodule(rows, part[0]))
                 dual = ncgl2.standard._dual(part, memo)
                 assert dual[0] == L.weights, str(l)
                 for i in range(L.dim):
@@ -639,20 +636,65 @@ class TestStreamedRows:
         assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_DIGESTS[k]
         assert all(type(x) is Fraction for row in f.matrix for x in row)
 
+    @pytest.mark.slow
+    def test_d10_certificate_checks_delta_row_by_row_in_bounded_memory(self):
+        # is_intertwiner reads the 1,024 rows of Delta(d^10) one at a time
+        # and never builds its coaction; the child reports its own peak
+        # RSS, in kB on Linux
+        code = (
+            "import resource\n"
+            "from ncgl2.standard import canonical_map\n"
+            "from ncgl2.weights import parse_lambda\n"
+            "f = canonical_map(parse_lambda('d^10'))\n"
+            "print(f.is_intertwiner(), callable(f.source._coaction),"
+            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(ncgl2.standard.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        verdict, lazy, peak_kb = done.stdout.split()
+        assert (verdict, lazy) == ("True", "True")
+        assert int(peak_kb) < 250 * 1024
+
 
 def test_canonical_map_builds_only_inside_its_lazy_coactions():
-    # nabla(lam), Delta(lam) and the whole factors are built only when a
-    # caller reads f.source.coaction or f.target.coaction
-    builders = {"build_nabla", "build_delta", "left_dual", "factor_comodule", "_built"}
+    # the builders are the one home of the bases, the digits and Delta's
+    # reversed dual fold; canonical_map reads two rows of their lazy
+    # comodules, and no whole product is tensored outside build_TV
     tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
-    (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
-    lazy = {id(n) for node in ast.walk(function) if isinstance(node, ast.Lambda) for n in ast.walk(node)}
-    calls = [
-        (n.func.id, id(n) in lazy)
-        for n in ast.walk(function)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in builders
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+    def names(node):
+        found = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        return found | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    function = functions["canonical_map"]
+    forbidden = {"_factor_parts", "_factor_basis", "_factor_row", "_row_product", "_dual", "tensor"}
+    assert names(function).isdisjoint(forbidden | {"coaction"})
+    calls = [n.func for n in ast.walk(function) if isinstance(n, ast.Call)]
+    assert sorted(f.id for f in calls if isinstance(f, ast.Name) and f.id.startswith("build_")) == [
+        "build_delta",
+        "build_nabla",
     ]
-    assert sorted(calls) == [("build_delta", True), ("build_nabla", True)]
+    assert [f.value.id for f in calls if isinstance(f, ast.Attribute) and f.attr == "row"] == [
+        "Delta",
+        "Nabla",
+    ]
+    tensor_callers = [
+        name
+        for name, node in functions.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "tensor"
+    ]
+    assert tensor_callers == ["build_TV"]
+    assert "_built" not in functions and "reduce" not in names(tree)
+    assert names(functions["build_delta"]).isdisjoint({"_factor_basis", "product", "tensor"})
 
 
 class TestMultisets:
