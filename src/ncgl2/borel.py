@@ -201,7 +201,7 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     """
     line = [(0, [{quotient.grouplike(t): 1}])]
     solutions = _intertwiners([t], X.weights, line, lambda k: map(quotient.project, X.coaction[k]))
-    return [[F.get((k, 0), Fraction(0)) for k in range(X.dim)] for F in solutions]
+    return [[column.get(k, Fraction(0)) for k in range(X.dim)] for (column,) in solutions]
 
 
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:
@@ -220,7 +220,7 @@ def every_subcomodule_contains(X: Comodule, index: int) -> bool:
             raise RuntimeError(f"inconclusive: {len(lines)}-dim semi-invariant space at {t}")
         for vector in lines:
             _, incl = generated_subcomodule(X, vector)
-            if not linalg.span_contains(zip(*incl.matrix), {index: 1}):
+            if not linalg.span_contains(incl.columns, {index: 1}):
                 return False
     return True
 

@@ -17,11 +17,12 @@ algebra, so on torus-diagonal bases the basis vector (i, p) of tensor(X,
 Y) has weight wt_X(i) + wt_Y(p), and the basis vector *i of left_dual(X)
 has weight -wt_X(i); each factor is scanned, if at all, on its own.
 
-Maps are stored column-wise: a ComoduleMap f with matrix F sends
-f(v_i) = sum_k F[k][i] w_k.  _intertwiners solves the intertwining
-equations of hom_space and borel.semi_invariants exactly, in the matrix
-entries that pair basis vectors of equal weight.  standard.canonical_map
-needs no solve: it reads its map off the top row of Delta(lam).
+A ComoduleMap f stores column i, f(v_i) = sum_k F[k][i] w_k, as the
+sparse vector {k: F[k][i]}; only kernel writes out the matrix F.
+_intertwiners solves the intertwining equations of hom_space and
+borel.semi_invariants exactly, in the matrix entries that pair basis
+vectors of equal weight.  standard.canonical_map needs no solve: it reads
+its map off the top row of Delta(lam).
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -160,23 +161,35 @@ class Comodule:
 
 
 class ComoduleMap:
-    """A linear map between comodules, stored as a column-convention matrix."""
+    """A linear map between comodules, stored as its columns.
 
-    __slots__ = ("source", "target", "matrix")
+    columns[i] = {k: F[k][i]}, with no zeros, is the image f(v_i).  Raises
+    ValueError unless there are source.dim columns, each with its target
+    indices in range(target.dim).
+    """
 
-    def __init__(self, source: Comodule, target: Comodule, matrix: Sequence[Sequence]):
+    __slots__ = ("source", "target", "columns")
+
+    def __init__(self, source: Comodule, target: Comodule, columns: Iterable[dict]):
         self.source = source
         self.target = target
-        # entries that are Fractions already, as canonical_map's are, are kept
-        rows = tuple(
-            tuple(x if x.__class__ is Fraction else Fraction(x) for x in row) for row in matrix
-        )
-        if len(rows) != target.dim or any(len(row) != source.dim for row in rows):
-            raise ValueError(f"map matrix must be {target.dim} x {source.dim}")
-        self.matrix = rows
+        self.columns = tuple(columns)
+        if len(self.columns) != source.dim:
+            raise ValueError(f"expected {source.dim} columns, got {len(self.columns)}")
+        if any(not 0 <= k < target.dim for column in self.columns for k in column):
+            raise ValueError(f"a column has a target index outside range({target.dim})")
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense matrix F, written out from the columns on each read."""
+        rows = [[Fraction(0)] * self.source.dim for _ in range(self.target.dim)]
+        for i, column in enumerate(self.columns):
+            for k, x in column.items():
+                rows[k][i] = x
+        return tuple(map(tuple, rows))
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix)
+        return linalg.rank(self.columns)
 
     def is_isomorphism(self) -> bool:
         return self.source.dim == self.target.dim and self.rank() == self.source.dim
@@ -192,12 +205,11 @@ class ComoduleMap:
         """
         X, Y = self.source, self.target
         # the condition is linear in F, so an integer multiple of F will do
-        scale = lcm(*(x.denominator for row in self.matrix for x in row))
-        columns = [[] for _ in range(X.dim)]
-        for k, row in enumerate(self.matrix):
-            for i, x in enumerate(row):
-                if x:
-                    columns[i].append((k, x.numerator * (scale // x.denominator)))
+        scale = lcm(*(x.denominator for column in self.columns for x in column.values()))
+        columns = [
+            [(k, x.numerator * (scale // x.denominator)) for k, x in column.items()]
+            for column in self.columns
+        ]
         target_rows = Y.coaction
         for i, coaction_row in enumerate(map(X.row, range(X.dim))):
             difference = accumulate({}, (
@@ -219,7 +231,7 @@ class ComoduleMap:
     def __eq__(self, other):
         return (
             isinstance(other, ComoduleMap)
-            and self.matrix == other.matrix
+            and self.columns == other.columns
             and self.source.dim == other.source.dim
             and self.target.dim == other.target.dim
         )
@@ -343,7 +355,7 @@ def char_mul(c1: dict[Weight, int], c2: dict[Weight, int]) -> dict[Weight, int]:
 # ---------------------------------------------------------------------------
 # Hom spaces
 
-def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]]:
+def _intertwiners(wx, wy, x_rows, y_row) -> list[list[dict[int, Fraction]]]:
     """Reduced basis of the maps F: X -> Y intertwining the given rows of C_X.
 
     wx and wy are the basis weights of X and Y.  x_rows holds pairs (i,
@@ -355,14 +367,14 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
     with wy[k] == wx[i], k-major, and column j meets only the targets m of
     weight wx[j].  Repeated equations are dropped; their order does not
     matter, since the reduced echelon form, and so the basis, is unique.
-    Each basis map is the sparse dict {(k, i): F[k][i]}.  When no weight
-    of X is a weight of Y there are no unknowns, and [] is returned before
-    any row is read.
+    Each basis map is its list of columns, the sparse dicts {k: F[k][i]}.
+    When no weight of X is a weight of Y there are no unknowns, and [] is
+    returned before any row is read.
 
     >>> from .ncalg import gen
     >>> C = ((gen("a"), gen("b")), (gen("c"), gen("d")))
     >>> w = (Weight(1, 0), Weight(0, 1))
-    >>> _intertwiners(w, w, enumerate(C), C.__getitem__) == [{(0, 0): 1, (1, 1): 1}]
+    >>> _intertwiners(w, w, enumerate(C), C.__getitem__) == [[{0: 1}, {1: 1}]]
     True
     """
     if set(wx).isdisjoint(wy):
@@ -390,10 +402,14 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[dict[tuple[int, int], Fraction]
             if key and key not in seen:
                 seen.add(key)
                 equations.append(equation)
-    return [
-        {unknowns[n]: c for n, c in enumerate(solution) if c}
-        for solution in linalg.nullspace_sparse(equations, len(unknowns))
-    ]
+    maps = []
+    for solution in linalg.nullspace_sparse(equations, len(unknowns)):
+        columns = [{} for _ in wx]
+        for (k, i), c in zip(unknowns, solution):
+            if c:
+                columns[i][k] = c
+        maps.append(columns)
+    return maps
 
 
 def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
@@ -405,10 +421,7 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     through Comodule.weights, when either basis is not torus-diagonal.
     """
     solutions = _intertwiners(X.weights, Y.weights, enumerate(X.coaction), Y.coaction.__getitem__)
-    return [
-        ComoduleMap(X, Y, [[F.get((k, i), 0) for i in range(X.dim)] for k in range(Y.dim)])
-        for F in solutions
-    ]
+    return [ComoduleMap(X, Y, columns) for columns in solutions]
 
 
 def are_isomorphic(X: Comodule, Y: Comodule) -> bool:
@@ -491,8 +504,9 @@ def _closed_span(X: Comodule, vectors: Iterable) -> tuple[list[dict], list[list[
 
 
 def _with_inclusion(X: Comodule, rows: list[dict], coaction) -> tuple[Comodule, ComoduleMap]:
+    # the echelon rows are the inclusion's columns
     sub = Comodule(coaction)
-    return sub, ComoduleMap(sub, X, [[row.get(i, 0) for row in rows] for i in range(X.dim)])
+    return sub, ComoduleMap(sub, X, rows)
 
 
 def subspace_comodule(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
@@ -515,7 +529,7 @@ def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
     # modulo the span, the basis vector at a leading column is minus the
     # rest of its row, and the free basis vectors are the quotient's basis
     proj = [
-        [-leading[j].get(f, 0) if j in leading else int(j == f) for j in range(X.dim)]
+        [-leading[j].get(f, 0) if j in leading else Fraction(int(j == f)) for j in range(X.dim)]
         for f in free
     ]
     parts = [_coaction_components(X, {f: 1}) for f in free]
@@ -524,12 +538,13 @@ def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
         for rho in parts
     ]
     quo = Comodule(coaction)
-    return quo, ComoduleMap(X, quo, proj)
+    columns = ({q: p[j] for q, p in enumerate(proj) if p[j]} for j in range(X.dim))
+    return quo, ComoduleMap(X, quo, columns)
 
 
 def image(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The image subcomodule of the target, with its inclusion."""
-    return subspace_comodule(f.target, zip(*f.matrix))
+    return subspace_comodule(f.target, f.columns)
 
 
 def image_character(f: ComoduleMap) -> dict[Weight, int]:
@@ -539,23 +554,22 @@ def image_character(f: ComoduleMap) -> dict[Weight, int]:
     result), so its image is a subcomodule and nothing is closed under
     the coaction.  A comodule map preserves torus weights, so F is block
     diagonal by weight: the multiplicity of weight t in the image is the
-    rank of the rows of F at the target vectors of weight t, and the
+    rank of the columns of F at the source vectors of weight t, and the
     ranks add up to rank F.  One exact pass over the nonzero entries of F
     checks the blocks first, and raises VerificationError on an entry
     that pairs two different weights.
     """
     wx, wy = f.source.weights, f.target.weights
     blocks: dict[Weight, list[dict[int, Fraction]]] = {}
-    for k, row in enumerate(f.matrix):
-        entries = {i: x for i, x in enumerate(row) if x}
-        for i in entries:
+    for i, column in enumerate(f.columns):
+        for k in column:
             if wx[i] != wy[k]:
                 raise VerificationError(
                     f"map entry ({k}, {i}) pairs weight {wy[k]} with weight {wx[i]}"
                 )
-        if entries:
-            blocks.setdefault(wy[k], []).append(entries)
-    return {t: linalg.rank(rows) for t, rows in blocks.items()}
+        if column:
+            blocks.setdefault(wx[i], []).append(column)
+    return {t: linalg.rank(columns) for t, columns in blocks.items()}
 
 
 def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
@@ -563,7 +577,7 @@ def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     return subspace_comodule(f.source, linalg.nullspace(f.matrix, f.source.dim))
 
 
-def generated_subcomodule(X: Comodule, vector: Sequence) -> tuple[Comodule, ComoduleMap]:
+def generated_subcomodule(X: Comodule, vector: Sequence | dict) -> tuple[Comodule, ComoduleMap]:
     """The smallest subcomodule containing the vector."""
     echelon = linalg.Echelon([vector])
     return _with_inclusion(X, *_close(echelon, lambda row: _coaction_components(X, row)))

@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import prod
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 from .ncalg import (
@@ -103,10 +103,6 @@ __all__ = [
     "decompose_layer",
     "layer_dimension",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # basic comodules
@@ -253,17 +249,25 @@ def _dual(part: Part, memo: dict) -> Part:
 def _product_comodule(parts: Sequence[Part], fold: Callable[[list], dict]) -> Comodule:
     """The comodule on the basis of the parts' product, each row computed when read.
 
-    Row I, with digits (i_1, ..., i_k) (_factor_basis), is fold of the
-    part rows P_1[i_1], ..., P_k[i_k] (_factor_row): a dict from the
-    digits (j_1, ..., j_k) of each nonzero column to its entry.  With
-    fold = _row_product it is row I of P_1 # ... # P_k.
+    Index k picks vector i_t = k // stride_t % size_t of part t, stride_t
+    being the product of the later parts' sizes, as tensor flattens; its
+    weight is the sum of the picks' weights, since the torus quotient is a
+    Hopf map onto a commutative Hopf algebra.  Row k is fold of the pairs
+    (stride_t, P_t[i_t]) (_factor_row): a dict from each nonzero column
+    sum_t j_t * stride_t to its entry, row k of P_1 # ... # P_n with
+    fold = _row_product.
     """
-    digits, weights = _factor_basis(parts)
+    sizes = [len(weights) for weights, _ in parts]
+    strides = [prod(sizes[t + 1:]) for t in range(len(parts))]
+    sums = [(0, 0)]
+    for part_weights, _ in parts:
+        sums = [(i + v.i, j + v.j) for i, j in sums for v in part_weights]
+    weights = tuple(map(Weight._make, sums))
     zero = NCElement()
 
     def row(k: int) -> list[NCElement]:
-        entries = fold([_factor_row(part, i) for part, i in zip(parts, digits[k])])
-        return [entries.get(key, zero) for key in digits]
+        entries = fold([(s, _factor_row(p, k // s % n)) for p, s, n in zip(parts, strides, sizes)])
+        return [entries.get(j, zero) for j in range(len(weights))]
 
     return Comodule(row, weights)
 
@@ -309,21 +313,6 @@ def build_nabla(lam: LambdaWord) -> Comodule:
     return factor_comodule(nabla_factors(lam))
 
 
-def _factor_basis(parts: Sequence[Part]) -> tuple[tuple, tuple]:
-    """Digits and weights of the basis of F_1 # ... # F_k, in index order.
-
-    The basis index I = (i_1, ..., i_k) picks basis vector i_t of the
-    factor F_t, with i_1 most significant, as tensor flattens; its digits
-    are that tuple.  Its torus weight is the sum of the picks' weights,
-    since the torus quotient is a Hopf map onto a commutative Hopf algebra.
-    """
-    digits = tuple(product(*(range(len(weights)) for weights, _ in parts)))
-    sums = [(0, 0)]
-    for weights, _ in parts:
-        sums = [(i + v.i, j + v.j) for i, j in sums for v in weights]
-    return digits, tuple(map(Weight._make, sums))
-
-
 def build_delta(lam: LambdaWord) -> Comodule:
     """The standard comodule Delta(lam) = nabla(star_inv(lam))*.
 
@@ -332,35 +321,33 @@ def build_delta(lam: LambdaWord) -> Comodule:
     nabla(lam)) is one dimensional.
 
     nabla(star_inv(lam)) is never built, and Delta(lam)'s rows are computed
-    when read.  S^-1 is an anti-homomorphism, so the dual of its parts'
-    product P_1 # ... # P_k is L_k # ... # L_1 with L_t = _dual(P_t) and
-    the part digits of each basis index reversed: the entry at ((i_1, ...,
-    i_k), (j_1, ..., j_k)) is the entry of the reversed product at ((i_k,
-    ..., i_1), (j_k, ..., j_1)).  So the fold multiplies the dual rows in
-    reverse order and reads each key reversed; all rows share one rewrite
-    memo for S^-1.  Normal forms are unique, so the entries equal those of
-    left_dual(build_nabla(star_inv(lam))), and so do the weights.
+    when read, on the basis of L_1 # ... # L_n with L_t = _dual(P_t) for
+    its parts P_t.  S^-1 is an anti-homomorphism, so the entry at (I, J)
+    is S^-1(P_1[j_1][i_1] ... P_n[j_n][i_n]) = L_n[i_n][j_n] ...
+    L_1[i_1][j_1]: the fold multiplies the dual rows in reverse order, and
+    all rows share one rewrite memo for S^-1.  Normal forms are unique, so
+    the entries and weights are those of left_dual(build_nabla(star_inv(lam))).
     """
     memo: dict = {}
     duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
-    return _product_comodule(
-        duals, lambda rows: {key[::-1]: e for key, e in _row_product(rows[::-1]).items()}
-    )
+    return _product_comodule(duals, lambda pairs: _row_product(pairs[::-1]))
 
 
-def _row_product(rows: Sequence[Sequence[NCElement]]) -> dict[tuple, NCElement]:
-    """The products rows[0][j_1] * ... * rows[-1][j_k], keyed by (j_1, ..., j_k).
+def _row_product(pairs: Sequence[tuple[int, Sequence[NCElement]]]) -> dict[int, NCElement]:
+    """The products rows[0][j_1] * ... * rows[-1][j_n], keyed by sum_t j_t * stride_t.
 
-    Row I of a tensor product of comodules, with factor t at row i_t,
-    holds these products of the factor rows.  They are folded left to
-    right, one factor row at a time, starting from the first row itself;
-    zero entries of the factor rows are skipped.  rows is not empty.
+    pairs holds the (stride_t, rows[t]) of each factor, so the key does not
+    depend on the order of the pairs.  Row k of a tensor product of
+    comodules, with factor t at row i_t, holds these products of the factor
+    rows.  They are folded left to right, one factor row at a time,
+    starting from the first row itself; zero entries are skipped.
+    pairs is not empty.
     """
-    first, *rest = rows
-    row = {(j,): e for j, e in enumerate(first) if not e.is_zero()}
-    for factor_row in rest:
-        entries = [(j, e) for j, e in enumerate(factor_row) if not e.is_zero()]
-        row = {key + (j,): element * e for key, element in row.items() for j, e in entries}
+    (stride, first), *rest = pairs
+    row = {j * stride: e for j, e in enumerate(first) if not e.is_zero()}
+    for stride, factor_row in rest:
+        entries = [(j * stride, e) for j, e in enumerate(factor_row) if not e.is_zero()]
+        row = {key + j: element * e for key, element in row.items() for j, e in entries}
     return row
 
 
@@ -456,9 +443,9 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     one dimensional weight-wt(lam) space of nabla(lam): F(v+) = s w+.
 
     - Each row is a product of one row of each part, as the builders
-      compute it: the bases, the digits and Delta's reversed dual fold
-      live there.  The S^-1 rewrites of Delta's row share one memo, so
-      the normal-form cache does not grow from them.
+      compute it: the bases, the strides and Delta's reversed
+      multiplication order live there.  The S^-1 rewrites of Delta's row
+      share one memo, so the normal-form cache does not grow from them.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam).  No
@@ -521,17 +508,17 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
             f"Delta({lam}) is not generated by its top weight line,"
             f" or its top row is not {Delta.dim} entries of one distinct word each"
         )
-    matrix = [[_ZERO] * Delta.dim for _ in range(Nabla.dim)]
+    columns: list[dict[int, Fraction]] = [{} for _ in range(Delta.dim)]
     for m, entry in enumerate(Nabla.row(w_plus)):
         for w, coeff in entry.items():
             hit = owner.get(w)
             if hit is None or weights[hit[0]] != target_weights[m]:
                 raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
             j, c = hit
-            matrix[m][j] = Fraction(coeff, c)
-    if matrix[w_plus][v_plus] != 1:
+            columns[j][m] = Fraction(coeff, c)
+    if columns[v_plus].get(w_plus) != 1:
         raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
-    return ComoduleMap(Delta, Nabla, matrix)
+    return ComoduleMap(Delta, Nabla, columns)
 
 
 def build_L(lam: LambdaWord):
@@ -545,12 +532,10 @@ def build_L(lam: LambdaWord):
     f = canonical_map(lam)
     L, incl = image(f)
     Nabla = f.target
-    top_vec = [_ZERO] * Nabla.dim
-    top_vec[_weight_index(Nabla, lam.wt())] = _ONE
     # the columns of each inclusion are the unique reduced basis of its
-    # span, so equal spans give equal matrices
-    _, gen_incl = generated_subcomodule(Nabla, top_vec)
-    if incl.matrix != gen_incl.matrix:
+    # span, so equal spans give equal columns
+    _, gen_incl = generated_subcomodule(Nabla, {_weight_index(Nabla, lam.wt()): 1})
+    if incl.columns != gen_incl.columns:
         raise VerificationError(
             f"image of the canonical map for {lam} is not generated by the top line"
         )

@@ -78,6 +78,11 @@ def dense_is_intertwiner(f: ComoduleMap) -> bool:
     return True
 
 
+def columns_of(matrix) -> list[dict[int, Fraction]]:
+    """The sparse columns {k: F[k][i]} of a dense map matrix F, as Fractions."""
+    return [{k: Fraction(x) for k, x in enumerate(column) if x} for column in zip(*matrix)]
+
+
 def rendered(rows) -> list[list[str]]:
     """A coaction or map matrix as text, entry by entry."""
     return [[str(x) for x in row] for row in rows]
@@ -421,7 +426,7 @@ class TestHom:
             for k, i in product(range(f.target.dim), range(f.source.dim)):
                 matrix = [list(row) for row in f.matrix]
                 matrix[k][i] += 1
-                g = ComoduleMap(f.source, f.target, matrix)
+                g = ComoduleMap(f.source, f.target, columns_of(matrix))
                 assert g.is_intertwiner() == dense_is_intertwiner(g), (str(lam), k, i)
 
     def test_are_isomorphic_negative(self):
@@ -526,8 +531,11 @@ class TestInvariantChecks:
             Comodule(V.coaction, (Weight(1, 0),))
 
     def test_map_shape_raises_value_error(self):
-        with pytest.raises(ValueError):
-            ComoduleMap(V, V, [[1, 0]])
+        # one column for the 2-dim source, and a column reaching target index 2
+        with pytest.raises(ValueError, match="expected 2 columns, got 1"):
+            ComoduleMap(V, V, [{0: Fraction(1)}])
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            ComoduleMap(V, V, [{0: Fraction(1)}, {2: Fraction(1)}])
 
     def test_shape_check_runs_under_python_optimize(self):
         import os
@@ -556,6 +564,24 @@ class TestInvariantChecks:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ValueError\n"
 
+
+
+def test_only_kernel_reads_the_dense_map_matrix():
+    # a ComoduleMap stores sparse columns and writes its dense matrix out on
+    # each read of .matrix; every other reader works on the columns
+    package = Path(ncgl2.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        enclosing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # ast.walk is breadth first, so inner functions win
+                enclosing.update((id(n), node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                readers.append((path.name, enclosing.get(id(node))))
+    assert readers == [("comodules.py", "kernel")]
 
 
 def test_only_comodule_weights_projects_to_the_torus():

@@ -32,6 +32,7 @@ from ncgl2.simples import (
 )
 from ncgl2.standard import build_L, build_V, canonical_map, factor_char, factor_comodule
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
+from test_comodules import columns_of
 
 
 def lam(text: str) -> LambdaWord:
@@ -200,11 +201,11 @@ class TestCrosscheck:
 
     def test_weight_crossing_entry_raises(self):
         V = build_V()
-        assert image_character(ComoduleMap(V, V, [[1, 0], [0, 3]])) == {
+        assert image_character(ComoduleMap(V, V, columns_of([[1, 0], [0, 3]]))) == {
             w: 1 for w in V.weights
         }
         with pytest.raises(VerificationError, match="pairs weight"):
-            image_character(ComoduleMap(V, V, [[1, 2], [0, 1]]))
+            image_character(ComoduleMap(V, V, columns_of([[1, 2], [0, 1]])))
 
     @given(st.sampled_from(enumerate_lambda(5)))
     @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ from ncgl2.standard import (
     nabla_multiset,
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
-from test_comodules import direct_sum, left_fold
+from test_comodules import columns_of, direct_sum, left_fold
 
 
 def lam(text: str) -> LambdaWord:
@@ -85,7 +86,7 @@ def canonical_map_by_hom_space(l: LambdaWord) -> ComoduleMap:
     top = l.wt()
     f = maps[0]
     scale = f.matrix[nabla.weights.index(top)][delta.weights.index(top)]
-    return ComoduleMap(delta, nabla, [[x / scale for x in row] for row in f.matrix])
+    return ComoduleMap(delta, nabla, columns_of([[x / scale for x in row] for row in f.matrix]))
 
 
 def canonical_map_materialized(l: LambdaWord) -> ComoduleMap:
@@ -117,7 +118,7 @@ def canonical_map_materialized(l: LambdaWord) -> ComoduleMap:
     matrix = [[Fraction(0)] * delta.dim for _ in range(nabla.dim)]
     for (m, j), n in var_index.items():
         matrix[m][j] = sol[n] / sol[s]
-    f = ComoduleMap(delta, nabla, matrix)
+    f = ComoduleMap(delta, nabla, columns_of(matrix))
     assert f.is_intertwiner() is True, str(l)
     return f
 
@@ -136,7 +137,7 @@ def nabla_surjection(l: LambdaWord) -> ComoduleMap:
         for y, bits in zip(runs, run_bits):
             n = n * (y + 1) + sum(bits)
         matrix[n][m] = 1
-    return ComoduleMap(M, N, matrix)
+    return ComoduleMap(M, N, columns_of(matrix))
 
 
 class TestBuilders:
@@ -551,6 +552,25 @@ MATRIX_DIGESTS = {
 }
 
 
+def product_basis(parts) -> tuple[list, tuple, list]:
+    """Digits, weights and strides of the basis of a product of parts.
+
+    The digits are those of tensor's flattening, the first part most
+    significant, and the weight of a basis vector is the sum of its picks'
+    weights.  The stride of a part is the product of the later part sizes,
+    and each index is the sum of its digits times the strides.
+    """
+    sizes = [len(weights) for weights, _ in parts]
+    digits = list(product(*map(range, sizes)))
+    weights = tuple(
+        Weight(sum(w.i for w in picks), sum(w.j for w in picks))
+        for picks in product(*(part_weights for part_weights, _ in parts))
+    )
+    strides = [prod(sizes[t + 1 :]) for t in range(len(sizes))]
+    assert [sum(i * s for i, s in zip(d, strides)) for d in digits] == list(range(len(digits)))
+    return digits, weights, strides
+
+
 class TestStreamedRows:
     """canonical_map reads two coaction rows off the factor entries."""
 
@@ -570,14 +590,13 @@ class TestStreamedRows:
     def test_streamed_nabla_rows_match_build_nabla(self):
         for l in enumerate_lambda(6):
             parts = ncgl2.standard._factor_parts(nabla_factors(l))
-            digits, weights = ncgl2.standard._factor_basis(parts)
+            digits, weights, strides = product_basis(parts)
             N = build_nabla(l)
-            assert digits == tuple(product(*(range(len(w)) for w, _ in parts))), str(l)
             assert weights == N.weights, str(l)
             w_plus = N.weights.index(l.wt())
             rows = [ncgl2.standard._factor_row(p, i) for p, i in zip(parts, digits[w_plus])]
-            products = ncgl2.standard._row_product(rows)
-            row = [products.get(key, NCElement({})) for key in digits]
+            products = ncgl2.standard._row_product(list(zip(strides, rows)))
+            row = [products.get(j, NCElement({})) for j in range(N.dim)]
             assert row == list(N.coaction[w_plus]), str(l)
 
     def test_streamed_dual_rows_match_left_dual(self):
@@ -611,14 +630,13 @@ class TestStreamedRows:
                 ncgl2.standard._dual(part, memo)
                 for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
             ]
-            digits, weights = ncgl2.standard._factor_basis(parts)
+            digits, weights, strides = product_basis(parts)
             delta = build_delta(l)
-            assert digits == tuple(product(*(range(len(w)) for w, _ in parts))), str(l)
             assert weights == delta.weights, str(l)
             v_plus = weights.index(l.wt())
             rows = [ncgl2.standard._factor_row(p, i) for p, i in zip(parts, digits[v_plus])]
-            products = ncgl2.standard._row_product(rows[::-1])
-            row = [products.get(key[::-1], NCElement({})) for key in digits]
+            products = ncgl2.standard._row_product(list(zip(strides, rows))[::-1])
+            row = [products.get(j, NCElement({})) for j in range(delta.dim)]
             assert row == list(delta.coaction[v_plus]), str(l)
 
     def test_target_is_nabla_with_its_coaction_built_on_read(self):
@@ -635,6 +653,33 @@ class TestStreamedRows:
         text = "\n".join(" ".join(str(x) for x in row) for row in f.matrix)
         assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_DIGESTS[k]
         assert all(type(x) is Fraction for row in f.matrix for x in row)
+
+    @pytest.mark.slow
+    def test_d16_map_stays_within_its_memory_bound(self):
+        # the 65,536 columns of the d^16 map hold one sparse entry each, and
+        # no basis vector keeps a digit tuple: the bound lies between the
+        # peak RSS of a dense matrix over a digit-tuple basis (151 MB) and
+        # that of the sparse columns (119-123 MB); the child reports its own
+        # peak RSS, in kB on Linux
+        code = (
+            "import resource\n"
+            "from ncgl2.standard import canonical_map\n"
+            "from ncgl2.weights import parse_lambda\n"
+            "f = canonical_map(parse_lambda('d^16'))\n"
+            "print(f.rank(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(ncgl2.standard.__file__).parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        rank, peak_kb = map(int, done.stdout.split())
+        assert rank == 17
+        assert peak_kb < 140 * 1024
 
     @pytest.mark.slow
     def test_d10_certificate_checks_delta_row_by_row_in_bounded_memory(self):
@@ -664,9 +709,10 @@ class TestStreamedRows:
 
 
 def test_canonical_map_builds_only_inside_its_lazy_coactions():
-    # the builders are the one home of the bases, the digits and Delta's
-    # reversed dual fold; canonical_map reads two rows of their lazy
-    # comodules, and no whole product is tensored outside build_TV
+    # the builders are the one home of the bases, the strides and Delta's
+    # reversed multiplication order; canonical_map reads two rows of their
+    # lazy comodules, and no whole product is tensored outside build_TV;
+    # a basis index is never spelt as a tuple of digits
     tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
@@ -695,6 +741,9 @@ def test_canonical_map_builds_only_inside_its_lazy_coactions():
     assert tensor_callers == ["build_TV"]
     assert "_built" not in functions and "reduce" not in names(tree)
     assert names(functions["build_delta"]).isdisjoint({"_factor_basis", "product", "tensor"})
+    assert "_factor_basis" not in functions and "product" not in names(tree)
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert ("itertools", "product") not in {(n.module, a.name) for n in imports for a in n.names}
 
 
 class TestMultisets:
