@@ -38,8 +38,6 @@ under the right triangular coaction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ncalg import (
     NCElement,
     Word,
@@ -182,9 +180,10 @@ def psi(element: NCElement) -> NCElement:
 def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     """Vectors x with rho(x) = g_t (x) x after pushing into the quotient.
 
-    Returns a reduced basis (list of coefficient vectors over the basis of
-    X).  For a costandard comodule and the upper quotient the space is a
-    line when t is the top weight and zero at every other weight.
+    Returns a reduced basis, each vector a sparse dict {i: x_i} over the
+    basis of X without zeros.  For a costandard comodule and the upper
+    quotient the space is a line when t is the top weight and zero at
+    every other weight.
 
     The vectors are the maps, over the quotient, into X from the line of
     weight t with coaction g_t, solved by comodules._intertwiners.  With
@@ -196,12 +195,12 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     delta_ij g_{wt i}.  So a solution has x_i (g_{wt i} - g_t) = 0 for
     every i and is supported on the weight-t vectors, the solver's
     unknowns, whose rows alone are projected.  The system in them has the
-    same solutions, and its reduced basis, embedded back into length
-    X.dim, is the full system's reduced basis.
+    same solutions, and its reduced basis, indexed by the basis of X, is
+    the full system's reduced basis.
     """
     line = [(0, [{quotient.grouplike(t): 1}])]
     solutions = _intertwiners([t], X.weights, line, lambda k: map(quotient.project, X.coaction[k]))
-    return [[column.get(k, Fraction(0)) for k in range(X.dim)] for (column,) in solutions]
+    return [column for (column,) in solutions]
 
 
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:
@@ -220,7 +219,7 @@ def every_subcomodule_contains(X: Comodule, index: int) -> bool:
             raise RuntimeError(f"inconclusive: {len(lines)}-dim semi-invariant space at {t}")
         for vector in lines:
             _, incl = generated_subcomodule(X, vector)
-            if not linalg.span_contains(incl.columns, {index: 1}):
+            if linalg.Echelon(incl.columns).insert({index: 1}):
                 return False
     return True
 
@@ -261,12 +260,7 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
         accumulate(rows.setdefault((w, g), {}), ((index[w], -1),))
     # terms that cancel leave an empty equation, which no system needs
     basis = linalg.nullspace_sparse([row for row in rows.values() if row], len(words))
-    out = []
-    for vec in basis:
-        out.append(
-            NCElement({w: vec[k] for w, k in index.items() if vec[k]})
-        )
-    return out
+    return [NCElement({words[k]: c for k, c in vec.items()}) for vec in basis]
 
 
 def induced_predicted(t: Weight, n: int) -> list[Word]:

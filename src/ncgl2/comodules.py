@@ -18,7 +18,8 @@ Y) has weight wt_X(i) + wt_Y(p), and the basis vector *i of left_dual(X)
 has weight -wt_X(i); each factor is scanned, if at all, on its own.
 
 A ComoduleMap f stores column i, f(v_i) = sum_k F[k][i] w_k, as the
-sparse vector {k: F[k][i]}; only kernel writes out the matrix F.
+sparse vector {k: F[k][i]}; only f.matrix writes out the dense F, and
+no function here reads it.
 _intertwiners solves the intertwining equations of hom_space and
 borel.semi_invariants exactly, in the matrix entries that pair basis
 vectors of equal weight.  standard.canonical_map needs no solve: it reads
@@ -237,7 +238,7 @@ class ComoduleMap:
         )
 
     def __repr__(self):
-        return f"ComoduleMap({self.source.dim} -> {self.target.dim}, rank {self.rank()})"
+        return f"ComoduleMap({self.source.dim} -> {self.target.dim})"
 
 
 def comodule_axiom_failures(X: Comodule) -> list[str]:
@@ -405,9 +406,9 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[list[dict[int, Fraction]]]:
     maps = []
     for solution in linalg.nullspace_sparse(equations, len(unknowns)):
         columns = [{} for _ in wx]
-        for (k, i), c in zip(unknowns, solution):
-            if c:
-                columns[i][k] = c
+        for n, c in solution.items():
+            k, i = unknowns[n]
+            columns[i][k] = c
         maps.append(columns)
     return maps
 
@@ -525,20 +526,22 @@ def quotient(X: Comodule, vectors: Iterable) -> tuple[Comodule, ComoduleMap]:
     """The quotient by a coaction-closed span, with its projection."""
     rows, _ = _closed_span(X, vectors)
     leading = {min(row): row for row in rows}
-    free = [i for i in range(X.dim) if i not in leading]
+    free = {i: q for q, i in enumerate(i for i in range(X.dim) if i not in leading)}
     # modulo the span, the basis vector at a leading column is minus the
-    # rest of its row, and the free basis vectors are the quotient's basis
-    proj = [
-        [-leading[j].get(f, 0) if j in leading else Fraction(int(j == f)) for j in range(X.dim)]
-        for f in free
+    # rest of its row, whose other columns are free, and the free basis
+    # vectors are the quotient's basis
+    columns = [
+        {free[k]: -c for k, c in leading[j].items() if k != j} if j in leading
+        else {free[j]: Fraction(1)}
+        for j in range(X.dim)
     ]
     parts = [_coaction_components(X, {f: 1}) for f in free]
     coaction = [
-        [NCElement({w: sum(c * p[j] for j, c in v.items()) for w, v in rho.items()}) for p in proj]
+        [NCElement({w: sum(c * columns[j].get(q, 0) for j, c in v.items()) for w, v in rho.items()})
+         for q in free.values()]
         for rho in parts
     ]
     quo = Comodule(coaction)
-    columns = ({q: p[j] for q, p in enumerate(proj) if p[j]} for j in range(X.dim))
     return quo, ComoduleMap(X, quo, columns)
 
 
@@ -574,7 +577,12 @@ def image_character(f: ComoduleMap) -> dict[Weight, int]:
 
 def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
     """The kernel subcomodule of the source, with its inclusion."""
-    return subspace_comodule(f.source, linalg.nullspace(f.matrix, f.source.dim))
+    # one equation per target index k, the row {i: F[k][i]}
+    rows: list[dict] = [{} for _ in range(f.target.dim)]
+    for i, column in enumerate(f.columns):
+        for k, x in column.items():
+            rows[k][i] = x
+    return subspace_comodule(f.source, linalg.nullspace_sparse(rows, f.source.dim))
 
 
 def generated_subcomodule(X: Comodule, vector: Sequence | dict) -> tuple[Comodule, ComoduleMap]:

@@ -8,10 +8,12 @@ linear combinations with it.
 
 There is one row reduction, the incremental Echelon.  It eliminates
 fraction-free over the integers (Bareiss, Math. Comp. 22, 1968) and
-divides only to write out its reduced basis.  rref, rank, nullspace,
-nullspace_sparse and span_contains are thin callers of it, and only the
-rows they hand back hold Fractions, dense ones at the API edge.  Reduced
-row echelon form is unique, which makes subspace comparisons canonical.
+divides only to write out its reduced basis.  rref, rank and
+nullspace_sparse are thin callers of it, and only the vectors they hand
+back hold Fractions.  Solutions are sparse vectors too; rref alone
+writes dense rows.  Membership in a span is Echelon(rows).insert(v)
+returning False.  Reduced row echelon form is unique, which makes
+subspace comparisons canonical.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "accumulate",
     "rref",
     "rank",
-    "nullspace",
-    "span_contains",
     "nullspace_sparse",
     "Echelon",
 ]
@@ -161,40 +161,27 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(Echelon(rows))
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0}, one vector per free column, in column order."""
-    rows = [dict(enumerate(row)) for row in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for an empty system")
-        ncols = len(rows[0])
-    return nullspace_sparse(rows, ncols)
-
-
 def nullspace_sparse(
     equations: list[dict[int, int | Fraction]], nvars: int
-) -> list[list[Fraction]]:
+) -> list[dict[int, Fraction]]:
     """Basis of the solution space of sparse homogeneous equations.
 
     Each equation maps a variable index to its coefficient.  The
     equations are reduced in an Echelon; each free variable gives one
     basis vector, 1 there and minus its column of the reduced rows at
     their leading variables.  The vectors come in free-variable order and
-    are the unique reduced basis, as dense lists of Fractions.
+    are the unique reduced basis, each a sparse vector {variable:
+    Fraction} without zeros.
+
+    >>> nullspace_sparse([{0: 1, 2: -1}, {1: 2, 2: 2}], 4) == [{0: 1, 1: -1, 2: 1}, {3: 1}]
+    True
     """
     reduced = Echelon(equations)._reduced()
     pivots = {lead for lead, _ in reduced}
-    free = {k: [Fraction(0)] * nvars for k in range(nvars) if k not in pivots}
-    for k, vec in free.items():
-        vec[k] = Fraction(1)
+    free = {k: {k: Fraction(1)} for k in range(nvars) if k not in pivots}
     for lead, row in reduced:
         for k, v in row.items():
             if k != lead:
                 free[k][lead] = Fraction(-v, row[lead])
     return list(free.values())
-
-
-def span_contains(basis_rows: Iterable[Sequence], vector: Sequence) -> bool:
-    """Whether vector lies in the row span of basis_rows."""
-    return not Echelon(basis_rows).insert(vector)
 

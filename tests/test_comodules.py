@@ -29,7 +29,7 @@ from ncgl2.comodules import (
 )
 import ncgl2
 from ncgl2 import ncalg
-from ncgl2.linalg import accumulate, nullspace_sparse
+from ncgl2.linalg import accumulate, nullspace_sparse, rref
 from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
     build_R,
@@ -42,6 +42,7 @@ from ncgl2.standard import (
     factor_comodule,
 )
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
+from test_linalg import dense_nullspace, dense_rows, mat_vec
 from test_ncalg import ANTIPODE_INV_IMAGES, letter_by_letter
 
 
@@ -248,6 +249,24 @@ class TestSubQuotient:
         assert are_isomorphic(ker, build_R(1))
         assert img.dim == quo.dim
 
+    def test_kernel_is_the_nullspace_of_the_map(self):
+        # a projection, hom-space maps and canonical maps: the kernel has
+        # dimension dim X - rank f, its inclusion is a comodule map that f
+        # kills, and its span is the dense oracle's nullspace of F
+        labels = list(enumerate_lambda(2))
+        maps = [quotient(W, DET_LINE)[1], *hom_space(W, W)]
+        maps += [f for l, m in product(labels, labels) for f in hom_space(build_delta(l), build_nabla(m))]
+        maps += [canonical_map(lam) for lam in enumerate_lambda(3)]
+        for f in maps:
+            n = f.source.dim
+            ker, incl = kernel(f)
+            assert ker.dim == n - f.rank()
+            assert incl.is_intertwiner()
+            inclusion = dense_rows(incl.columns, n)
+            assert all(not any(mat_vec(f.matrix, v)) for v in inclusion)
+            assert rref(inclusion)[0] == rref(dense_nullspace(f.matrix, n))[0]
+        assert sorted({kernel(f)[0].dim for f in maps}) == [0, 1, 4]
+
     def test_generated_subcomodule(self):
         g, incl = generated_subcomodule(W, [0, 0, 0, 1])
         # the top vector of V x V generates everything
@@ -334,7 +353,7 @@ def hom_space_blocked_oracle(X: Comodule, Y: Comodule) -> list[list[list[Fractio
                     seen.add(key)
                     equations.append(equation)
     matrices = []
-    for sol in nullspace_sparse(equations, len(allowed)):
+    for sol in dense_rows(nullspace_sparse(equations, len(allowed)), len(allowed)):
         matrix = [[Fraction(0)] * X.dim for _ in range(Y.dim)]
         for (k, i), n in var_index.items():
             matrix[k][i] = sol[n]
@@ -537,6 +556,15 @@ class TestInvariantChecks:
         with pytest.raises(ValueError, match=r"outside range\(2\)"):
             ComoduleMap(V, V, [{0: Fraction(1)}, {2: Fraction(1)}])
 
+    def test_repr_prints_dimensions_without_a_rank(self, monkeypatch):
+        # pytest calls repr on a failed assertion, and the rank of a large
+        # map takes seconds
+        def no_rank(rows):
+            raise AssertionError("repr computed a rank")
+
+        monkeypatch.setattr(ncgl2.linalg, "rank", no_rank)
+        assert repr(canonical_map(parse_lambda("d.Di.d"))) == "ComoduleMap(3 -> 4)"
+
     def test_shape_check_runs_under_python_optimize(self):
         import os
         import subprocess
@@ -566,9 +594,9 @@ class TestInvariantChecks:
 
 
 
-def test_only_kernel_reads_the_dense_map_matrix():
+def test_no_package_function_reads_the_dense_map_matrix():
     # a ComoduleMap stores sparse columns and writes its dense matrix out on
-    # each read of .matrix; every other reader works on the columns
+    # each read of .matrix, which only callers outside the package make
     package = Path(ncgl2.__file__).parent
     readers = []
     for path in sorted(package.glob("*.py")):
@@ -581,7 +609,7 @@ def test_only_kernel_reads_the_dense_map_matrix():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "matrix":
                 readers.append((path.name, enclosing.get(id(node))))
-    assert readers == [("comodules.py", "kernel")]
+    assert readers == []
 
 
 def test_only_comodule_weights_projects_to_the_torus():

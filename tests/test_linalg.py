@@ -13,11 +13,9 @@ import ncgl2
 from ncgl2.linalg import (
     Echelon,
     accumulate,
-    nullspace,
     nullspace_sparse,
     rank,
     rref,
-    span_contains,
 )
 
 F = Fraction
@@ -69,18 +67,25 @@ def mat_vec(A, x) -> list[F]:
     return [sum((F(a) * v for a, v in zip(row, x)), F(0)) for row in A]
 
 
+def dense_rows(equations: list[dict], nvars: int) -> list[list[F]]:
+    """Sparse vectors {k: x} written out as dense rows of length nvars."""
+    return [[F(eq.get(k, 0)) for k in range(nvars)] for eq in equations]
+
+
+def sparse_equations(rows) -> list[dict]:
+    """The rows of a dense matrix as sparse equations {k: A[r][k]}."""
+    return [{k: v for k, v in enumerate(row) if v} for row in rows]
+
+
 def agrees_with_oracle(rows: list[list[F]], ncols: int) -> None:
-    """rref, rank, nullspace and nullspace_sparse equal the dense oracle's."""
+    """rref, rank and nullspace_sparse equal the dense oracle's."""
     reduced, pivots = dense_rref(rows)
     assert rref(rows) == (reduced, pivots)
     assert all(type(x) is F for row in rref(rows)[0] for x in row)
     assert rank(rows) == len(pivots)
-    null = dense_nullspace(rows, ncols)
-    assert nullspace(rows, ncols) == null
-    equations = [{k: v for k, v in enumerate(row) if v} for row in rows]
-    sparse_basis = nullspace_sparse(equations, ncols)
-    assert sparse_basis == null
-    assert all(type(x) is F for vec in sparse_basis for x in vec)
+    sparse_basis = nullspace_sparse(sparse_equations(rows), ncols)
+    assert dense_rows(sparse_basis, ncols) == dense_nullspace(rows, ncols)
+    assert all(type(x) is F for vec in sparse_basis for x in vec.values())
 
 
 def test_accumulate_cancelling_pair_deletes_key():
@@ -124,8 +129,13 @@ def test_only_the_intertwining_solver_solves_hom_systems():
     # comodules._intertwiners; a hand-written system elsewhere would name
     # nullspace_sparse.  canonical_map solves nothing: it reads its map off
     # Delta's top row (tests/test_standard.py guards that).  Truncated
-    # induction solves a system over words of O, not an intertwining one.
-    allowed = {("comodules.py", "_intertwiners"), ("borel.py", "induced_truncated")}
+    # induction solves a system over words of O, and kernel the rows of a
+    # map's matrix, neither an intertwining one.
+    allowed = {
+        ("comodules.py", "_intertwiners"),
+        ("comodules.py", "kernel"),
+        ("borel.py", "induced_truncated"),
+    }
     package = Path(ncgl2.__file__).parent
     hits = [
         f"{path.name}:{node.lineno}"
@@ -210,9 +220,9 @@ def test_rref_known():
 def test_rank_and_nullspace():
     mat = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
     assert rank(mat) == 2
-    null = nullspace(mat)
-    assert len(null) == 1
-    v = null[0]
+    null = nullspace_sparse(sparse_equations(mat), 3)
+    assert null == [{0: 1, 1: -1, 2: 1}]
+    (v,) = dense_rows(null, 3)
     assert mat_vec(mat, v) == [F(0), F(0)]
 
 
@@ -239,9 +249,12 @@ def test_echelon_columns_are_any_ordered_keys():
 
 
 def test_span_and_row_space():
+    # insert returns False exactly when the vector already lies in the span
     rows = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    assert span_contains(rows, [F(2), F(3), F(5)])
-    assert not span_contains(rows, [F(0), F(0), F(1)])
+    assert not Echelon(rows).insert([F(2), F(3), F(5)])
+    assert Echelon(rows).insert([F(0), F(0), F(1)])
+    assert not Echelon(sparse_equations(rows)).insert({0: 2, 1: 3, 2: 5})
+    assert Echelon(sparse_equations(rows)).insert({2: 1})
     assert rref(rows)[0] == rref([[F(1), F(1), F(2)], [F(1), F(-1), F(0)]])[0]
     assert rref(rows)[0] != rref([[F(1), F(0), F(0)]])[0]
 
@@ -254,7 +267,7 @@ def test_nullspace_sparse_matches_dense():
     dense = [[F(1), F(0), F(-1)], [F(0), F(2), F(2)]]
     sparse_basis = nullspace_sparse(rows, 3)
     dense_basis = dense_nullspace(dense, 3)
-    assert rref(sparse_basis)[0] == rref(dense_basis)[0]
+    assert rref(dense_rows(sparse_basis, 3))[0] == rref(dense_basis)[0]
 
 
 def random_sparse_system(rng: random.Random) -> tuple[list[dict], int]:
@@ -281,19 +294,25 @@ def random_sparse_system(rng: random.Random) -> tuple[list[dict], int]:
     return equations, nvars
 
 
-def dense_rows(equations: list[dict], nvars: int) -> list[list[F]]:
-    return [[F(eq.get(k, 0)) for k in range(nvars)] for eq in equations]
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_nullspace_sparse_equals_dense_on_random_systems(seed):
     rng = random.Random(seed)
     for _ in range(60):
         equations, nvars = random_sparse_system(rng)
         sparse_basis = nullspace_sparse([dict(eq) for eq in equations], nvars)
-        assert sparse_basis == dense_nullspace(dense_rows(equations, nvars), nvars), equations
-        assert all(type(x) is F for vec in sparse_basis for x in vec)
-        agrees_with_oracle(dense_rows(equations, nvars), nvars)
+        dense = dense_rows(equations, nvars)
+        assert dense_rows(sparse_basis, nvars) == dense_nullspace(dense, nvars), equations
+        assert all(type(x) is F for vec in sparse_basis for x in vec.values())
+        # one vector per free variable, in order: 1 there, no zero value,
+        # and every other key at a pivot variable
+        pivots = set(dense_rref(dense)[1])
+        free = [k for k in range(nvars) if k not in pivots]
+        assert len(sparse_basis) == len(free)
+        for vec, k in zip(sparse_basis, free):
+            assert vec[k] == 1
+            assert all(vec.values())
+            assert set(vec) - {k} <= pivots
+        agrees_with_oracle(dense, nvars)
 
 
 def test_nullspace_sparse_edge_systems():
@@ -306,9 +325,9 @@ def test_nullspace_sparse_edge_systems():
     ]
     for equations, nvars in cases:
         sparse_basis = nullspace_sparse(equations, nvars)
-        assert sparse_basis == dense_nullspace(dense_rows(equations, nvars), nvars)
-        assert all(type(x) is F for vec in sparse_basis for x in vec)
-    assert nullspace_sparse([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+        assert dense_rows(sparse_basis, nvars) == dense_nullspace(dense_rows(equations, nvars), nvars)
+        assert all(type(x) is F for vec in sparse_basis for x in vec.values())
+    assert nullspace_sparse([], 2) == [{0: F(1)}, {1: F(1)}]
     assert nullspace_sparse([], 0) == []
 
 
@@ -332,13 +351,14 @@ def test_kernel_equals_dense_oracle(mat):
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(mat):
     cols = len(mat[0])
-    assert rank(mat) + len(nullspace(mat)) == cols
+    assert rank(mat) + len(nullspace_sparse(sparse_equations(mat), cols)) == cols
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_vectors_annihilate(mat):
-    for v in nullspace(mat):
+    cols = len(mat[0])
+    for v in dense_rows(nullspace_sparse(sparse_equations(mat), cols), cols):
         assert all(entry == 0 for entry in mat_vec(mat, v))
 
 

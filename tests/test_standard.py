@@ -58,6 +58,7 @@ from ncgl2.standard import (
 )
 from ncgl2.weights import LambdaWord, Weight, enumerate_lambda, parse_lambda
 from test_comodules import columns_of, direct_sum, left_fold
+from test_linalg import dense_rows
 
 
 def lam(text: str) -> LambdaWord:
@@ -114,7 +115,7 @@ def canonical_map_materialized(l: LambdaWord) -> ComoduleMap:
         for m, c in b.get(w, {}).items():
             per_row.setdefault(m, {})[s] = -c
         equations.extend(per_row.values())
-    (sol,) = nullspace_sparse(equations, s + 1)
+    (sol,) = dense_rows(nullspace_sparse(equations, s + 1), s + 1)
     matrix = [[Fraction(0)] * delta.dim for _ in range(nabla.dim)]
     for (m, j), n in var_index.items():
         matrix[m][j] = sol[n] / sol[s]
