@@ -295,10 +295,8 @@ def left_dual(X: Comodule) -> Comodule:
     V # R^-1, not to R^-1 # V.
 
     The entries are S^-1(C[j][i]).  S^-1 sends every letter to one signed
-    word, so each word of an entry is rewritten once.  The entries of one
-    dual share many intermediate words, so all of them share one rewrite
-    memo, which is dropped on return: the global normal-form cache is
-    read but never grows here.
+    word, so each word of an entry is rewritten once, and the global
+    normal-form cache is read but never grows here.
 
     S^-1 is an algebra anti-homomorphism, so the dual of a tensor product
     is the tensor product of the duals in reverse order, entry for entry:
@@ -309,9 +307,8 @@ def left_dual(X: Comodule) -> Comodule:
     The basis vector *i has weight -wt_X(i).
     """
     weights = [Weight(-w.i, -w.j) for w in X.weights]
-    memo: dict = {}
     C = X.coaction
-    coaction = [[antipode_inv(C[j][i], memo) for j in range(X.dim)] for i in range(X.dim)]
+    coaction = [[antipode_inv(C[j][i]) for j in range(X.dim)] for i in range(X.dim)]
     return Comodule(coaction, weights)
 
 

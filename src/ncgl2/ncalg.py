@@ -15,7 +15,8 @@ D
 Words are tuples of letter names, elements are dicts mapping normal words
 to coefficients.  An element of a tensor power of O is a plain dict
 {(word_1, ..., word_k): coefficient}, one normal word per leg; coproduct
-and the *_leg maps return fresh dicts that the caller owns.  Every
+and the *_leg maps return fresh dicts that the caller owns, and a memo
+passed to them maps a normal word to its image under the map.  Every
 coefficient of the rewrite rules, the coproduct and the antipode is an
 integer, so a coefficient is an int, or a Fraction only downstream of a
 non-integral input such as a parsed 3/2.  Outside scalars enter through
@@ -26,7 +27,7 @@ exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .linalg import accumulate
 
@@ -540,6 +541,31 @@ _ANTIPODE_INV_LETTER: dict[str, tuple[int, Word]] = {
 }
 
 
+def _map_leg(
+    tensor: Mapping[tuple, Coeff], leg: int, memo: dict | None, image: Callable[[Word], dict]
+) -> dict[tuple, Coeff]:
+    """Replace the given leg of every key by the words of image(word); a fresh dict.
+
+    image maps a normal word to {tuple of normal words: coefficient}: two
+    words per key for the coproduct, one for the antipode and none for
+    the counit, which so drops the leg.  memo[word] is image(word), filled
+    on first use and only read afterwards, so a returned dict never shares
+    its values; a fresh dict is used when memo is None.  This is the one
+    place that cuts a tensor key around a leg.
+    """
+    if memo is None:
+        memo = {}
+    acc: dict[tuple, Coeff] = {}
+    for key, coeff in tensor.items():
+        word = key[leg]
+        words = memo.get(word)
+        if words is None:
+            words = memo[word] = image(word)
+        head, tail = key[:leg], key[leg + 1 :]
+        accumulate(acc, ((head + ws + tail, coeff * c) for ws, c in words.items()))
+    return acc
+
+
 def coproduct(element: NCElement, memo: dict | None = None) -> dict[tuple, Coeff]:
     """The coproduct O -> O # O, as {(left word, right word): coefficient}.
 
@@ -549,8 +575,7 @@ def coproduct(element: NCElement, memo: dict | None = None) -> dict[tuple, Coeff
     calls (and with coproduct_leg), and drop it afterwards.  A fresh dict
     is used when memo is None.
     """
-    terms = (((w,), c) for w, c in element.items())
-    return _coproduct_at(terms, 0, {} if memo is None else memo)
+    return _map_leg({(w,): c for w, c in element.items()}, 0, memo, _coproduct_image)
 
 
 def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
@@ -564,37 +589,24 @@ def _coproduct_word(word: Word) -> dict[tuple[Word, Word], int]:
     return pairs
 
 
-def _coproduct_at(
-    terms: Iterable[tuple[tuple, Coeff]], leg: int, memo: dict[Word, dict]
-) -> dict[tuple, Coeff]:
-    """Coproduct applied to the given leg of tensor keys, in normal form.
-
-    memo[word] is the normal-form coproduct of word, filled on first use.
-    Its values are only read, so a returned dict never shares them.
-    """
-    acc: dict[tuple, Coeff] = {}
-    for key, coeff in terms:
-        word = key[leg]
-        pairs = memo.get(word)
-        if pairs is None:
-            pairs = memo[word] = {}
-            for (w1, w2), c in _coproduct_word(word).items():
-                right = normal_form_word(w2).items()
-                accumulate(pairs, (
-                    ((u, v), c * cu * cv)
-                    for u, cu in normal_form_word(w1).items()
-                    for v, cv in right
-                ))
-        head, tail = key[:leg], key[leg + 1 :]
-        accumulate(acc, ((head + pair + tail, coeff * c) for pair, c in pairs.items()))
-    return acc
+def _coproduct_image(word: Word) -> dict[tuple[Word, Word], int]:
+    """The coproduct of a word with both legs in normal form."""
+    pairs: dict[tuple[Word, Word], int] = {}
+    for (w1, w2), c in _coproduct_word(word).items():
+        right = normal_form_word(w2).items()
+        accumulate(pairs, (
+            ((u, v), c * cu * cv)
+            for u, cu in normal_form_word(w1).items()
+            for v, cv in right
+        ))
+    return pairs
 
 
 def coproduct_leg(
     tensor: Mapping[tuple, Coeff], leg: int, memo: dict | None = None
 ) -> dict[tuple, Coeff]:
     """Apply the coproduct to one leg of a tensor; a fresh dict, memo as in coproduct."""
-    return _coproduct_at(tensor.items(), leg, {} if memo is None else memo)
+    return _map_leg(tensor, leg, memo, _coproduct_image)
 
 
 def _counit_word(word: Word) -> int:
@@ -610,23 +622,20 @@ def counit(element: NCElement) -> Coeff:
 
 def counit_leg(tensor: Mapping[tuple, Coeff], leg: int) -> dict[tuple, Coeff]:
     """Apply the counit to one leg of a tensor, dropping it; a fresh dict."""
-    pairs = ((key[:leg] + key[leg + 1 :], c * _counit_word(key[leg])) for key, c in tensor.items())
-    return accumulate({}, pairs)
+    return _map_leg(tensor, leg, None, lambda word: {(): _counit_word(word)})
 
 
-def _anti_hom(
-    element: NCElement,
-    letter_images: dict[str, tuple[int, Word]],
-    memo: dict[Word, dict[Word, int]],
-) -> NCElement:
+def _anti_hom(element: NCElement, letter_images: dict[str, tuple[int, Word]]) -> NCElement:
     """The anti-homomorphism given by single signed-word letter images.
 
     Each letter x has the image s(x) * w(x) for one word w(x) and a sign
     s(x), so the image of x1...xn is s(x1)...s(xn) times the normal form
     of the one word w(xn)...w(x1): each word of the element is rewritten
-    once.  The intermediates of that rewrite go into memo, not into
-    _NF_CACHE.
+    once.  The words of one call share the intermediates of their
+    rewrites in a local dict, dropped on return, so _NF_CACHE is read but
+    never written.
     """
+    rewrites: dict[Word, dict[Word, int]] = {}
     result: dict[Word, Coeff] = {}
     for word, coeff in element.items():
         image: Word = ()
@@ -635,29 +644,31 @@ def _anti_hom(
             image += letter_word
             if sign < 0:
                 coeff = -coeff
-        accumulate(result, ((w, coeff * c) for w, c in _reduce(image, memo).items()))
+        accumulate(result, ((w, coeff * c) for w, c in _reduce(image, rewrites).items()))
     return NCElement._raw(result)
 
 
-def antipode(element: NCElement, memo: dict | None = None) -> NCElement:
+def antipode(element: NCElement) -> NCElement:
     """The antipode S, an algebra anti-homomorphism.
 
     Every letter maps to one signed word (a -> Di*d, b -> -Di*b, ...), so
-    each word of the element costs one rewrite.  memo holds the
-    intermediate words of those rewrites; pass one dict to share them
-    across related calls, and drop it afterwards.  A fresh dict is used
-    when memo is None.  _NF_CACHE is read, never written.
+    each word of the element costs one rewrite, which leaves _NF_CACHE
+    as it was.
     """
-    return _anti_hom(element, _ANTIPODE_LETTER, {} if memo is None else memo)
+    return _anti_hom(element, _ANTIPODE_LETTER)
 
 
-def antipode_inv(element: NCElement, memo: dict | None = None) -> NCElement:
+def antipode_inv(element: NCElement) -> NCElement:
     """The inverse of the antipode, also an anti-homomorphism.
 
-    Every letter maps to one signed word (a -> d*Di, b -> -b*Di, ...);
-    memo works as in antipode.
+    Every letter maps to one signed word (a -> d*Di, b -> -b*Di, ...),
+    rewritten as in antipode.
     """
-    return _anti_hom(element, _ANTIPODE_INV_LETTER, {} if memo is None else memo)
+    return _anti_hom(element, _ANTIPODE_INV_LETTER)
+
+
+def _antipode_image(word: Word) -> dict[tuple[Word], Coeff]:
+    return {(w,): c for w, c in antipode(NCElement._raw({word: 1})).items()}
 
 
 def antipode_leg(
@@ -665,25 +676,12 @@ def antipode_leg(
 ) -> dict[tuple, Coeff]:
     """Apply the antipode to one leg of a tensor; a fresh dict.
 
-    memo maps a normal word to its antipode, {normal word: coefficient},
-    filled on first use and only read afterwards, as coproduct_leg's memo
-    holds coproducts; pass one dict to share it across related calls, and
-    drop it afterwards.  A fresh dict is used when memo is None.  The
-    words missing from memo are rewritten with one intermediate memo per
-    call, which stays out of _NF_CACHE.
+    memo maps a normal word to its antipode, {(normal word,): coefficient},
+    as coproduct_leg's memo holds coproducts; pass one dict to share it
+    across related calls, and drop it afterwards.  A fresh dict is used
+    when memo is None.
     """
-    if memo is None:
-        memo = {}
-    rewrites: dict[Word, dict[Word, int]] = {}
-    acc: dict[tuple, Coeff] = {}
-    for key, coeff in tensor.items():
-        word = key[leg]
-        image = memo.get(word)
-        if image is None:
-            image = memo[word] = antipode(NCElement._raw({word: 1}), rewrites)._terms
-        head, tail = key[:leg], key[leg + 1 :]
-        accumulate(acc, ((head + (w,) + tail, coeff * c) for w, c in image.items()))
-    return acc
+    return _map_leg(tensor, leg, memo, _antipode_image)
 
 
 def multiply_legs(tensor: Mapping[tuple, Coeff]) -> NCElement:

@@ -427,25 +427,14 @@ def sl2_rank_oracle(a: int, b: int, direction: str = "left") -> dict:
         raise ValueError("direction must be 'left' or 'right'")
     source_dim = (a + 1) * (b + 1)
     if direction == "left":
-        target_dim = a * (b + 2) if a >= 1 else 0
+        target_dim, transfer = a * (b + 2), ((2, 0), (3, 1))
     else:
-        target_dim = (a + 2) * b if b >= 1 else 0
-    rows = []
-    for i in range(a + 1):
-        for j in range(b + 1):
-            row = [0] * target_dim
-            if direction == "left":
-                if i >= 1:
-                    row[(i - 1) * (b + 2) + (j + 1)] += i
-                if a - i >= 1 and a >= 1:
-                    row[i * (b + 2) + j] += a - i
-            else:
-                if j >= 1:
-                    row[(i + 1) * b + (j - 1)] += j
-                if b - j >= 1:
-                    row[i * b + j] += b - j
-            rows.append(row)
-    rank = linalg.rank(rows) if target_dim else 0
+        target_dim, transfer = (a + 2) * b, ((0, 2), (1, 3))
+    rank = linalg.rank(
+        _apply_operator({(i, a - i, j, b - j): 1}, transfer)
+        for i in range(a + 1)
+        for j in range(b + 1)
+    )
     return {
         "a": a,
         "b": b,
@@ -461,8 +450,9 @@ def sl2_rank_oracle(a: int, b: int, direction: str = "left") -> dict:
 def _apply_operator(poly: dict, pairs) -> dict:
     """Apply sum of (out_index, in_index) first-order operators to a polynomial.
 
-    Monomials are exponent tuples over (x1, x2, y1, y2, z1, z2); the
-    operator summand (o, i) is variable_o * d/d variable_i.
+    Monomials are exponent tuples over (x1, x2, y1, y2), and z1, z2 after
+    them when a third block takes part; the operator summand (o, i) is
+    variable_o * d/d variable_i.
     """
     out: dict = {}
     for mono, coeff in poly.items():

@@ -240,10 +240,10 @@ def _factor_parts(word: Sequence[Factor]) -> list[Part]:
     return parts
 
 
-def _dual(part: Part, memo: dict) -> Part:
-    """The part's left_dual: negated weights, entries S^-1(C[l][k]) rewritten through memo."""
+def _dual(part: Part) -> Part:
+    """The part's left_dual: negated weights, entries S^-1(C[l][k])."""
     weights, entry = part
-    return tuple(Weight(-w.i, -w.j) for w in weights), lambda k, l: antipode_inv(entry(l, k), memo)
+    return tuple(Weight(-w.i, -w.j) for w in weights), lambda k, l: antipode_inv(entry(l, k))
 
 
 def _product_comodule(parts: Sequence[Part], fold: Callable[[list], dict]) -> Comodule:
@@ -324,12 +324,11 @@ def build_delta(lam: LambdaWord) -> Comodule:
     when read, on the basis of L_1 # ... # L_n with L_t = _dual(P_t) for
     its parts P_t.  S^-1 is an anti-homomorphism, so the entry at (I, J)
     is S^-1(P_1[j_1][i_1] ... P_n[j_n][i_n]) = L_n[i_n][j_n] ...
-    L_1[i_1][j_1]: the fold multiplies the dual rows in reverse order, and
-    all rows share one rewrite memo for S^-1.  Normal forms are unique, so
-    the entries and weights are those of left_dual(build_nabla(star_inv(lam))).
+    L_1[i_1][j_1]: the fold multiplies the dual rows in reverse order.
+    Normal forms are unique, so the entries and weights are those of
+    left_dual(build_nabla(star_inv(lam))).
     """
-    memo: dict = {}
-    duals = [_dual(part, memo) for part in _factor_parts(nabla_factors(lam.star_inv()))]
+    duals = [_dual(part) for part in _factor_parts(nabla_factors(lam.star_inv()))]
     return _product_comodule(duals, lambda pairs: _row_product(pairs[::-1]))
 
 
@@ -445,7 +444,7 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     - Each row is a product of one row of each part, as the builders
       compute it: the bases, the strides and Delta's reversed
       multiplication order live there.  The S^-1 rewrites of Delta's row
-      share one memo, so the normal-form cache does not grow from them.
+      do not grow the normal-form cache.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam).  No

@@ -503,11 +503,21 @@ class TestDuals:
                 assert dual.coaction[i][j] == letter_by_letter(N.coaction[j][i], ANTIPODE_INV_IMAGES)
 
     def test_duals_do_not_grow_the_global_cache(self):
-        # the rewrites of one dual share a memo that is dropped afterwards
+        # S and S^-1 keep the intermediates of their rewrites in a dict
+        # local to one call; each input is measured on its own
         X = build_nabla(parse_lambda("d^4"))
-        before = len(ncalg._NF_CACHE)
-        left_dual(X)
-        assert len(ncalg._NF_CACHE) == before
+        entries = [entry for row in X.coaction for entry in row]
+        tensors = [ncalg.coproduct(entry) for entry in entries]
+        calls = {
+            "left_dual": lambda: left_dual(X),
+            "antipode": lambda: [ncalg.antipode(entry) for entry in entries],
+            "antipode_inv": lambda: [ncalg.antipode_inv(entry) for entry in entries],
+            "antipode_leg": lambda: [ncalg.antipode_leg(t, leg) for t in tensors for leg in (0, 1)],
+        }
+        for name, call in calls.items():
+            before = len(ncalg._NF_CACHE)
+            call()
+            assert len(ncalg._NF_CACHE) == before, name
 
 
 class TestInvariantChecks:

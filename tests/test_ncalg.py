@@ -350,6 +350,8 @@ class TestHopf:
         assert coproduct_leg(two, 0) == coproduct_leg(two, 1)
         assert multiply_legs(counit_leg(two, 0)) == el
         assert multiply_legs(counit_leg(two, 1)) == el
+        # the counit on the middle leg of (Delta # id) Delta gives Delta back
+        assert counit_leg(coproduct_leg(two, 0), 1) == two
         eps = counit(el) * one()
         assert multiply_legs(antipode_leg(two, 0)) == eps
         assert multiply_legs(antipode_leg(two, 1)) == eps
@@ -391,13 +393,12 @@ class TestHopf:
             el = NCElement({word: Fraction(1)})
             assert antipode_inv(antipode(el)) == el, word
 
-    def test_antipode_of_a_sum_with_a_shared_memo(self):
+    def test_antipode_of_a_sum_repeats_with_exact_coefficients(self):
         el = element("3/2*a*b*c - d*Di*a + 2")
-        memo = {}
-        first = antipode_inv(el, memo)
-        assert antipode_inv(el, memo) == first == letter_by_letter(el, ANTIPODE_INV_IMAGES)
+        first = antipode_inv(el)
+        assert antipode_inv(el) == first == letter_by_letter(el, ANTIPODE_INV_IMAGES)
         assert all(type(c) in (int, Fraction) for _, c in first.items())
-        integral = antipode_inv(element("-d*Di*a + 2"), memo)
+        integral = antipode_inv(element("-d*Di*a + 2"))
         assert not integral.is_zero()
         assert all(type(c) is int for _, c in integral.items())
 
@@ -621,3 +622,29 @@ def test_only_ncalg_matches_rule_left_sides():
             if computed and letter:
                 hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert hits == []
+
+
+def test_only_the_leg_map_cuts_keys_and_antipodes_take_no_memo():
+    # one home for a Hopf map applied to one leg: only ncalg._map_leg cuts
+    # a tensor key around a leg (key[:leg]); and one meaning of memo:
+    # antipode and antipode_inv take the element alone
+    package = Path(ncgl2.__file__).parent
+    map_leg = next(
+        node
+        for node in ast.walk(ast.parse((package / "ncalg.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_map_leg"
+    )
+    lines = range(map_leg.lineno, map_leg.end_lineno + 1)
+    cuts, calls = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Slice):
+                if "leg" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                    inside = path.name == "ncalg.py" and node.lineno in lines
+                    cuts.append((inside, f"{path.name}:{node.lineno}"))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("antipode", "antipode_inv") and len(node.args) + len(node.keywords) > 1:
+                    calls.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert cuts and [where for inside, where in cuts if not inside] == []
+    assert calls == []

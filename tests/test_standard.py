@@ -426,8 +426,8 @@ class TestSimpleQuotients:
     def _edit_delta_row(self, monkeypatch, column, edit):
         real = ncgl2.standard._dual
 
-        def edited(part, memo):
-            weights, entry = real(part, memo)
+        def edited(part):
+            weights, entry = real(part)
             return weights, lambda k, l: edit(entry(k, l)) if (k, l) == (0, column) else entry(k, l)
 
         monkeypatch.setattr(ncgl2.standard, "_dual", edited)
@@ -602,11 +602,10 @@ class TestStreamedRows:
 
     def test_streamed_dual_rows_match_left_dual(self):
         for l in enumerate_lambda(6):
-            memo = {}
             for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv())):
                 rows = [ncgl2.standard._factor_row(part, k) for k in range(len(part[0]))]
                 L = left_dual(Comodule(rows, part[0]))
-                dual = ncgl2.standard._dual(part, memo)
+                dual = ncgl2.standard._dual(part)
                 assert dual[0] == L.weights, str(l)
                 for i in range(L.dim):
                     assert ncgl2.standard._factor_row(dual, i) == list(L.coaction[i]), str(l)
@@ -617,18 +616,16 @@ class TestStreamedRows:
         # and S^-1(Di * x) = S^-1(x) * D cancels down to one signed word
         # in a, b, c and d; merging it into the V before it would leave
         # the letters D and Di in the dual entries
-        memo = {}
         for part in ncgl2.standard._factor_parts(nabla_factors(lam(f"d^{k}").star_inv())):
-            weights, entry = ncgl2.standard._dual(part, memo)
+            weights, entry = ncgl2.standard._dual(part)
             for i, j in product(range(len(weights)), repeat=2):
                 ((word, c),) = entry(i, j).items()
                 assert c in (1, -1) and set(word) <= set("abcd"), (k, i, j)
 
     def test_delta_top_row_is_the_reversed_product_of_dual_rows(self):
         for l in enumerate_lambda(5):
-            memo = {}
             parts = [
-                ncgl2.standard._dual(part, memo)
+                ncgl2.standard._dual(part)
                 for part in ncgl2.standard._factor_parts(nabla_factors(l.star_inv()))
             ]
             digits, weights, strides = product_basis(parts)
