@@ -455,16 +455,16 @@ def _close(echelon: linalg.Echelon, components) -> tuple[list[dict], list[list[N
     components(row) is the coaction of a vector as {word: sparse vector}.
     Returns the rows, in increasing leading column, and the coaction on
     them: each component is the combination of the rows given by its
-    entries at their leading columns.
+    entries at their leading columns.  On a comodule the loop makes at
+    most two passes: the components of rho(v) span the subcomodule that v
+    generates (coassociativity, and the counit for v itself).
     """
     grew = True
     while grew:
         rows = echelon.basis()
         parts = [components(row) for row in rows]
-        grew = False
-        for part in parts:
-            for vector in part.values():
-                grew |= echelon.insert(vector)
+        inserted = [echelon.insert(vector) for part in parts for vector in part.values()]
+        grew = any(inserted)
     position = {min(row): q for q, row in enumerate(rows)}
     coaction = []
     for part in parts:

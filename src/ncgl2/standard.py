@@ -11,9 +11,9 @@ A tensor-built comodule is named by a factor word, a tuple of (kind, n)
 pairs: ("S", y) is S^y V, ("T", y) is T^y V and ("R", k) is R^k.  One
 table, _FACTORS, gives each kind two columns: its character (whose
 weights come in basis order) and its entry function (n, k, l) -> the
-coaction entry at (k, l).  The entry of S^y V is a sum of binomially many
-normal words, which build_SymV writes entry by entry; that of R^k is D^k
-or Di^-k; that of T^y V is S^-1 of the transposed S^y V entry times D.
+coaction entry at (k, l): S^y V's is a sum of binomially many normal
+words, R^k's is D^k or Di^-k, T^y V's is S^-1 of the transposed S^y V
+entry times D.  build_V (S^1 V), build_R and build_SymV build one factor.
 _factor_parts reads a word as parts, merging each line into a neighbour,
 and _dual dualizes a part.  Four interpreters read them: factor_comodule
 (for nabla, M and the classifier's blocks) and build_delta (on the dual
@@ -109,13 +109,13 @@ __all__ = [
 
 
 def build_V() -> Comodule:
-    """The defining two dimensional comodule, rho(e_i) = sum_j C[i][j] (x) e_j."""
-    return Comodule(((gen("a"), gen("b")), (gen("c"), gen("d"))))
+    """The defining two dimensional comodule S^1 V, rho(e_i) = sum_j C[i][j] (x) e_j."""
+    return factor_comodule((("S", 1),))
 
 
 def build_R(k: int = 1) -> Comodule:
     """The determinant line R^k; k may be negative (then delta^{-|k|} coacts)."""
-    return Comodule(((_det_entry(k, 0, 0),),))
+    return factor_comodule((("R", k),))
 
 
 def _det_entry(k: int, i: int, j: int) -> NCElement:
@@ -124,11 +124,10 @@ def _det_entry(k: int, i: int, j: int) -> NCElement:
 
 
 def build_SymV(y: int) -> Comodule:
-    """Symmetric power S^y V on monomial lines m_0 .. m_y, entry by entry (_sym_entry)."""
+    """Symmetric power S^y V on monomial lines m_0 .. m_y, the table's ("S", y) factor."""
     if y < 0:
         raise ValueError("symmetric power needs y >= 0")
-    entries = [[_sym_entry(y, k, l) for l in range(y + 1)] for k in range(y + 1)]
-    return Comodule(entries)
+    return factor_comodule((("S", y),))
 
 
 def _sym_entry(y: int, k: int, l: int) -> NCElement:
@@ -367,7 +366,7 @@ def comodule_certificate() -> tuple[str, ...]:
           left side, so they are well defined on O;
     (ii)  S^-1 is an anti-coalgebra map on the six letters:
           Delta S^-1 = (S^-1 # S^-1) tau Delta and epsilon S^-1 = epsilon;
-    (iii) V, R and R^-1 pass comodule_axiom_failures;
+    (iii) the factors V = S^1 V, R and R^-1 pass comodule_axiom_failures;
     (iv)  the entries of V's coaction satisfy the Manin relations ac = ca,
           bd = db and ad + bc = cb + da, so rho(x) = a # x + b # y and
           rho(y) = c # x + d # y extend to an algebra map
@@ -378,7 +377,7 @@ def comodule_certificate() -> tuple[str, ...]:
     are anti-algebra maps, so (ii) holds on all of O.  The coproduct is an
     algebra map, so a tensor product of comodules is a comodule, and by
     (ii) so is left_dual of a comodule.  By (iii) and (iv) k[x, y] is a
-    comodule algebra, whose degree-y part is S^y V: build_SymV writes the
+    comodule algebra, whose degree-y part is S^y V: _sym_entry writes the
     coefficients of rho(x)^(y-k) rho(y)^k.  R^k is a tensor power of R or
     R^-1, and a basis permutation keeps a comodule a comodule.  So every
     nabla(lam), and every Delta(lam) built from the duals of its parts

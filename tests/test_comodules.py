@@ -1,6 +1,5 @@
 """Comodule linear algebra: maps, duals, sub/quotient objects, characters."""
 
-import ast
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -601,45 +600,3 @@ class TestInvariantChecks:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ValueError\n"
-
-
-
-def test_no_package_function_reads_the_dense_map_matrix():
-    # a ComoduleMap stores sparse columns and writes its dense matrix out on
-    # each read of .matrix, which only callers outside the package make
-    package = Path(ncgl2.__file__).parent
-    readers = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        enclosing = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # ast.walk is breadth first, so inner functions win
-                enclosing.update((id(n), node.name) for n in ast.walk(node))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "matrix":
-                readers.append((path.name, enclosing.get(id(node))))
-    assert readers == []
-
-
-def test_only_comodule_weights_projects_to_the_torus():
-    # Comodule.weights scans a coaction once and keeps the result; any
-    # other use of torus_project would rescan whole coactions per call
-    package = Path(ncgl2.__file__).parent
-    hits = []
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = set()
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "Comodule":
-                for node in cls.body:
-                    if isinstance(node, ast.FunctionDef) and node.name == "weights":
-                        allowed.update(map(id, ast.walk(node)))
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
-            if isinstance(node, ast.Name) and node.id == "torus_project" or (
-                isinstance(node, ast.Attribute) and node.attr == "torus_project"
-            ):
-                hits.append(f"{path.name}:{node.lineno}")
-    assert hits == []

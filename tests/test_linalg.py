@@ -124,32 +124,6 @@ def test_accumulate_is_the_only_accumulation_loop():
     assert hits == []
 
 
-def test_only_the_intertwining_solver_solves_hom_systems():
-    # hom_space and semi_invariants share one equation builder,
-    # comodules._intertwiners; a hand-written system elsewhere would name
-    # nullspace_sparse.  canonical_map solves nothing: it reads its map off
-    # Delta's top row (tests/test_standard.py guards that).  Truncated
-    # induction solves a system over words of O, and kernel the rows of a
-    # map's matrix, neither an intertwining one.
-    allowed = {
-        ("comodules.py", "_intertwiners"),
-        ("comodules.py", "kernel"),
-        ("borel.py", "induced_truncated"),
-    }
-    package = Path(ncgl2.__file__).parent
-    hits = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "linalg.py"
-        for top in ast.parse(path.read_text()).body
-        if (path.name, getattr(top, "name", None)) not in allowed
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id == "nullspace_sparse"
-        or isinstance(node, ast.Attribute) and node.attr == "nullspace_sparse"
-    ]
-    assert hits == []
-
-
 def unused_imports(path: Path) -> list[str]:
     """Names a module imports and never references, outside __future__.
 
@@ -176,18 +150,6 @@ def test_no_unused_import_in_package_or_tests():
     package = Path(ncgl2.__file__).parent
     paths = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
-
-
-def test_no_bare_assert_in_package():
-    # python -O strips assert statements; invariant checks must raise
-    package = Path(ncgl2.__file__).parent
-    hits = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
-    ]
-    assert hits == []
 
 
 def test_no_module_imports_random():
