@@ -152,6 +152,18 @@ def test_no_unused_import_in_package_or_tests():
     assert [hit for path in paths for hit in unused_imports(path)] == []
 
 
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements; invariant checks must raise
+    package = Path(ncgl2.__file__).parent
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert hits == []
+
+
 def test_no_module_imports_random():
     # a sampled check is evidence, not proof: every answer is exact, or
     # raises "inconclusive"

@@ -446,6 +446,15 @@ class TestSimpleQuotients:
         self._edit_delta_row(monkeypatch, 1, lambda e: e + e)
         assert canonical_map(lam("d")).matrix == ((0, Fraction(-1, 2)), (1, 0))
 
+    def test_canonical_map_runs_no_linear_solve(self):
+        # the map is read off Delta's top row by word lookups: no echelon,
+        # no intertwining system
+        tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
+        (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
+        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        assert names.isdisjoint({"Echelon", "_intertwiners", "nullspace_sparse"})
+
     @pytest.mark.parametrize(
         "labels",
         [enumerate_lambda(6), [lam("d^7")], [lam("d^8")]],
@@ -702,6 +711,7 @@ def test_canonical_map_builds_only_inside_its_lazy_coactions():
     assert "_factor_basis" not in functions and "product" not in names(tree)
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert ("itertools", "product") not in {(n.module, a.name) for n in imports for a in n.names}
+
 
 class TestMultisets:
     def test_delta_multiset_dimension_audit(self):
