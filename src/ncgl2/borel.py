@@ -24,7 +24,12 @@ characters g_t, the diagram flip psi (a Hopf automorphism exchanging the two
 triangular quotients), semi-invariant vectors of comodules, an exact
 certificate for the socle claim, and the truncated induction spaces, i.e.
 elements of bounded length in the coordinate ring that transform by g_t
-under the right triangular coaction.
+under the right triangular coaction.  Costandard comodules are induced
+from the Borel quotient (Jantzen, Representations of Algebraic Groups,
+I.3), so the truncated induction space is a space of B-semi-invariants
+too: both are the maps from the line g_t into a comodule, solved by
+comodules._intertwiners, and for induction the comodule is spanned by the
+normal words of column weight t in O_{<=n}.
 
 >>> from .ncalg import gen
 >>> BOREL_LOWER.project(gen("b"))
@@ -46,7 +51,7 @@ from .ncalg import (
     enumerate_basis,
     normal_form,
 )
-from .weights import Weight
+from .weights import Weight, _reduce
 from .comodules import (
     Comodule,
     _intertwiners,
@@ -73,10 +78,10 @@ class TriangularQuotient:
 
     Basis keys are pairs (s, word): s is the exponent of the central
     invertible generator and word is a reduced word in the residual letters.
-    The reduction cancels adjacent inverse pairs (named in `inverses`) and
-    nothing else.  `letter_image` maps each of the six generators to a key
-    (or None when the generator is killed); `project` pushes a whole element
-    of the coordinate ring through the quotient.
+    The reduction, weights._reduce, cancels adjacent inverse pairs (named
+    in `inverses`) and nothing else.  `letter_image` maps each of the six
+    generators to a key (or None when the generator is killed); `project`
+    pushes a whole element of the coordinate ring through the quotient.
     """
 
     def __init__(self, name, letter_image, inverses):
@@ -84,21 +89,12 @@ class TriangularQuotient:
         self._letter_image = letter_image
         self._inverses = inverses
 
-    def _reduce(self, word: tuple[str, ...]) -> tuple[str, ...]:
-        out: list[str] = []
-        for letter in word:
-            if out and self._inverses.get(out[-1]) == letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return tuple(out)
-
     @property
     def one_key(self):
         return (0, ())
 
     def multiply(self, k1, k2):
-        return (k1[0] + k2[0], self._reduce(k1[1] + k2[1]))
+        return (k1[0] + k2[0], _reduce(k1[1] + k2[1], self._inverses))
 
     def project_word(self, word: Word):
         """Image of a monomial; None when some letter is killed."""
@@ -199,7 +195,9 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     the full system's reduced basis.
     """
     line = [(0, [{quotient.grouplike(t): 1}])]
-    solutions = _intertwiners([t], X.weights, line, lambda k: map(quotient.project, X.coaction[k]))
+    solutions = _intertwiners(
+        [t], X.weights, line, lambda k: enumerate(map(quotient.project, X.coaction[k]))
+    )
     return [column for (column,) in solutions]
 
 
@@ -236,6 +234,14 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
     B-coaction.  Returns a reduced basis, deterministic in the graded word
     order.
 
+    It is the semi-invariant solve of `semi_invariants`, run by
+    comodules._intertwiners: the maps from the line g_t into the span of
+    the normal words of column weight t, in which row k of words[k] holds
+    the pairs (index of u, {pi_B(v): c}) for the terms c u (x) v of
+    coproduct(words[k]).  A left leg u that is not one of the words gets
+    a fresh index after them; the line has no such column, so there the
+    equation says the sum vanishes.
+
     Only the normal words of column weight t enter the system, which is
     exact.  The right leg v of every coproduct term of a word w has the
     column weight of w (see `column_weight`), and so does its key pi_B(v);
@@ -247,20 +253,16 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
     """
     words = [w for w in enumerate_basis(n) if column_weight(w) == t]
     index = {w: k for k, w in enumerate(words)}
-    g = BOREL_LOWER.grouplike(t)
-    rows: dict = {}
-    for w in words:
-        k = index[w]
-        expansion = coproduct(NCElement._raw({w: 1}))
-        for (u, v), coeff in expansion.items():
+
+    def row(k):
+        for (u, v), c in coproduct(NCElement._raw({words[k]: 1})).items():
             key = BOREL_LOWER.project_word(v)
             if key is not None:
-                accumulate(rows.setdefault((u, key), {}), ((k, coeff),))
-    for w in words:
-        accumulate(rows.setdefault((w, g), {}), ((index[w], -1),))
-    # terms that cancel leave an empty equation, which no system needs
-    basis = linalg.nullspace_sparse([row for row in rows.values() if row], len(words))
-    return [NCElement({words[k]: c for k, c in vec.items()}) for vec in basis]
+                yield index.setdefault(u, len(index)), {key: c}
+
+    line = [(0, [{BOREL_LOWER.grouplike(t): 1}])]
+    solutions = _intertwiners([t], [t] * len(words), line, row)
+    return [NCElement({words[k]: c for k, c in column.items()}) for (column,) in solutions]
 
 
 def induced_predicted(t: Weight, n: int) -> list[Word]:

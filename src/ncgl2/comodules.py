@@ -20,10 +20,10 @@ has weight -wt_X(i); each factor is scanned, if at all, on its own.
 A ComoduleMap f stores column i, f(v_i) = sum_k F[k][i] w_k, as the
 sparse vector {k: F[k][i]}; only f.matrix writes out the dense F, and
 no function here reads it.
-_intertwiners solves the intertwining equations of hom_space and
-borel.semi_invariants exactly, in the matrix entries that pair basis
-vectors of equal weight.  standard.canonical_map needs no solve: it reads
-its map off the top row of Delta(lam).
+_intertwiners solves the intertwining equations of hom_space,
+borel.semi_invariants and borel.induced_truncated exactly, in the matrix
+entries that pair basis vectors of equal weight.  standard.canonical_map
+needs no solve: it reads its map off the top row of Delta(lam).
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -358,13 +358,16 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[list[dict[int, Fraction]]]:
 
     wx and wy are the basis weights of X and Y.  x_rows holds pairs (i,
     row i of C_X), a row being a sequence of entries, and y_row(k) is row
-    k of C_Y, read only where wy[k] == wx[i].  Entries need only
-    .items().  Row i of the condition says sum_k C_Y[k][m] F[k][i] =
-    sum_j C_X[i][j] F[m][j] for every m, entrywise over the words.  A
-    comodule map preserves torus weights, so the unknowns are the F[k][i]
-    with wy[k] == wx[i], k-major, and column j meets only the targets m of
-    weight wx[j].  Repeated equations are dropped; their order does not
-    matter, since the reduced echelon form, and so the basis, is unique.
+    k of C_Y as (m, C_Y[k][m]) pairs, read only where wy[k] == wx[i].  A
+    column m may come more than once, its entries adding up, and a column
+    m >= len(wy) lies outside Y's basis, where only C_Y enters.  Entries
+    need only .items().  Row i of the condition says sum_k C_Y[k][m]
+    F[k][i] = sum_j C_X[i][j] F[m][j] for every m, entrywise over the
+    words.  A comodule map preserves torus weights, so the unknowns are
+    the F[k][i] with wy[k] == wx[i], k-major, and column j meets only the
+    targets m of weight wx[j].  Empty and repeated equations are dropped;
+    their order does not matter, since the reduced echelon form, and so
+    the basis, is unique.
     Each basis map is its list of columns, the sparse dicts {k: F[k][i]}.
     When no weight of X is a weight of Y there are no unknowns, and [] is
     returned before any row is read.
@@ -372,7 +375,7 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[list[dict[int, Fraction]]]:
     >>> from .ncalg import gen
     >>> C = ((gen("a"), gen("b")), (gen("c"), gen("d")))
     >>> w = (Weight(1, 0), Weight(0, 1))
-    >>> _intertwiners(w, w, enumerate(C), C.__getitem__) == [[{0: 1}, {1: 1}]]
+    >>> _intertwiners(w, w, enumerate(C), lambda k: enumerate(C[k])) == [[{0: 1}, {1: 1}]]
     True
     """
     if set(wx).isdisjoint(wy):
@@ -386,10 +389,9 @@ def _intertwiners(wx, wy, x_rows, y_row) -> list[list[dict[int, Fraction]]]:
         per_entry: dict[tuple, dict[int, Fraction]] = {}
         for k in targets.get(wx[i], ()):
             var = index[k, i]
-            # each k has its own var, so no (m, w) gets the same var twice
-            for m, entry in enumerate(y_row(k)):
+            for m, entry in y_row(k):
                 for w, c in entry.items():
-                    per_entry.setdefault((m, w), {})[var] = c
+                    accumulate(per_entry.setdefault((m, w), {}), ((var, c),))
         for j, entry in enumerate(row):
             for m in targets.get(wx[j], ()):
                 var = index[m, j]
@@ -418,7 +420,9 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     _intertwiners on every row of X's coaction.  Raises ValueError,
     through Comodule.weights, when either basis is not torus-diagonal.
     """
-    solutions = _intertwiners(X.weights, Y.weights, enumerate(X.coaction), Y.coaction.__getitem__)
+    solutions = _intertwiners(
+        X.weights, Y.weights, enumerate(X.coaction), lambda k: enumerate(Y.coaction[k])
+    )
     return [ComoduleMap(X, Y, columns) for columns in solutions]
 
 

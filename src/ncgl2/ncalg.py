@@ -1,10 +1,11 @@
 """The algebra O of the universal quantum group of 2x2 matrices.
 
-O is generated by the matrix entries a, b, c, d and a central invertible
-element D (rendered as the determinant delta) with inverse Di, subject to
-ten relations.  Oriented by the degree-then-lex order with
+O is generated by the matrix entries a, b, c, d and an invertible element
+D (rendered as the determinant delta) with inverse Di, subject to ten
+relations.  Oriented by the degree-then-lex order with
 Di < D < a < b < c < d, they form a confluent, terminating rewrite system,
-so every element has a unique normal form.
+so every element has a unique normal form.  D is not central: no rule
+moves D past a letter, so D*a - a*D has the normal form -a*D + D*a.
 
 >>> from ncgl2.ncalg import parse_expression
 >>> print(parse_expression("d*a"))

@@ -117,39 +117,24 @@ class BlockExpression:
 def split_segments(lam: LambdaWord):
     """Cut lam into delta^{-1}-linked segments.
 
-    Returns (lead, segments, connectors, trail): `segments` is a list of
-    tuples of d-run lengths, `connectors` the delta powers between
-    consecutive segments (never -1), and lead/trail the outer delta powers
-    (0 when absent).
+    Returns (lead, segments, connectors, trail), a partition of
+    lam.atoms(): a delta atom at either end is the lead or the trail (0
+    when absent), and every other delta atom but delta^{-1} cuts a
+    segment and is its connector.  `segments` is a list of tuples of
+    d-run lengths.
     """
-    atoms = lam.atoms()
-    lead = 0
-    trail = 0
-    segments: list[tuple[int, ...]] = []
+    atoms = list(lam.atoms())
+    lead = atoms.pop(0)[1] if atoms and atoms[0][0] == "delta" else 0
+    trail = atoms.pop()[1] if atoms and atoms[-1][0] == "delta" else 0
+    runs: list[list[int]] = [[]]
     connectors: list[int] = []
-    current: list[int] = []
-    pending_delta = None
     for kind, value in atoms:
-        if kind == "delta":
-            if not current and not segments:
-                lead = value
-            else:
-                pending_delta = value
-        else:
-            if current and pending_delta == -1:
-                current.append(value)
-            elif current:
-                segments.append(tuple(current))
-                connectors.append(pending_delta)
-                current = [value]
-            else:
-                current = [value]
-            pending_delta = None
-    if current:
-        segments.append(tuple(current))
-    if pending_delta is not None:
-        trail = pending_delta
-    return lead, segments, connectors, trail
+        if kind == "d":
+            runs[-1].append(value)
+        elif value != -1:
+            connectors.append(value)
+            runs.append([])
+    return lead, [tuple(run) for run in runs if run], connectors, trail
 
 
 def delta_grouping(z: tuple[int, ...]) -> BlockExpression:

@@ -567,18 +567,10 @@ def nabla_multiset(lam: LambdaWord) -> Counter:
         else:
             for mu, mult in members.items():
                 step[mu * LambdaWord(("d",))] += mult
-                if mu.letters and mu.letters[-1] == "d":
-                    run = 0
-                    for previous in reversed(mu.letters):
-                        if previous != "d":
-                            break
-                        run += 1
-                    replaced = (
-                        mu.letters[: len(mu.letters) - run]
-                        + ("d",) * (run - 1)
-                        + ("D",)
-                    )
-                    step[LambdaWord(replaced)] += mult
+                atoms = list(mu.atoms())
+                if atoms and atoms[-1][0] == "d":
+                    run = atoms.pop()[1]
+                    step[LambdaWord.from_atoms(atoms + [("d", run - 1), ("delta", 1)])] += mult
         members = step
     return members
 

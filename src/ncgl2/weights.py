@@ -86,10 +86,11 @@ def render_weight(w: Weight) -> str:
     return "*".join(parts)
 
 
-def _reduce(letters: Iterable[str]) -> tuple[str, ...]:
+def _reduce(letters: Iterable[str], inverse: dict[str, str]) -> tuple[str, ...]:
+    """Cancel each adjacent pair of letters that `inverse` pairs."""
     stack: list[str] = []
     for letter in letters:
-        if stack and _INVERSE.get(letter) == stack[-1]:
+        if stack and inverse.get(letter) == stack[-1]:
             stack.pop()
         else:
             stack.append(letter)
@@ -111,7 +112,7 @@ class LambdaWord:
         for letter in letters:
             if letter not in _LAMBDA_ORDER:
                 raise ValueError(f"unknown Lambda letter {letter!r}")
-        self._letters = _reduce(letters)
+        self._letters = _reduce(letters, _INVERSE)
 
     @classmethod
     def one(cls) -> "LambdaWord":
@@ -156,7 +157,7 @@ class LambdaWord:
         if not isinstance(other, LambdaWord):
             return NotImplemented
         word = LambdaWord.__new__(LambdaWord)
-        word._letters = _reduce(self._letters + other._letters)
+        word._letters = _reduce(self._letters + other._letters, _INVERSE)
         return word
 
     def star(self) -> "LambdaWord":

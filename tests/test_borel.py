@@ -309,8 +309,8 @@ class TestInduction:
                     assert induced_truncated(t, n) == induced_full_system(t, n), (t, n)
 
     def test_no_empty_equation_reaches_the_solver(self, monkeypatch):
-        # coproduct terms that cancel in accumulate leave {} rows behind;
-        # at n <= 3 over these nine weights 94 of them would reach the solver
+        # coproduct terms that cancel leave empty equations behind, which
+        # _intertwiners drops along with the repeated ones
         real = linalg.nullspace_sparse
         empty = []
 

@@ -41,10 +41,13 @@ ONE_HOME = {
     "lru_cache": ("standard:comodule_certificate", "_NF_CACHE is the one cache; the certificate runs once"),
     "_map_leg": (_LEG_MAPS, "one leg map applies every Hopf map to one leg of a tensor"),
     "nullspace_sparse": (
-        "comodules:_intertwiners comodules:kernel borel:induced_truncated",
-        "one builder of intertwining equations; kernel and truncated induction solve other systems",
+        "comodules:_intertwiners comodules:kernel",
+        "every solve is an intertwining system or a kernel",
     ),
-    "_intertwiners": ("comodules:hom_space borel:semi_invariants", "one builder of intertwining equations"),
+    "_intertwiners": (
+        "comodules:hom_space borel:semi_invariants borel:induced_truncated",
+        "one builder of intertwining equations",
+    ),
     "torus_project": ("comodules:Comodule.weights", "Comodule.weights scans a coaction once and keeps it"),
     "matrix": ("", "maps are sparse columns; only callers outside the package read .matrix"),
     "tensor": ("standard:build_TV", "products are built from parts; build_TV is the factor table's oracle"),

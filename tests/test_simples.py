@@ -1,6 +1,7 @@
 """The block classifier for simple comodules and the differential oracle."""
 
 import ast
+import hashlib
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -30,7 +31,15 @@ from ncgl2.simples import (
     split_segments,
     validate_adjacency,
 )
-from ncgl2.standard import build_L, build_V, canonical_map, factor_char, factor_comodule
+from ncgl2.standard import (
+    build_L,
+    build_V,
+    canonical_map,
+    delta_multiset,
+    factor_char,
+    factor_comodule,
+    nabla_multiset,
+)
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
 from test_comodules import columns_of
 
@@ -58,11 +67,52 @@ class TestSegments:
         assert connectors == [2]
         assert trail == 0
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1", (0, [], [], 0)),
+            ("D^2", (2, [], [], 0)),
+            ("Di", (-1, [], [], 0)),
+            ("d.D^2", (0, [(1,)], [], 2)),
+            # a delta^-1 at either end is lead or trail, not a link
+            ("Di.d", (-1, [(1,)], [], 0)),
+            ("d.Di", (0, [(1,)], [], -1)),
+            ("d.Di^2.d", (0, [(1,), (1,)], [-2], 0)),
+            ("D.d.Di.d.Di", (1, [(1, 1)], [], -1)),
+            ("Di.d.Di.d^2.D", (-1, [(1, 2)], [], 1)),
+        ],
+    )
+    def test_split_edge_cases(self, text, expected):
+        assert split_segments(lam(text)) == expected
+
     def test_delta_grouping(self):
         # chains of unit gaps merge into single T factors
         assert delta_grouping((1, 1, 3)).render() == "T3 * S2"
         assert delta_grouping((2,)).render() == "S2"
         assert delta_grouping((1, 1)).render() == "T2"
+
+
+# sha256 of one line per label, computed at commit e299812, before
+# split_segments and nabla_multiset read their d-runs from LambdaWord.atoms
+LABEL_DIGESTS = {
+    "segments": (9, "e2f5ddd64be0cd9f39cc2debce88a7bde6d7d857328e683bd749f809b093cf4b"),
+    "multisets": (7, "f9ec343678d0332200cdae1b8f012722a8209cdeb72d134d8fe72b8c16c1d93f"),
+}
+
+
+def _label_line(kind: str, l: LambdaWord) -> str:
+    if kind == "segments":
+        return f"{l} {split_segments(l)} {classify(l).render()}"
+    nabla = sorted(str(m) for m in nabla_multiset(l).elements())
+    delta = sorted(str(m) for m in delta_multiset(l).elements())
+    return f"{l} {nabla} {delta}"
+
+
+@pytest.mark.parametrize("kind", sorted(LABEL_DIGESTS))
+def test_label_digests_equal_the_earlier_route(kind):
+    ell, digest = LABEL_DIGESTS[kind]
+    text = "\n".join(_label_line(kind, l) for l in enumerate_lambda(ell))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestClassifier:
