@@ -4,7 +4,8 @@ The package is organized bottom up:
 
   linalg     sparse vectors {key: coefficient} and the one accumulate()
              that adds into them, and the one fraction-free elimination,
-             with dense Fraction rows only at the API edge
+             which hands back sparse Fraction vectors (rref alone writes
+             dense rows)
   ncalg      free algebra on a, b, c, d, D, Di with the defining rewrite
              system, normal forms, and the Hopf structure
   weights    the weight monoid Lambda, its star involutions and two orders

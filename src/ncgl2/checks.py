@@ -338,18 +338,16 @@ def _suite_classifier(bounds: dict) -> list[dict]:
 
 
 def _suite_sl2(bounds: dict) -> list[dict]:
-    from .simples import sl2_commutation_check, sl2_rank_oracle
+    from .simples import sl2_commutation_check, sl2_rank_oracle, transfer_flags
 
     n = bounds.get("len", 8)
-    ok = True
-    for a in range(n + 1):
-        for b in range(n + 1):
-            left = sl2_rank_oracle(a, b, "left")
-            right = sl2_rank_oracle(a, b, "right")
-            if left["injective"] != (a >= b + 1) or left["surjective"] != (a <= b + 1):
-                ok = False
-            if right["injective"] != (b >= a + 1) or right["surjective"] != (b <= a + 1):
-                ok = False
+    # the oracle certifies the adjacency table the classifier reads
+    ok = all(
+        (report["injective"], report["surjective"]) == transfer_flags(a, b)
+        for a in range(n + 1)
+        for b in range(n + 1)
+        for report in (sl2_rank_oracle(a, b, "left"), sl2_rank_oracle(b, a, "right"))
+    )
     return [
         _result(
             f"rank-flags-grid-{n}",

@@ -11,21 +11,23 @@ rewriting of its delta^{-1}-linked runs of d's.  The pipeline:
      runs have length 1 become T-blocks (a chain of t-1 gaps eats one d from
      each run it touches and yields T^t); leftover d's stay as S-blocks.
   3. `classify`: unit transfers T^t, S^k -> T^(t-1), R^(-1), S^(k+1) are
-     applied greedily while the donated T stays within one of the receiving
-     S (the inequality table below), empty blocks are collapsed, the result
-     is checked against the adjacency table and normalized to the canonical
-     representative of its exchange-isomorphism orbit.
+     applied greedily while the transfer is onto, empty blocks are
+     collapsed, the result is checked against the adjacency table and
+     normalized to the canonical representative of its
+     exchange-isomorphism orbit.
 
-The adjacency table (which tensor products of adjacent blocks remain
-simple):
+The adjacency table says which tensor products of neighbouring blocks stay
+simple.  Its one home is `transfer_flags(a, b)`: whether moving one unit
+from T^a into a neighbouring S^b is one-to-one, and whether it is onto.
+T^a and S^b side by side (in either order) need the move from T^a into
+S^b to be one-to-one, and across an R^-1 the move from S^b into T^a; T
+next to T and S next to S are free.  The greedy transfers are the onto
+moves, and the exchange isomorphisms the moves that are both.
 
-    T^a (x) S^b          simple iff a >= b + 1
-    T^a (x) R^-1 (x) S^b simple iff a + 1 <= b
-    (and the two mirror images; T next to T and S next to S are free)
-
-is justified by an independent classical oracle: `sl2_rank_oracle`
-differentiates polynomial bimodules and reports injectivity/surjectivity of
-the transfer operator, which match the two inequalities exactly.
+`sl2_rank_oracle` certifies the table independently: it differentiates
+polynomial bimodules and reports the injectivity and surjectivity of the
+transfer operator, and the sl2 check suite compares them with
+`transfer_flags` itself, the table the classifier reads.
 
 >>> from .weights import parse_lambda
 >>> classify(parse_lambda("d.Di.d^2")).render()
@@ -54,6 +56,7 @@ __all__ = [
     "classify",
     "classify_crosscheck",
     "validate_adjacency",
+    "transfer_flags",
     "sl2_rank_oracle",
     "sl2_commutation_check",
 ]
@@ -187,22 +190,16 @@ def _classify_segment(z: tuple[int, ...]) -> list[Factor]:
             blocks.append(["S", 0])
         blocks.append([kind, exp])
     connectors = [0] * (len(blocks) - 1)
-    pendings: list[tuple[int, int]] = []
-    for i in range(len(blocks) - 1):
-        left, right = blocks[i][0], blocks[i + 1][0]
-        if left == "S" and right == "T":
-            pendings.append((i + 1, i))
-        elif left == "T" and right == "S":
-            pendings.append((i, i + 1))
+    # (donor T, receiving S) for each T beside an S
+    pendings = [(i, j) if blocks[i][0] == "T" else (j, i) for i, j, _, _ in _neighbour_pairs(blocks)]
     while True:
-        chosen = None
+        # transfer a unit where the move is onto
         for p, (donor, receiver) in enumerate(pendings):
-            if blocks[donor][1] >= 1 and blocks[donor][1] <= blocks[receiver][1] + 1:
-                chosen = p
+            if blocks[donor][1] >= 1 and transfer_flags(blocks[donor][1], blocks[receiver][1])[1]:
                 break
-        if chosen is None:
+        else:
             break
-        donor, receiver = pendings.pop(chosen)
+        donor, receiver = pendings.pop(p)
         blocks[donor][1] -= 1
         blocks[receiver][1] += 1
         connectors[min(donor, receiver)] = -1
@@ -211,8 +208,7 @@ def _classify_segment(z: tuple[int, ...]) -> list[Factor]:
         if i > 0 and connectors[i - 1] == -1:
             factors.append(("R", -1))
         factors.append((kind, exp))
-    factors = _collapse_empty(factors)
-    return factors
+    return _collapse_empty(factors)
 
 
 def _collapse_empty(factors: list[Factor]) -> list[Factor]:
@@ -245,64 +241,60 @@ def _collapse_empty(factors: list[Factor]) -> list[Factor]:
             return out
 
 
+def transfer_flags(a: int, b: int) -> tuple[bool, bool]:
+    """Whether moving one unit from T^a into a neighbouring S^b is one-to-one
+    (a >= b + 1) and whether it is onto (a <= b + 1): the adjacency table.
+
+    Across an R^-1 the unit moves from S^b into T^a, whose flags are
+    transfer_flags(b, a).  `sl2_rank_oracle` certifies the table: its left
+    flags at (a, b) and its right flags at (b, a) are these.
+
+    >>> transfer_flags(2, 1), transfer_flags(1, 3)
+    ((True, True), (False, True))
+    """
+    return a >= b + 1, a <= b + 1
+
+
+def _neighbour_pairs(factors):
+    """(i, j, a, b) for each T^a and S^b, in either order, at i and j: side
+    by side (j = i + 1) or across one R^-1 (j = i + 2)."""
+    for i in range(len(factors) - 1):
+        j = i + 2 if tuple(factors[i + 1]) == ("R", -1) else i + 1
+        if j < len(factors) and {factors[i][0], factors[j][0]} == {"S", "T"}:
+            (kind, x), (_, y) = factors[i], factors[j]
+            yield (i, j, x, y) if kind == "T" else (i, j, y, x)
+
+
 def validate_adjacency(factors) -> None:
-    """Check every adjacent S/T pair against the simplicity table.
+    """Check every T/S pair beside each other or across an R^-1 against the
+    adjacency table: the transfer from T into S must be one-to-one, across
+    an R^-1 the transfer from S into T.
 
     Raises ClassifierError on a violation; R^i factors with i != -1 separate
     their neighbours completely and impose no constraint.
     """
     factors = list(factors)
-    for i, (kind, exp) in enumerate(factors):
-        if kind not in ("S", "T"):
-            continue
-        j = i + 1
-        rinv = False
-        if j < len(factors) and factors[j][0] == "R":
-            if factors[j][1] != -1:
-                continue
-            rinv = True
-            j += 1
-        if j >= len(factors) or factors[j][0] not in ("S", "T"):
-            continue
-        kind2, exp2 = factors[j]
-        if kind == kind2:
-            continue
-        a = exp if kind == "T" else exp2
-        b = exp2 if kind == "T" else exp
-        if rinv:
-            if not a + 1 <= b:
-                raise ClassifierError(
-                    f"T^{a} and S^{b} joined by R^-1 need a+1 <= b: {factors}"
-                )
-        else:
-            if not a >= b + 1:
-                raise ClassifierError(
-                    f"adjacent T^{a} and S^{b} need a >= b+1: {factors}"
-                )
+    for i, j, a, b in _neighbour_pairs(factors):
+        if j == i + 2 and not transfer_flags(b, a)[0]:
+            raise ClassifierError(f"T^{a} and S^{b} joined by R^-1 need a+1 <= b: {factors}")
+        if j == i + 1 and not transfer_flags(a, b)[0]:
+            raise ClassifierError(f"adjacent T^{a} and S^{b} need a >= b+1: {factors}")
 
 
 def _exchange_neighbours(factors: tuple[Factor, ...]):
     """All factor lists one exchange isomorphism away.
 
-    The moves T^a, S^(a-1) <-> T^(a-1), R^-1, S^a (and mirror images) with
-    every exponent kept >= 1.
+    The moves T^a, S^b <-> T^(a-1), R^-1, S^(b+1) (and mirror images): a
+    unit moves where the transfer is both one-to-one and onto, with every
+    exponent kept >= 1.
     """
     out = []
-    n = len(factors)
-    for i in range(n - 1):
-        (k1, e1), (k2, e2) = factors[i], factors[i + 1]
-        if k1 == "T" and k2 == "S" and e2 == e1 - 1 and e1 - 1 >= 1:
-            out.append(factors[:i] + (("T", e1 - 1), ("R", -1), ("S", e1)) + factors[i + 2 :])
-        if k1 == "S" and k2 == "T" and e1 == e2 - 1 and e2 - 1 >= 1:
-            out.append(factors[:i] + (("S", e2), ("R", -1), ("T", e2 - 1)) + factors[i + 2 :])
-    for i in range(n - 2):
-        (k1, e1), (k2, e2), (k3, e3) = factors[i], factors[i + 1], factors[i + 2]
-        if (k2, e2) != ("R", -1):
-            continue
-        if k1 == "T" and k3 == "S" and e3 == e1 + 1 and e1 >= 1:
-            out.append(factors[:i] + (("T", e1 + 1), ("S", e1)) + factors[i + 3 :])
-        if k1 == "S" and k3 == "T" and e1 == e3 + 1 and e3 >= 1:
-            out.append(factors[:i] + (("S", e3), ("T", e3 + 1)) + factors[i + 3 :])
+    for i, j, a, b in _neighbour_pairs(factors):
+        flags, step = (transfer_flags(a, b), -1) if j == i + 1 else (transfer_flags(b, a), 1)
+        if all(flags) and min(a + step, b - step) >= 1:
+            moved = {"T": ("T", a + step), "S": ("S", b - step)}
+            middle = (("R", -1),) if j == i + 1 else ()
+            out.append(factors[:i] + (moved[factors[i][0]],) + middle + (moved[factors[j][0]],) + factors[j + 1 :])
     return out
 
 
@@ -398,10 +390,10 @@ def sl2_rank_oracle(a: int, b: int, direction: str = "left") -> dict:
     On monomials x1^i x2^(a-i) y1^j y2^(b-j) the operator E = y1 d/dx1 +
     y2 d/dx2 maps the bidegree (a, b) space to the bidegree (a-1, b+1)
     space (direction "left"); direction "right" uses x1 d/dy1 + x2 d/dy2
-    instead.  Exact integer ranks give the classical criteria
-
-        left  injective  iff a >= b + 1    (plain adjacency)
-        right injective  iff b >= a + 1    (adjacency across R^-1)
+    instead.  The exact integer ranks decide the adjacency table: the
+    left flags at (a, b) and the right flags at (b, a) are
+    `transfer_flags(a, b)`, plain adjacency reading the left operator
+    and adjacency across R^-1 the right one.
 
     >>> sl2_rank_oracle(2, 1)["injective"], sl2_rank_oracle(2, 1)["surjective"]
     (True, True)

@@ -20,6 +20,7 @@ that each strictly drop ell.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -234,99 +235,64 @@ class LambdaSyntaxError(ValueError):
         self.column = column
 
 
+_EXPONENT = re.compile(r"-?[0-9]+")
+
+
+def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list[tuple[str, int]]:
+    """The (letter, exponent) factors of a word such as 'd^2.Di.d' or 'a^2*d^-1'.
+
+    `letters` are tried in order, longest first; factors are joined by
+    `separator`, whitespace is skipped, and '1' is the empty word.  An
+    exponent is ASCII digits, negative too when `signed`, else positive.
+    `nouns` name the letters and a factor in the error messages.
+    """
+    if text.strip() == "1":
+        return []
+    letter_noun, factor_noun = nouns
+    exponent_noun = "an integer exponent" if signed else "a positive integer exponent"
+    factors: list[tuple[str, int]] = []
+    expect_factor = True
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+        elif not expect_factor:
+            if text[i] != separator:
+                raise LambdaSyntaxError(f"expected {separator!r}", i + 1)
+            i += 1
+            expect_factor = True
+        else:
+            letter = next((l for l in letters if text.startswith(l, i)), None)
+            if letter is None:
+                raise LambdaSyntaxError(f"expected {letter_noun}", i + 1)
+            i += len(letter)
+            exponent = 1
+            if text.startswith("^", i):
+                i += 1
+                match = _EXPONENT.match(text, i)
+                if not match or (not signed and int(match[0]) < 1):
+                    raise LambdaSyntaxError(f"expected {exponent_noun}", i + 1)
+                exponent, i = int(match[0]), match.end()
+            factors.append((letter, exponent))
+            expect_factor = False
+    if expect_factor:
+        raise LambdaSyntaxError(f"expected a {factor_noun}", len(text) + 1)
+    return factors
+
+
 def parse_lambda(text: str) -> LambdaWord:
     """Parse dot-separated blocks: 'd.Di.d^2', 'D^3', '1'.
 
     The result is reduced, so 'd.D.Di.d' parses to d^2.
     """
-    stripped = text.strip()
-    if stripped == "1":
-        return LambdaWord.one()
-    letters: list[str] = []
-    i = 0
-    n = len(text)
-    expect_block = True
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if not expect_block:
-            if text[i] == ".":
-                i += 1
-                expect_block = True
-                continue
-            raise LambdaSyntaxError("expected '.'", i + 1)
-        if text.startswith("Di", i):
-            letter, i = "Di", i + 2
-        elif text[i] == "D":
-            letter, i = "D", i + 1
-        elif text[i] == "d":
-            letter, i = "d", i + 1
-        else:
-            raise LambdaSyntaxError("expected d, D, or Di", i + 1)
-        count = 1
-        if i < n and text[i] == "^":
-            i += 1
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i:
-                raise LambdaSyntaxError("expected a positive integer exponent", i + 1)
-            count = int(text[i:j])
-            if count < 1:
-                raise LambdaSyntaxError("expected a positive integer exponent", i + 1)
-            i = j
-        letters.extend([letter] * count)
-        expect_block = False
-    if expect_block:
-        raise LambdaSyntaxError("expected a block", n + 1)
-    return LambdaWord(letters)
+    factors = _power_word(text, ("Di", "D", "d"), ".", False, ("d, D, or Di", "block"))
+    return LambdaWord(letter for letter, count in factors for _ in range(count))
 
 
 def parse_weight(text: str) -> Weight:
     """Parse a torus weight like 'a^2*d^-1', 'a*d', 'd^3', or '1'."""
-    stripped = text.strip()
-    if stripped == "1":
-        return Weight(0, 0)
-    i_total = 0
-    j_total = 0
-    i = 0
-    n = len(text)
-    expect_factor = True
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if not expect_factor:
-            if text[i] == "*":
-                i += 1
-                expect_factor = True
-                continue
-            raise LambdaSyntaxError("expected '*'", i + 1)
-        if text[i] not in ("a", "d"):
-            raise LambdaSyntaxError("expected a or d", i + 1)
-        name = text[i]
-        i += 1
-        exponent = 1
-        if i < n and text[i] == "^":
-            i += 1
-            j = i
-            if j < n and text[j] == "-":
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i or text[i:j] == "-":
-                raise LambdaSyntaxError("expected an integer exponent", i + 1)
-            exponent = int(text[i:j])
-            i = j
-        if name == "a":
-            i_total += exponent
-        else:
-            j_total += exponent
-        expect_factor = False
-    if expect_factor:
-        raise LambdaSyntaxError("expected a factor", n + 1)
-    return Weight(i_total, j_total)
+    factors = _power_word(text, ("a", "d"), "*", True, ("a or d", "factor"))
+    return Weight(*(sum(e for letter, e in factors if letter == name) for name in "ad"))
 
 
 def enumerate_lambda(max_ell: int) -> list[LambdaWord]:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from ncgl2.cli import main
+from ncgl2.ncalg import ExprSyntaxError, parse_expression
+from ncgl2.weights import LambdaSyntaxError, parse_lambda, parse_weight
 
 
 def run(capsys, *argv):
@@ -190,6 +192,29 @@ class TestErrors:
     def test_lambda_syntax_error(self, capsys):
         code = main(["nabla", "x"])
         assert code == 2
+
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript", "arabic-indic"])
+    @pytest.mark.parametrize(
+        "parse,text",
+        [(parse_expression, "a^{}"), (parse_lambda, "d^{}"), (parse_weight, "a^{}")],
+        ids=["expression", "lambda", "weight"],
+    )
+    def test_non_ascii_digit_is_a_syntax_error(self, parse, text, digit):
+        # exponents are ASCII digits: a superscript two or an Arabic-Indic
+        # three is no number
+        with pytest.raises((ExprSyntaxError, LambdaSyntaxError)) as info:
+            parse(text.format(digit))
+        assert info.value.column == 3
+
+    @pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript", "arabic-indic"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["nf", "a^{}"], ["nabla", "d^{}"], ["induce", "--weight", "a^{}"]],
+        ids=["nf", "nabla", "induce"],
+    )
+    def test_non_ascii_digit_exits_two(self, capsys, argv, digit):
+        assert main([arg.format(digit) for arg in argv]) == 2
+        assert "syntax error at column 3" in capsys.readouterr().err
 
     def test_unknown_suite(self, capsys):
         code = main(["check", "nonsense", "--len", "1"])

@@ -66,6 +66,14 @@ ONE_HOME = {
     "_row_product": (_PRODUCTS, "canonical_map reads rows of the product comodules, not their parts"),
     "_dual": ("standard:build_delta", "Delta's dual parts have one home"),
     "_factor_row": ("standard:_product_comodule", "part rows are read only inside a product comodule"),
+    "_power_word": (
+        "weights:parse_lambda weights:parse_weight",
+        "one scanner for the power words of labels and weights",
+    ),
+    "transfer_flags": (
+        "simples:validate_adjacency simples:_classify_segment simples:_exchange_neighbours checks:_suite_sl2",
+        "one adjacency table, certified by the sl2 oracle",
+    ),
 }
 
 

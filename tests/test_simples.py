@@ -43,6 +43,8 @@ from ncgl2.standard import (
 from ncgl2.weights import LambdaWord, enumerate_lambda, parse_lambda
 from test_comodules import columns_of
 
+RI = ("R", -1)
+
 
 def lam(text: str) -> LambdaWord:
     return parse_lambda(text)
@@ -165,10 +167,64 @@ class TestClassifier:
     def test_adjacency_violations_raise(self):
         assert issubclass(ClassifierError, VerificationError)
         assert issubclass(VerificationError, ValueError)
-        with pytest.raises(ClassifierError):
-            validate_adjacency((("T", 1), ("S", 3)))
-        with pytest.raises(ClassifierError):
-            validate_adjacency((("T", 2), ("R", -1), ("S", 1)))
+        violations = [
+            (("T", 1), ("S", 3)),
+            (("S", 3), ("T", 1)),
+            (("T", 2), ("S", 2)),
+            (("T", 2), RI, ("S", 1)),
+            (("S", 1), RI, ("T", 2)),
+            (("T", 2), RI, ("S", 2)),
+        ]
+        for factors in violations:
+            with pytest.raises(ClassifierError):
+                validate_adjacency(factors)
+        # the boundary cases, and an R^k with k != -1 that separates fully
+        for factors in [
+            (("T", 2), ("S", 1)),
+            (("S", 1), ("T", 2)),
+            (("T", 2), RI, ("S", 3)),
+            (("S", 3), RI, ("T", 2)),
+            (("T", 1), ("R", -2), ("S", 3)),
+            (("T", 1), ("R", 1), ("S", 3)),
+        ]:
+            validate_adjacency(factors)
+
+    def test_sl2_criterion_reads_the_classifier_table(self, monkeypatch):
+        # criterion 09 compares the oracle with the table the classifier
+        # reads, so a wrong table fails it
+        assert [r["pass"] for r in run_check_suite(["sl2"], {"len": 3})] == [True, True]
+        monkeypatch.setattr(simples, "transfer_flags", lambda a, b: (a > b + 1, a <= b + 1))
+        results = {r["name"]: r["pass"] for r in run_check_suite(["sl2"], {"len": 3})}
+        assert results == {"sl2.rank-flags-grid-3": False, "sl2.transfer-commutation": True}
+
+    @pytest.mark.parametrize(
+        "factors,neighbours",
+        [
+            # the four move shapes, taken from commit aa7623a
+            ((("T", 2), ("S", 1)), [(("T", 1), RI, ("S", 2))]),
+            ((("T", 3), ("S", 2)), [(("T", 2), RI, ("S", 3))]),
+            ((("S", 1), ("T", 2)), [(("S", 2), RI, ("T", 1))]),
+            ((("S", 2), ("T", 3)), [(("S", 3), RI, ("T", 2))]),
+            ((("T", 1), RI, ("S", 2)), [(("T", 2), ("S", 1))]),
+            ((("T", 3), RI, ("S", 4)), [(("T", 4), ("S", 3))]),
+            ((("S", 2), RI, ("T", 1)), [(("S", 1), ("T", 2))]),
+            ((("S", 4), RI, ("T", 3)), [(("S", 3), ("T", 4))]),
+            # no move leaves T^0 or S^0
+            ((("T", 1), ("S", 0)), []),
+            ((("S", 0), ("T", 1)), []),
+            ((("T", 0), RI, ("S", 1)), []),
+            ((("S", 1), RI, ("T", 0)), []),
+            # a move needs the exponents one apart and R^-1 as its separator
+            ((("T", 3), ("S", 1)), []),
+            ((("T", 2), ("R", -2), ("S", 3)), []),
+            # in a longer word each pair that can move does
+            ((("T", 2), ("S", 1), RI, ("T", 1)), [(("T", 1), RI, ("S", 2), RI, ("T", 1))]),
+            ((("T", 1), RI, ("S", 2), ("T", 3)), [(("T", 1), RI, ("S", 3), RI, ("T", 2)), (("T", 2), ("S", 1), ("T", 3))]),
+        ],
+    )
+    def test_exchange_neighbours(self, factors, neighbours):
+        # the neighbours in any order: _normalize closes them into a set
+        assert sorted(simples._exchange_neighbours(factors)) == sorted(neighbours)
 
     def test_classifier_suite_fails_only_on_classifier_errors(self, monkeypatch):
         # a ClassifierError is a failed check; any other exception is a bug

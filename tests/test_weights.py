@@ -1,5 +1,8 @@
 """Highest-weight words, the * involution, and the two partial orders."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,47 @@ ATOM_LETTERS = ("d", "D", "Di")
 LAMBDA_WORDS = st.lists(
     st.sampled_from(ATOM_LETTERS), min_size=0, max_size=5
 ).map(lambda ls: parse_lambda(".".join(ls)) if ls else LambdaWord.one())
+
+
+# tokens of the random parser corpus: the letters, separators and digits
+# the two parsers read, and some that they reject
+PARSE_TOKENS = ("a", "b", "d", "D", "Di", "i", ".", "*", "^", "-", "0", "1", "2", "10", " ", "\t", "x")
+
+# parser: (its letters, its separator, its exponent signs, the sha256 of
+# one line per corpus string), computed at commit aa7623a, before the two
+# parsers shared one scanner
+PARSER_DIGESTS = {
+    "lambda": (("d", "D", "Di"), ".", ("",), "04a20b8cc3dc9555a5e38e5346dcc6ebdb8b30eac0f1848238ae2cfe3baef1cc"),
+    "weight": (("a", "d"), "*", ("", "-"), "f5a324b38b0a26964552d5de9ce2a2ee5a005cf7f0ea080e9af001cb8294c7a7"),
+}
+
+
+def _parser_corpus(letters, separator, signs):
+    """20,000 random token strings, then 2,000 words of the parser's own shape."""
+    rng = random.Random(0)
+    for _ in range(20_000):
+        yield "".join(rng.choice(PARSE_TOKENS) for _ in range(rng.randint(0, 8)))
+    for _ in range(2_000):
+        factors = [
+            rng.choice(letters) + rng.choice(("", f"^{rng.choice(signs)}{rng.randint(0, 12)}"))
+            for _ in range(rng.randint(1, 4))
+        ]
+        yield rng.choice((separator, f" {separator} ")).join(factors)
+
+
+def _outcome(parse, text: str) -> str:
+    try:
+        return str(parse(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("kind", sorted(PARSER_DIGESTS))
+def test_parser_digests_equal_the_earlier_scanners(kind):
+    letters, separator, signs, digest = PARSER_DIGESTS[kind]
+    parse = parse_lambda if kind == "lambda" else parse_weight
+    text = "\n".join(f"{s!r} {_outcome(parse, s)}" for s in _parser_corpus(letters, separator, signs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestWords:
