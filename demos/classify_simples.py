@@ -4,7 +4,7 @@ Run with: python3 demos/classify_simples.py
 """
 
 from ncgl2 import classify, parse_lambda, sl2_rank_oracle
-from ncgl2.simples import classify_crosscheck, split_segments
+from ncgl2.simples import classify_crosscheck, split_segments, transfer_flags
 from ncgl2.weights import enumerate_lambda
 
 print("Every simple is a tensor product of blocks: symmetric powers S^k,")
@@ -52,9 +52,10 @@ print("raising operator on bihomogeneous polynomial parts decide when")
 print("adjacent blocks merge.  Flags follow a single inequality:")
 for a, b in ((2, 1), (3, 2), (1, 3), (4, 1)):
     rep = sl2_rank_oracle(a, b, "left")
+    one_to_one, onto = transfer_flags(a, b)
     print(
         f"  a={a} b={b}: rank {rep['rank']:2d}/{rep['source_dim']:2d}"
         f" -> {rep['target_dim']:2d},"
-        f" injective={rep['injective']} (a>=b+1 is {a >= b + 1}),"
-        f" surjective={rep['surjective']} (a<=b+1 is {a <= b + 1})"
+        f" injective={rep['injective']} (a>=b+1 is {one_to_one}),"
+        f" surjective={rep['surjective']} (a<=b+1 is {onto})"
     )

@@ -6,9 +6,10 @@ The package is organized bottom up:
              that adds into them, and the one fraction-free elimination,
              which hands back sparse Fraction vectors (rref alone writes
              dense rows)
+  weights    the weight monoid Lambda, its star involutions and two orders,
+             and the one scanner and printer of letter^exponent words
   ncalg      free algebra on a, b, c, d, D, Di with the defining rewrite
              system, normal forms, and the Hopf structure
-  weights    the weight monoid Lambda, its star involutions and two orders
   comodules  finite dimensional right comodules and maps between them
   standard   the named comodules V, R, S^yV, T^yV, M, nabla, Delta, L
   borel      Borel and torus quotients, semi-invariants, truncated induction

@@ -23,14 +23,19 @@ integer, so a coefficient is an int, or a Fraction only downstream of a
 non-integral input such as a parsed 3/2.  Outside scalars enter through
 _exact, which turns an integral Fraction into an int.  All arithmetic is
 exact.
+
+Words are written a*Di^2*b by weights._power_text, the printer of labels and
+weights too; the expression tokenizer reads the letter names from LETTERS.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .linalg import accumulate
+from .weights import _power_text, _runs
 
 __all__ = [
     "LETTERS",
@@ -689,14 +694,14 @@ def multiply_legs(tensor: Mapping[tuple, Coeff]) -> NCElement:
     """Multiply all legs together in order (the convolution product step).
 
     Every leg must be a normal word, as in every tensor of this module.
-    One accumulate over all terms, one rewrite per term: a two-leg term
-    goes through _product, which starts at the seam, any other through
-    normal_form_word of the concatenated legs.
+    One accumulate over all terms, one rewrite per term: _product of the
+    first leg, () when there is none, and the concatenated other legs,
+    which starts at the seam.
     """
     return NCElement._raw(accumulate({}, (
         (nw, coeff * c)
         for key, coeff in tensor.items()
-        for nw, c in (_product(*key) if len(key) == 2 else normal_form_word(sum(key, ()))).items()
+        for nw, c in _product(key[0] if key else (), sum(key[1:], ())).items()
     )))
 
 
@@ -723,37 +728,35 @@ class ExprSyntaxError(ValueError):
         self.column = column
 
 
+# one token: skipped whitespace, an ASCII number, an operator, or a letter
+# of LETTERS, longest first so that Di is not read as D
+_TOKEN = re.compile(
+    r"\s+|(?P<num>[0-9]+)|(?P<op>[-+*^()/])|(?P<letter>%s)" % "|".join(sorted(LETTERS, key=len, reverse=True))
+)
+
+
 def _tokenize(text: str):
+    """(kind, text, column) tokens: kind is 'num', 'letter' or the operator."""
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("num", text[i:j], i + 1))
-            i = j
-            continue
-        if text.startswith("Di", i):
-            tokens.append(("letter", "Di", i + 1))
-            i += 2
-            continue
-        if ch in "Dabcd":
-            tokens.append(("letter", ch, i + 1))
-            i += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append((ch, ch, i + 1))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i + 1)
-    tokens.append(("end", "", n + 1))
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        if match is None:
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i + 1)
+        if match.lastgroup:
+            kind = match[0] if match.lastgroup == "op" else match.lastgroup
+            tokens.append((kind, match[0], i + 1))
+        i = match.end()
+    tokens.append(("end", "", len(text) + 1))
     return tokens
+
+
+# parse_expression expands a product or power only into at most _MAX_TERMS
+# products of terms and words of at most _MAX_LETTERS letters, so that an
+# oversized input is a syntax error before it allocates
+_MAX_TERMS = 4_096
+_MAX_LETTERS = 2_000
+_OVERSIZED = f"expansion over {_MAX_TERMS} term products or {_MAX_LETTERS} letters a word"
 
 
 class _Parser:
@@ -770,39 +773,34 @@ class _Parser:
         return token
 
     def parse_expr(self) -> NCElement:
-        result = NCElement._raw({})
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in ("+", "-"):
-            sign = -1 if kind == "-" else 1
-            self.advance()
-        result = result + self.parse_term() * sign
+        result, sign = NCElement._raw({}), "+"
+        if self.peek()[0] in ("+", "-"):
+            sign = self.advance()[0]
         while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.advance()
-                result = result + self.parse_term()
-            elif kind == "-":
-                self.advance()
-                result = result - self.parse_term()
-            else:
+            term = self.parse_term()
+            result = result + term if sign == "+" else result - term
+            sign = self.peek()[0]
+            if sign not in ("+", "-"):
                 return result
+            self.advance()
 
     def parse_term(self) -> NCElement:
         result = self.parse_factor()
         while True:
-            kind, _, _ = self.peek()
+            kind, _, column = self.peek()
             if kind == "*":
                 self.advance()
-                result = result * self.parse_factor()
-            elif kind in ("letter", "num", "("):
-                result = result * self.parse_factor()
-            else:
+            elif kind not in ("letter", "num", "("):
                 return result
+            factor = self.parse_factor()
+            letters = max(map(len, result._terms), default=0) + max(map(len, factor._terms), default=0)
+            if len(result._terms) * len(factor._terms) > _MAX_TERMS or letters > _MAX_LETTERS:
+                raise ExprSyntaxError(_OVERSIZED, column)
+            result = result * factor
 
     def parse_factor(self) -> NCElement:
         base = self.parse_atom()
-        kind, _, _ = self.peek()
+        kind, _, caret = self.peek()
         if kind == "^":
             self.advance()
             kind, value, column = self.peek()
@@ -812,6 +810,11 @@ class _Parser:
             exponent = int(value)
             if exponent < 1:
                 raise ExprSyntaxError("expected a positive integer exponent", column)
+            # a scalar counts as one letter, so that its exponent is bounded
+            # too; past _MAX_LETTERS the power of the term count is not taken
+            letters = (max(map(len, base._terms), default=0) or 1) * exponent
+            if letters > _MAX_LETTERS or len(base._terms) ** exponent > _MAX_TERMS:
+                raise ExprSyntaxError(_OVERSIZED, caret)
             return base**exponent
         return base
 
@@ -819,19 +822,16 @@ class _Parser:
         kind, value, column = self.peek()
         if kind == "num":
             self.advance()
-            numerator = int(value)
-            kind, _, _ = self.peek()
-            if kind == "/":
-                self.advance()
-                kind, value, column = self.peek()
-                if kind != "num":
-                    raise ExprSyntaxError("expected a denominator", column)
-                self.advance()
-                denominator = int(value)
-                if denominator == 0:
-                    raise ExprSyntaxError("zero denominator", column)
-                return one() * Fraction(numerator, denominator)
-            return one() * numerator
+            if self.peek()[0] != "/":
+                return one() * int(value)
+            self.advance()
+            kind, denominator, column = self.peek()
+            if kind != "num":
+                raise ExprSyntaxError("expected a denominator", column)
+            self.advance()
+            if int(denominator) == 0:
+                raise ExprSyntaxError("zero denominator", column)
+            return one() * Fraction(int(value), int(denominator))
         if kind == "letter":
             self.advance()
             return gen(value)
@@ -854,6 +854,8 @@ def parse_expression(text: str) -> NCElement:
 
     Generators a b c d D Di, juxtaposition or * for products, + and -,
     rational coefficients like 3/2, and positive integer powers via ^.
+    A product or power past _MAX_TERMS or _MAX_LETTERS is a syntax error
+    at its operator, raised before it is expanded.
 
     >>> print(parse_expression("(a + b)^2"))
     b^2 + b*a + a*b + a^2
@@ -868,15 +870,7 @@ def parse_expression(text: str) -> NCElement:
 
 def render_word(word: Word) -> str:
     """Canonical word rendering with runs collapsed: ('a','Di','d') -> a*Di*d."""
-    if not word:
-        return "1"
-    runs = []
-    for letter in word:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    return "*".join(l if k == 1 else f"{l}^{k}" for l, k in runs)
+    return _power_text(_runs(word), "*")
 
 
 def render_element(element: NCElement) -> str:

@@ -10,6 +10,10 @@ lattice of the diagonal torus, two mutually inverse star operations, and
 two orders: le2 compares weights, le1 is generated by two covering moves
 that each strictly drop ell.
 
+Labels d^2.Di.d, torus weights a^2*d^-1 and the words of ncalg, a*Di^2*b,
+share one notation: _power_word reads it and _power_text writes it.  This
+module imports nothing from the package, so ncalg imports the printer.
+
 >>> from ncgl2.weights import parse_lambda
 >>> lam = parse_lambda("d.Di.d")
 >>> lam.ell(), str(lam.wt())
@@ -21,6 +25,7 @@ that each strictly drop ell.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -40,7 +45,7 @@ __all__ = [
 ]
 
 _LAMBDA_LETTERS = ("D", "Di", "d")
-_LAMBDA_ORDER = {"D": 0, "Di": 1, "d": 2}
+_LAMBDA_ORDER = {letter: index for index, letter in enumerate(_LAMBDA_LETTERS)}
 _INVERSE = {"D": "Di", "Di": "D"}
 # the letter images of the star anti-homomorphism; those of its inverse
 # are the same words reversed
@@ -76,15 +81,7 @@ def is_dominant(w: Weight) -> bool:
 
 
 def render_weight(w: Weight) -> str:
-    if w.i == 0 and w.j == 0:
-        return "1"
-    parts = []
-    for name, exp in (("a", w.i), ("d", w.j)):
-        if exp == 1:
-            parts.append(name)
-        elif exp != 0:
-            parts.append(f"{name}^{exp}")
-    return "*".join(parts)
+    return _power_text(((name, exp) for name, exp in zip("ad", w) if exp), "*")
 
 
 def _reduce(letters: Iterable[str], inverse: dict[str, str]) -> tuple[str, ...]:
@@ -136,15 +133,10 @@ class LambdaWord:
         return self._letters
 
     def atoms(self) -> tuple[tuple[str, int], ...]:
-        out: list[tuple[str, int]] = []
-        for letter in self._letters:
-            kind = "d" if letter == "d" else "delta"
-            step = 1 if letter in ("D", "d") else -1
-            if out and out[-1][0] == kind and (kind == "d" or (out[-1][1] > 0) == (step > 0)):
-                out[-1] = (kind, out[-1][1] + step)
-            else:
-                out.append((kind, step))
-        return tuple(out)
+        # a reduced word has no D next to a Di, so its letter runs are its atoms
+        return tuple(
+            ("d", n) if letter == "d" else ("delta", n if letter == "D" else -n) for letter, n in _runs(self._letters)
+        )
 
     def ell(self) -> int:
         return len(self._letters)
@@ -211,17 +203,7 @@ class LambdaWord:
         return (len(self._letters), tuple(_LAMBDA_ORDER[l] for l in self._letters))
 
     def __str__(self) -> str:
-        if not self._letters:
-            return "1"
-        parts = []
-        for kind, n in self.atoms():
-            if kind == "d":
-                parts.append("d" if n == 1 else f"d^{n}")
-            elif n > 0:
-                parts.append("D" if n == 1 else f"D^{n}")
-            else:
-                parts.append("Di" if n == -1 else f"Di^{-n}")
-        return ".".join(parts)
+        return _power_text(_runs(self._letters), ".")
 
     def __repr__(self):
         return f"LambdaWord({str(self)!r})"
@@ -236,10 +218,12 @@ class LambdaSyntaxError(ValueError):
 
 
 _EXPONENT = re.compile(r"-?[0-9]+")
+# the longest label parse_lambda builds: a longer one is refused unbuilt
+_MAX_LABEL_LETTERS = 1_000_000
 
 
-def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list[tuple[str, int]]:
-    """The (letter, exponent) factors of a word such as 'd^2.Di.d' or 'a^2*d^-1'.
+def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list[tuple[str, int, int]]:
+    """The (letter, exponent, column) factors of a word such as 'd^2.Di.d' or 'a^2*d^-1'.
 
     `letters` are tried in order, longest first; factors are joined by
     `separator`, whitespace is skipped, and '1' is the empty word.  An
@@ -265,6 +249,7 @@ def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list
             letter = next((l for l in letters if text.startswith(l, i)), None)
             if letter is None:
                 raise LambdaSyntaxError(f"expected {letter_noun}", i + 1)
+            column = i + 1
             i += len(letter)
             exponent = 1
             if text.startswith("^", i):
@@ -273,26 +258,42 @@ def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list
                 if not match or (not signed and int(match[0]) < 1):
                     raise LambdaSyntaxError(f"expected {exponent_noun}", i + 1)
                 exponent, i = int(match[0]), match.end()
-            factors.append((letter, exponent))
+            factors.append((letter, exponent, column))
             expect_factor = False
     if expect_factor:
         raise LambdaSyntaxError(f"expected a {factor_noun}", len(text) + 1)
     return factors
 
 
+def _runs(letters: Iterable[str]) -> list[tuple[str, int]]:
+    """The maximal runs of equal letters of a word, as (letter, length) pairs."""
+    return [(letter, len(list(run))) for letter, run in groupby(letters)]
+
+
+def _power_text(factors: Iterable[tuple[str, int]], separator: str) -> str:
+    """The word _power_word reads: each (letter, exponent) factor written as
+    'letter' or 'letter^exponent', joined by `separator`; '1' when empty."""
+    return separator.join(letter if e == 1 else f"{letter}^{e}" for letter, e in factors) or "1"
+
+
 def parse_lambda(text: str) -> LambdaWord:
     """Parse dot-separated blocks: 'd.Di.d^2', 'D^3', '1'.
 
-    The result is reduced, so 'd.D.Di.d' parses to d^2.
+    The result is reduced, so 'd.D.Di.d' parses to d^2.  More than
+    _MAX_LABEL_LETTERS letters before reduction is a syntax error.
     """
-    factors = _power_word(text, ("Di", "D", "d"), ".", False, ("d, D, or Di", "block"))
-    return LambdaWord(letter for letter, count in factors for _ in range(count))
+    letters: list[str] = []
+    for letter, count, column in _power_word(text, ("Di", "D", "d"), ".", False, ("d, D, or Di", "block")):
+        if len(letters) + count > _MAX_LABEL_LETTERS:
+            raise LambdaSyntaxError(f"a label has at most {_MAX_LABEL_LETTERS} letters", column)
+        letters += [letter] * count
+    return LambdaWord(letters)
 
 
 def parse_weight(text: str) -> Weight:
     """Parse a torus weight like 'a^2*d^-1', 'a*d', 'd^3', or '1'."""
     factors = _power_word(text, ("a", "d"), "*", True, ("a or d", "factor"))
-    return Weight(*(sum(e for letter, e in factors if letter == name) for name in "ad"))
+    return Weight(*(sum(e for letter, e, _ in factors if letter == name) for name in "ad"))
 
 
 def enumerate_lambda(max_ell: int) -> list[LambdaWord]:
@@ -304,13 +305,13 @@ def enumerate_lambda(max_ell: int) -> list[LambdaWord]:
     layer: list[tuple[str, ...]] = [()]
     out.append(LambdaWord.one())
     for _ in range(max_ell):
+        # a sorted layer extended in letter order comes out sorted
         next_layer: list[tuple[str, ...]] = []
         for word in layer:
             for letter in _LAMBDA_LETTERS:
                 if word and _INVERSE.get(letter) == word[-1]:
                     continue
                 next_layer.append(word + (letter,))
-        next_layer.sort(key=lambda w: tuple(_LAMBDA_ORDER[l] for l in w))
         for word in next_layer:
             lam = LambdaWord.__new__(LambdaWord)
             lam._letters = word

@@ -1,10 +1,14 @@
 """Command-line interface: verbs, formats, configuration, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ncgl2
 from ncgl2.cli import main
 from ncgl2.ncalg import ExprSyntaxError, parse_expression
 from ncgl2.weights import LambdaSyntaxError, parse_lambda, parse_weight
@@ -215,6 +219,36 @@ class TestErrors:
     def test_non_ascii_digit_exits_two(self, capsys, argv, digit):
         assert main([arg.format(digit) for arg in argv]) == 2
         assert "syntax error at column 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (["nabla", "d^100000000"], 1),
+            (["nf", "(a+b)^24"], 6),
+            (["nf", "(a+b)^30"], 6),
+            (["nf", "a^100000000"], 2),
+        ],
+        ids=["label", "power-terms-24", "power-terms-30", "power-letters"],
+    )
+    def test_oversized_input_exits_two(self, argv, column):
+        # the parsers refuse these before they allocate them; the child runs
+        # under a 400 MB address-space limit and a timeout, so a regression
+        # fails this test instead of taking the machine's memory
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))\n"
+            "from ncgl2.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ncgl2.__file__).parent.parent)},
+            timeout=30,
+        )
+        assert done.returncode == 2, done.stderr
+        assert f"syntax error at column {column}" in done.stderr
 
     def test_unknown_suite(self, capsys):
         code = main(["check", "nonsense", "--len", "1"])

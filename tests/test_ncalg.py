@@ -5,7 +5,9 @@ or computed by an independent method and frozen into the test.
 """
 
 import ast
+import hashlib
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from ncgl2.ncalg import (
     antipode_leg,
     _coproduct_word,
     _first_redex,
+    _tokenize,
     _product,
     _reduce,
 )
@@ -312,7 +315,8 @@ class TestProductKernel:
             two = coproduct(NCElement({word: 1}), memo)
             mixed = accumulate({key: 3 * c for key, c in two.items()}, (((("a",), ("d",)), -1),))
             legs = (antipode_leg(two, 0), antipode_leg(two, 1), antipode_leg(mixed, 1))
-            for tensor in (two, coproduct_leg(two, 0, memo), mixed, *legs):
+            # a key of no legs is the empty product
+            for tensor in (two, coproduct_leg(two, 0, memo), mixed, *legs, {(): 5}):
                 assert multiply_legs(tensor).terms == per_term_loop(tensor), word
 
 
@@ -559,6 +563,47 @@ class TestTensorElement:
 # parsing and rendering
 
 
+# tokens of the random expression corpus: the letters, numbers and
+# operators the tokenizer reads, and some that it rejects
+EXPR_TOKENS = ("Di", "D", "a", "b", "c", "d", "Dii", *"0123456789", "10", "3/2", *"+-*^()/", " ", "\t", "x", "²")
+
+# function: the sha256 of one line per corpus string, computed at commit
+# ebca9de, before _tokenize read the letter names from LETTERS
+EXPRESSION_DIGESTS = {
+    "_tokenize": "c5f0c79d6d3c1f683c6682fc3bcb007fcd87cb397974babdf21826f12cd5b5de",
+    "parse_expression": "62f3c8a52d01fdbf851e2b2e14c5eff364ccc99a4c0c0f3d13f3e65535294bd1",
+}
+
+
+def _expression_corpus():
+    """60,000 random strings of at most 9 tokens.
+
+    Numbers have at most 3 digits, so that every power in the corpus
+    expands in well under a second.
+    """
+    rng = random.Random(0)
+    count = 0
+    while count < 60_000:
+        text = "".join(rng.choice(EXPR_TOKENS) for _ in range(rng.randint(0, 9)))
+        if not re.search("[0-9]{4}", text):
+            count += 1
+            yield text
+
+
+@pytest.mark.parametrize("name", sorted(EXPRESSION_DIGESTS))
+def test_expression_digests_equal_the_earlier_tokenizer(name):
+    parse = _tokenize if name == "_tokenize" else parse_expression
+
+    def outcome(text):
+        try:
+            return str(parse(text))
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    text = "\n".join(f"{s!r} {outcome(s)}" for s in _expression_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPRESSION_DIGESTS[name]
+
+
 class TestSyntax:
     @pytest.mark.parametrize(
         "text,rendered",
@@ -593,6 +638,10 @@ class TestSyntax:
         assert render_word(("b", "Di", "c")) == "b*Di*c"
         assert render_word(("D", "D")) == "D^2"
         assert render_word(()) == "1"
+
+    def test_parse_inverts_render_word(self):
+        for word in enumerate_basis(5):
+            assert parse_expression(render_word(word)).terms == {word: 1}, word
 
     @given(SMALL_ELEMENTS)
     @settings(max_examples=80, deadline=None)

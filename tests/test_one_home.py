@@ -70,6 +70,14 @@ ONE_HOME = {
         "weights:parse_lambda weights:parse_weight",
         "one scanner for the power words of labels and weights",
     ),
+    "_power_text": (
+        "ncalg:render_word weights:render_weight weights:LambdaWord.__str__",
+        "one printer for the power words of normal words, labels and weights",
+    ),
+    "_runs": (
+        "ncalg:render_word weights:LambdaWord.__str__ weights:LambdaWord.atoms",
+        "a word is grouped into its letter runs in one place",
+    ),
     "transfer_flags": (
         "simples:validate_adjacency simples:_classify_segment simples:_exchange_neighbours checks:_suite_sl2",
         "one adjacency table, certified by the sl2 oracle",

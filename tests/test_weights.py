@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgl2.ncalg import NCElement, enumerate_basis, render_word
 from ncgl2.weights import (
     LambdaSyntaxError,
     LambdaWord,
@@ -69,12 +71,55 @@ def test_parser_digests_equal_the_earlier_scanners(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# printer: the sha256 of the printed corpus, one line per item, computed at
+# commit ebca9de, before the three printers of the letter^exponent notation
+# shared one
+PRINTER_DIGESTS = {
+    "render_word": "0a533bccb7ab85879eb5d66643b3ba71849a233017aabc55bd6cea217da9970a",
+    "LambdaWord.__str__": "7090171e1c5447f8637fd8a280a1d1af6650e0a0f47036236a8d7aa3d65044ae",
+    "render_weight": "8702060e9e353ac592b466eee4c9a1eff0f8828b77233679f069432666ef3c84",
+    "NCElement.__str__": "2fd50f9b3af36ad7d05b93f6b62c967e842133cb551e7b429f314422c212212e",
+}
+
+
+def _printed(kind: str) -> list[str]:
+    """Every normal word of length <= 6 and 20,000 random words; every label
+    with ell <= 11; every weight with |i|, |j| <= 30; 5,000 random elements."""
+    rng = random.Random(0)
+    letters = ("Di", "D", "a", "b", "c", "d")
+    if kind == "render_word":
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 12))) for _ in range(20_000)]
+        return [render_word(w) for w in enumerate_basis(6) + words]
+    if kind == "LambdaWord.__str__":
+        return [str(lam) for lam in enumerate_lambda(11)]
+    if kind == "render_weight":
+        return [render_weight(Weight(i, j)) for i in range(-30, 31) for j in range(-30, 31)]
+    coefficients = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+    return [
+        str(NCElement({
+            tuple(rng.choice(letters) for _ in range(rng.randint(0, 5))): rng.choice(coefficients)
+            for _ in range(rng.randint(0, 4))
+        }))
+        for _ in range(5_000)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(PRINTER_DIGESTS))
+def test_printer_digests_equal_the_earlier_printers(kind):
+    text = "\n".join(_printed(kind))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTER_DIGESTS[kind]
+
+
 class TestWords:
     def test_parse_and_render(self):
         lam = parse_lambda("d^2.Di.d")
         assert lam.ell() == 4
         assert str(lam) == "d^2.Di.d"
         assert parse_lambda("1") == LambdaWord.one()
+
+    def test_parse_inverts_str(self):
+        for lam in enumerate_lambda(8):
+            assert parse_lambda(str(lam)) == lam, str(lam)
 
     def test_parse_errors(self):
         with pytest.raises(LambdaSyntaxError):
@@ -145,6 +190,11 @@ class TestWeights:
         assert parse_weight("1") == Weight(0, 0)
         assert parse_weight("a^-1") == Weight(-1, 0)
         assert render_weight(Weight(2, 3)) == "a^2*d^3"
+
+    def test_parse_inverts_render(self):
+        for i in range(-5, 6):
+            for j in range(-5, 6):
+                assert parse_weight(render_weight(Weight(i, j))) == Weight(i, j)
 
     def test_dominance(self):
         assert is_dominant(Weight(0, 3))
