@@ -20,8 +20,8 @@ A config file of key=value lines supplies default bounds (key "len");
 explicit flags win.
 
 Exit status: 0 on success, 1 when a verification fails, 2 on usage or
-syntax errors and a missing config file.  Any other exception is an
-internal error and propagates.
+syntax errors and a config file that is missing or not UTF-8 text.  Any
+other exception is an internal error and propagates.
 """
 
 from __future__ import annotations
@@ -98,20 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None) -> dict:
-    """key=value pairs; {} without --config when ./ncgl2.cfg is missing."""
+    """key=value pairs; {} without --config when ./ncgl2.cfg is missing.
+
+    A missing --config file, or one that cannot be read as UTF-8 text, is
+    a UsageError.
+    """
     candidate = path or "ncgl2.cfg"
     if not os.path.isfile(candidate):
         if path:
-            raise FileNotFoundError(path)
+            raise UsageError(f"config file not found: {path}")
         return {}
     out: dict = {}
-    with open(candidate, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    try:
+        with open(candidate, "r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line or line.startswith("#") or "=" not in line:
+                    continue
+                key, _, value = line.partition("=")
+                out[key.strip()] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file cannot be read as UTF-8 text: {candidate}: {exc}") from exc
     return out
 
 
@@ -318,12 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _load_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"ncgl2: config file not found: {exc}", file=sys.stderr)
-        return 2
-    try:
-        payload, status = _run(args, config)
+        payload, status = _run(args, _load_config(args.config))
     except (ExprSyntaxError, LambdaSyntaxError, UsageError) as exc:
         print(f"ncgl2: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .linalg import accumulate
-from .weights import _power_text, _runs
+from .weights import _MAX_DIGITS, _power_text, _runs
 
 __all__ = [
     "LETTERS",
@@ -743,6 +743,8 @@ def _tokenize(text: str):
         match = _TOKEN.match(text, i)
         if match is None:
             raise ExprSyntaxError(f"unexpected character {text[i]!r}", i + 1)
+        if match.lastgroup == "num" and len(match[0]) > _MAX_DIGITS:
+            raise ExprSyntaxError(_OVERLONG, i + 1)
         if match.lastgroup:
             kind = match[0] if match.lastgroup == "op" else match.lastgroup
             tokens.append((kind, match[0], i + 1))
@@ -753,10 +755,14 @@ def _tokenize(text: str):
 
 # parse_expression expands a product or power only into at most _MAX_TERMS
 # products of terms and words of at most _MAX_LETTERS letters, so that an
-# oversized input is a syntax error before it allocates
+# oversized input is a syntax error before it allocates; every number it
+# reads or builds, numerator and denominator, stays below _MAX_NUMBER, so
+# that every result it accepts prints
 _MAX_TERMS = 4_096
 _MAX_LETTERS = 2_000
+_MAX_NUMBER = 10**_MAX_DIGITS
 _OVERSIZED = f"expansion over {_MAX_TERMS} term products or {_MAX_LETTERS} letters a word"
+_OVERLONG = f"a number has at most {_MAX_DIGITS} digits"
 
 
 class _Parser:
@@ -773,13 +779,16 @@ class _Parser:
         return token
 
     def parse_expr(self) -> NCElement:
-        result, sign = NCElement._raw({}), "+"
+        result, sign, column = NCElement._raw({}), "+", 1
         if self.peek()[0] in ("+", "-"):
             sign = self.advance()[0]
         while True:
             term = self.parse_term()
             result = result + term if sign == "+" else result - term
-            sign = self.peek()[0]
+            for c in result._terms.values():
+                if max(abs(c.numerator), c.denominator) >= _MAX_NUMBER:
+                    raise ExprSyntaxError(_OVERLONG, column)
+            sign, _, column = self.peek()
             if sign not in ("+", "-"):
                 return result
             self.advance()
@@ -797,6 +806,9 @@ class _Parser:
             if len(result._terms) * len(factor._terms) > _MAX_TERMS or letters > _MAX_LETTERS:
                 raise ExprSyntaxError(_OVERSIZED, column)
             result = result * factor
+            for c in result._terms.values():
+                if max(abs(c.numerator), c.denominator) >= _MAX_NUMBER:
+                    raise ExprSyntaxError(_OVERLONG, column)
 
     def parse_factor(self) -> NCElement:
         base = self.parse_atom()
@@ -811,11 +823,19 @@ class _Parser:
             if exponent < 1:
                 raise ExprSyntaxError("expected a positive integer exponent", column)
             # a scalar counts as one letter, so that its exponent is bounded
-            # too; past _MAX_LETTERS the power of the term count is not taken
+            # too; past _MAX_LETTERS the power of the term count is not taken.
+            # A number of b + 1 bits to this power has over b * exponent bits
             letters = (max(map(len, base._terms), default=0) or 1) * exponent
             if letters > _MAX_LETTERS or len(base._terms) ** exponent > _MAX_TERMS:
                 raise ExprSyntaxError(_OVERSIZED, caret)
-            return base**exponent
+            for c in base._terms.values():
+                if (max(abs(c.numerator), c.denominator).bit_length() - 1) * exponent >= _MAX_NUMBER.bit_length():
+                    raise ExprSyntaxError(_OVERLONG, caret)
+            power = base**exponent
+            for c in power._terms.values():
+                if max(abs(c.numerator), c.denominator) >= _MAX_NUMBER:
+                    raise ExprSyntaxError(_OVERLONG, caret)
+            return power
         return base
 
     def parse_atom(self) -> NCElement:
@@ -855,7 +875,9 @@ def parse_expression(text: str) -> NCElement:
     Generators a b c d D Di, juxtaposition or * for products, + and -,
     rational coefficients like 3/2, and positive integer powers via ^.
     A product or power past _MAX_TERMS or _MAX_LETTERS is a syntax error
-    at its operator, raised before it is expanded.
+    at its operator, raised before it is expanded, and so is a sum, product
+    or power with a number of more than _MAX_DIGITS digits, a numerator or
+    a denominator; a longer number literal is a syntax error at its column.
 
     >>> print(parse_expression("(a + b)^2"))
     b^2 + b*a + a*b + a^2

@@ -19,10 +19,12 @@ rewriting of its delta^{-1}-linked runs of d's.  The pipeline:
 The adjacency table says which tensor products of neighbouring blocks stay
 simple.  Its one home is `transfer_flags(a, b)`: whether moving one unit
 from T^a into a neighbouring S^b is one-to-one, and whether it is onto.
-T^a and S^b side by side (in either order) need the move from T^a into
-S^b to be one-to-one, and across an R^-1 the move from S^b into T^a; T
-next to T and S next to S are free.  The greedy transfers are the onto
-moves, and the exchange isomorphisms the moves that are both.
+`_neighbour_pairs`, its one reader here, gives each T^a and S^b (in either
+order) the flags of their move: side by side from T^a into S^b, across an
+R^-1 from S^b into T^a; `_move` makes it, and no other code moves a unit.
+Every pair's move must be one-to-one; T next to T and S next to S are
+free.  The greedy transfers are the onto side-by-side moves, and the
+exchange isomorphisms the moves that are both.
 
 `sl2_rank_oracle` certifies the table independently: it differentiates
 polynomial bimodules and reports the injectivity and surjectivity of the
@@ -182,36 +184,28 @@ def delta_grouping(z: tuple[int, ...]) -> BlockExpression:
 
 
 def _classify_segment(z: tuple[int, ...]) -> list[Factor]:
-    """Greedy normal form of one segment, as a factor list (S/T/R only)."""
-    grouped = list(delta_grouping(z).factors)
-    blocks: list[list] = []
-    for kind, exp in grouped:
-        if blocks and blocks[-1][0] == "T" and kind == "T":
-            blocks.append(["S", 0])
-        blocks.append([kind, exp])
-    connectors = [0] * (len(blocks) - 1)
-    # (donor T, receiving S) for each T beside an S
-    pendings = [(i, j) if blocks[i][0] == "T" else (j, i) for i, j, _, _ in _neighbour_pairs(blocks)]
+    """Greedy normal form of one segment, as a factor list (S/T/R only).
+
+    Starting from the grouping, with an S^0 put between adjacent T-blocks, a
+    unit moves at the leftmost side-by-side pair whose move is onto, until no
+    such pair is left; the R^-1 that a move puts between its pair keeps that
+    pair from moving again.
+    """
+    factors: tuple[Factor, ...] = ()
+    for block in delta_grouping(z).factors:
+        if factors and factors[-1][0] == block[0] == "T":
+            factors += (("S", 0),)
+        factors += (block,)
     while True:
-        # transfer a unit where the move is onto
-        for p, (donor, receiver) in enumerate(pendings):
-            if blocks[donor][1] >= 1 and transfer_flags(blocks[donor][1], blocks[receiver][1])[1]:
+        for i, j, a, _, (_, onto) in _neighbour_pairs(factors):
+            if j == i + 1 and a >= 1 and onto:
+                factors = _move(factors, i, j)
                 break
         else:
-            break
-        donor, receiver = pendings.pop(p)
-        blocks[donor][1] -= 1
-        blocks[receiver][1] += 1
-        connectors[min(donor, receiver)] = -1
-    factors: list[Factor] = []
-    for i, (kind, exp) in enumerate(blocks):
-        if i > 0 and connectors[i - 1] == -1:
-            factors.append(("R", -1))
-        factors.append((kind, exp))
-    return _collapse_empty(factors)
+            return _collapse_empty(factors)
 
 
-def _collapse_empty(factors: list[Factor]) -> list[Factor]:
+def _collapse_empty(factors: tuple[Factor, ...]) -> list[Factor]:
     """Remove T^0 (which is R, cancelling its two R^-1 flanks) and S^0."""
     out = list(factors)
     while True:
@@ -256,46 +250,49 @@ def transfer_flags(a: int, b: int) -> tuple[bool, bool]:
 
 
 def _neighbour_pairs(factors):
-    """(i, j, a, b) for each T^a and S^b, in either order, at i and j: side
-    by side (j = i + 1) or across one R^-1 (j = i + 2)."""
+    """(i, j, a, b, flags) for each T^a and S^b, in either order, at i and j,
+    with the flags of the move the pair can make: side by side (j = i + 1)
+    from T^a into S^b, transfer_flags(a, b), and across one R^-1 (j = i + 2)
+    from S^b into T^a, transfer_flags(b, a)."""
     for i in range(len(factors) - 1):
-        j = i + 2 if tuple(factors[i + 1]) == ("R", -1) else i + 1
+        j = i + 2 if factors[i + 1] == ("R", -1) else i + 1
         if j < len(factors) and {factors[i][0], factors[j][0]} == {"S", "T"}:
             (kind, x), (_, y) = factors[i], factors[j]
-            yield (i, j, x, y) if kind == "T" else (i, j, y, x)
+            a, b = (x, y) if kind == "T" else (y, x)
+            yield i, j, a, b, transfer_flags(a, b) if j == i + 1 else transfer_flags(b, a)
+
+
+def _move(factors: tuple[Factor, ...], i: int, j: int) -> tuple[Factor, ...]:
+    """Move one unit between the T and S at i and j: side by side from T
+    into S, T^a, S^b -> T^(a-1), R^-1, S^(b+1), and back across the R^-1."""
+    step, middle = (-1, (("R", -1),)) if j == i + 1 else (1, ())
+    shift = {"T": step, "S": -step}
+    (x, e), (y, f) = factors[i], factors[j]
+    return factors[:i] + ((x, e + shift[x]),) + middle + ((y, f + shift[y]),) + factors[j + 1 :]
 
 
 def validate_adjacency(factors) -> None:
     """Check every T/S pair beside each other or across an R^-1 against the
-    adjacency table: the transfer from T into S must be one-to-one, across
-    an R^-1 the transfer from S into T.
+    adjacency table: the move of the pair must be one-to-one.
 
     Raises ClassifierError on a violation; R^i factors with i != -1 separate
     their neighbours completely and impose no constraint.
     """
     factors = list(factors)
-    for i, j, a, b in _neighbour_pairs(factors):
-        if j == i + 2 and not transfer_flags(b, a)[0]:
-            raise ClassifierError(f"T^{a} and S^{b} joined by R^-1 need a+1 <= b: {factors}")
-        if j == i + 1 and not transfer_flags(a, b)[0]:
-            raise ClassifierError(f"adjacent T^{a} and S^{b} need a >= b+1: {factors}")
+    for i, j, a, b, (one_to_one, _) in _neighbour_pairs(factors):
+        if not one_to_one:
+            raise ClassifierError(
+                f"T^{a} and S^{b} joined by R^-1 need a+1 <= b: {factors}"
+                if j == i + 2
+                else f"adjacent T^{a} and S^{b} need a >= b+1: {factors}"
+            )
 
 
 def _exchange_neighbours(factors: tuple[Factor, ...]):
-    """All factor lists one exchange isomorphism away.
-
-    The moves T^a, S^b <-> T^(a-1), R^-1, S^(b+1) (and mirror images): a
-    unit moves where the transfer is both one-to-one and onto, with every
-    exponent kept >= 1.
-    """
-    out = []
-    for i, j, a, b in _neighbour_pairs(factors):
-        flags, step = (transfer_flags(a, b), -1) if j == i + 1 else (transfer_flags(b, a), 1)
-        if all(flags) and min(a + step, b - step) >= 1:
-            moved = {"T": ("T", a + step), "S": ("S", b - step)}
-            middle = (("R", -1),) if j == i + 1 else ()
-            out.append(factors[:i] + (moved[factors[i][0]],) + middle + (moved[factors[j][0]],) + factors[j + 1 :])
-    return out
+    """All factor lists one exchange isomorphism away: the moves that are
+    both one-to-one and onto, so that the pair's exponents are one apart,
+    and that leave no empty block, so that both exponents are at least 1."""
+    return [_move(factors, i, j) for i, j, a, b, flags in _neighbour_pairs(factors) if all(flags) and min(a, b) >= 1]
 
 
 def _normalize(factors: list[Factor]) -> tuple[Factor, ...]:

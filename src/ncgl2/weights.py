@@ -218,6 +218,9 @@ class LambdaSyntaxError(ValueError):
 
 
 _EXPONENT = re.compile(r"-?[0-9]+")
+# the most digits a number of a label, a weight or an expression may have;
+# str prints every int of up to 4,300 digits
+_MAX_DIGITS = 4_000
 # the longest label parse_lambda builds: a longer one is refused unbuilt
 _MAX_LABEL_LETTERS = 1_000_000
 
@@ -255,6 +258,8 @@ def _power_word(text: str, letters, separator: str, signed: bool, nouns) -> list
             if text.startswith("^", i):
                 i += 1
                 match = _EXPONENT.match(text, i)
+                if match and len(match[0].lstrip("-")) > _MAX_DIGITS:
+                    raise LambdaSyntaxError(f"a number has at most {_MAX_DIGITS} digits", i + 1)
                 if not match or (not signed and int(match[0]) < 1):
                     raise LambdaSyntaxError(f"expected {exponent_noun}", i + 1)
                 exponent, i = int(match[0]), match.end()

@@ -185,6 +185,13 @@ class TestConfig:
         code = main(["--config", str(tmp_path / "absent.cfg"), "basis", "--len", "0"])
         assert code == 2
 
+    def test_undecodable_config_errors(self, capsys, tmp_path):
+        cfg = tmp_path / "ncgl2.cfg"
+        cfg.write_bytes(b"len = 2\n\xff\xfe\n")
+        code = main(["--config", str(cfg), "basis", "--len", "0"])
+        assert code == 2
+        assert "config file cannot be read as UTF-8 text" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_syntax_error_exit(self, capsys):
@@ -227,8 +234,31 @@ class TestErrors:
             (["nf", "(a+b)^24"], 6),
             (["nf", "(a+b)^30"], 6),
             (["nf", "a^100000000"], 2),
+            # numbers past the 4,300 digits that int() and str() convert
+            (["nf", "1" * 5_000], 1),
+            (["nf", "3/" + "1" * 5_000], 3),
+            (["nabla", "d^" + "1" * 5_000], 3),
+            (["induce", "--weight", "a^" + "1" * 5_000], 3),
+            # coefficients past 4,000 digits, at the operator that builds them
+            (["nf", "(2^999)^999"], 8),
+            (["nf", "*".join(["2^999"] * 15)], 78),
+            (["nf", "((2^999)^999)^999"], 9),
+            (["nf", f"1/{'9' * 2_999} + 1/{'9' * 2_998}"], 3_003),
         ],
-        ids=["label", "power-terms-24", "power-terms-30", "power-letters"],
+        ids=[
+            "label",
+            "power-terms-24",
+            "power-terms-30",
+            "power-letters",
+            "number-digits",
+            "denominator-digits",
+            "label-exponent-digits",
+            "weight-exponent-digits",
+            "power-coefficient",
+            "product-coefficient",
+            "nested-power-coefficient",
+            "sum-coefficient",
+        ],
     )
     def test_oversized_input_exits_two(self, argv, column):
         # the parsers refuse these before they allocate them; the child runs

@@ -79,8 +79,12 @@ ONE_HOME = {
         "a word is grouped into its letter runs in one place",
     ),
     "transfer_flags": (
-        "simples:validate_adjacency simples:_classify_segment simples:_exchange_neighbours checks:_suite_sl2",
-        "one adjacency table, certified by the sl2 oracle",
+        "simples:_neighbour_pairs checks:_suite_sl2",
+        "one adjacency table, read by one neighbour scan and certified by the sl2 oracle",
+    ),
+    "_move": (
+        "simples:_classify_segment simples:_exchange_neighbours",
+        "the greedy transfers and the exchange isomorphisms make one unit move",
     ),
 }
 

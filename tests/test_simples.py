@@ -4,6 +4,7 @@ import ast
 import hashlib
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,58 @@ def _label_line(kind: str, l: LambdaWord) -> str:
 def test_label_digests_equal_the_earlier_route(kind):
     ell, digest = LABEL_DIGESTS[kind]
     text = "\n".join(_label_line(kind, l) for l in enumerate_lambda(ell))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _compositions(n: int):
+    """Every composition of n, as a tuple of positive parts."""
+    for cuts in product((False, True), repeat=n - 1):
+        z = [1]
+        for cut in cuts:
+            z[-1:] = [z[-1], 1] if cut else [z[-1] + 1]
+        yield tuple(z)
+
+
+def _factor_words():
+    """Every word of 1-4 S/T blocks with exponents 0-4, each gap empty, R^-1 or R^-2."""
+    blocks = [(kind, e) for kind in "ST" for e in range(5)]
+    for count in range(1, 5):
+        for chosen in product(blocks, repeat=count):
+            for gaps in product([(), (RI,), (("R", -2),)], repeat=count - 1):
+                yield chosen[:1] + sum((gap + (block,) for gap, block in zip(gaps, chosen[1:])), ())
+
+
+def _adjacency_outcome(factors) -> str | None:
+    try:
+        validate_adjacency(factors)
+    except ClassifierError as exc:
+        return str(exc)
+    return None
+
+
+# sha256 of one line per segment or factor word, computed at commit
+# b48991f, before the greedy and the exchange moves shared one unit move:
+# the greedy and normal forms of every segment with at most 14 d's, and
+# the exchange neighbours and adjacency outcome of every small factor word
+MOVE_DIGESTS = {
+    "segments": (16_383, "2215239e53106e7fd3606895337fb27a96c8dffd7cab6c7c5339e564be300103"),
+    "exchanges": (279_310, "7e19ec488c2741045e642bd768d792e458743e92c1478a6edd0575e2f9e53746"),
+}
+
+
+def _move_line(kind: str, item) -> str:
+    if kind == "segments":
+        greedy = simples._classify_segment(item)
+        return f"{item} {greedy} {simples._normalize(greedy)}"
+    return f"{item} {sorted(simples._exchange_neighbours(item))} {_adjacency_outcome(item)}"
+
+
+@pytest.mark.parametrize("kind", sorted(MOVE_DIGESTS))
+def test_move_digests_equal_the_earlier_route(kind):
+    count, digest = MOVE_DIGESTS[kind]
+    items = [z for n in range(1, 15) for z in _compositions(n)] if kind == "segments" else list(_factor_words())
+    assert len(items) == count
+    text = "\n".join(_move_line(kind, item) for item in items)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
