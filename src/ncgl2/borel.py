@@ -28,8 +28,8 @@ under the right triangular coaction.  Costandard comodules are induced
 from the Borel quotient (Jantzen, Representations of Algebraic Groups,
 I.3), so the truncated induction space is a space of B-semi-invariants
 too: both are the maps from the line g_t into a comodule, solved by
-comodules._intertwiners, and for induction the comodule is spanned by the
-normal words of column weight t in O_{<=n}.
+_maps_from_line, and for induction the comodule is spanned by the normal
+words of column weight t in O_{<=n}.
 
 >>> from .ncalg import gen
 >>> BOREL_LOWER.project(gen("b"))
@@ -97,14 +97,16 @@ class TriangularQuotient:
         return (k1[0] + k2[0], _reduce(k1[1] + k2[1], self._inverses))
 
     def project_word(self, word: Word):
-        """Image of a monomial; None when some letter is killed."""
-        key = self.one_key
+        """Image of a monomial, the letter images joined and reduced once
+        (cancellation is confluent); None when some letter is killed."""
+        s, letters = 0, []
         for letter in word:
             image = self._letter_image[letter]
             if image is None:
                 return None
-            key = self.multiply(key, image)
-        return key
+            s += image[0]
+            letters += image[1]
+        return s, _reduce(letters, self._inverses)
 
     def project(self, element: NCElement) -> dict:
         projected = ((self.project_word(word), coeff) for word, coeff in element.items())
@@ -114,16 +116,16 @@ class TriangularQuotient:
         """The character key g_t, the image of a^i d^j for t = (i, j).
 
         a and d survive in every quotient and their images are invertible,
-        so every integral weight has one.
+        so every integral weight has one, reduced once from |i| + |j| images.
         """
-        key = self.one_key
+        s, letters = 0, ()
         for letter, power in (("a", t.i), ("d", t.j)):
-            s, word = self._letter_image[letter]
+            exponent, word = self._letter_image[letter]
             if power < 0:
-                s, word = -s, tuple(self._inverses[x] for x in reversed(word))
-            for _ in range(abs(power)):
-                key = self.multiply(key, (s, word))
-        return key
+                word = tuple(self._inverses[x] for x in reversed(word))
+            s += exponent * power
+            letters += word * abs(power)
+        return s, _reduce(letters, self._inverses)
 
     def __repr__(self):
         return f"TriangularQuotient({self.name})"
@@ -182,7 +184,7 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     every other weight.
 
     The vectors are the maps, over the quotient, into X from the line of
-    weight t with coaction g_t, solved by comodules._intertwiners.  With
+    weight t with coaction g_t, solved by `_maps_from_line`.  With
     C[i][j] the coaction pushed into the quotient, the equations say
     sum_i x_i C[i][j] = x_j g_t for every j, one per key of the quotient.
     Only the rows of the basis vectors of weight t enter them, which is
@@ -194,11 +196,19 @@ def semi_invariants(X: Comodule, quotient: TriangularQuotient, t: Weight):
     same solutions, and its reduced basis, indexed by the basis of X, is
     the full system's reduced basis.
     """
-    line = [(0, [{quotient.grouplike(t): 1}])]
-    solutions = _intertwiners(
-        [t], X.weights, line, lambda k: enumerate(map(quotient.project, X.coaction[k]))
+    return _maps_from_line(
+        quotient, t, X.weights, lambda k: enumerate(map(quotient.project, X.coaction[k]))
     )
-    return [column for (column,) in solutions]
+
+
+def _maps_from_line(quotient: TriangularQuotient, t: Weight, weights, row) -> list[dict]:
+    """The maps from the line g_t into the comodule of basis weights `weights`
+    and rows row(k), by comodules._intertwiners, each its column {k: x_k};
+    [] before g_t is built when no basis weight is t, as the solver would."""
+    if t not in weights:
+        return []
+    line = [(0, [{quotient.grouplike(t): 1}])]
+    return [column for (column,) in _intertwiners([t], weights, line, row)]
 
 
 def every_subcomodule_contains(X: Comodule, index: int) -> bool:
@@ -235,7 +245,7 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
     order.
 
     It is the semi-invariant solve of `semi_invariants`, run by
-    comodules._intertwiners: the maps from the line g_t into the span of
+    `_maps_from_line`: the maps from the line g_t into the span of
     the normal words of column weight t, in which row k of words[k] holds
     the pairs (index of u, {pi_B(v): c}) for the terms c u (x) v of
     coproduct(words[k]).  A left leg u that is not one of the words gets
@@ -260,9 +270,8 @@ def induced_truncated(t: Weight, n: int) -> list[NCElement]:
             if key is not None:
                 yield index.setdefault(u, len(index)), {key: c}
 
-    line = [(0, [{BOREL_LOWER.grouplike(t): 1}])]
-    solutions = _intertwiners([t], [t] * len(words), line, row)
-    return [NCElement({words[k]: c for k, c in column.items()}) for (column,) in solutions]
+    solutions = _maps_from_line(BOREL_LOWER, t, [t] * len(words), row)
+    return [NCElement({words[k]: c for k, c in column.items()}) for column in solutions]
 
 
 def induced_predicted(t: Weight, n: int) -> list[Word]:

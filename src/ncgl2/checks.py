@@ -168,32 +168,22 @@ def _suite_multisets(bounds: dict) -> list[dict]:
     count = 0
     for lam in enumerate_lambda(n):
         count += 1
-        N = nabla_multiset(lam)
-        D = delta_multiset(lam)
-        if N[lam] != 1 or D[lam] != 1:
-            once = False
-        # dimensions from the factor words, not from built comodules; the
-        # builders are checked against factor_dim in the test suite
         m_dim = factor_dim(monoid_factors(lam))
-        if sum(factor_dim(nabla_factors(mu)) * k for mu, k in N.items()) != m_dim:
-            dims = False
-        if sum(factor_dim(nabla_factors(mu.star_inv())) * k for mu, k in D.items()) != m_dim:
-            dims = False
-        cn: dict = {}
-        for mu, k in N.items():
-            accumulate(cn, ((w, k * m) for w, m in char_nabla(mu).items()))
-        cd: dict = {}
-        for mu, k in D.items():
-            accumulate(cd, ((w, k * m) for w, m in char_delta(mu).items()))
         target = char_M(lam)
-        if cn != target or cd != target:
-            chars = False
-        for mu in N:
-            if mu != lam and not mu.lt1(lam):
-                order = False
-        for mu in D:
-            if mu != lam and not mu.lt1(lam):
-                order = False
+        for multiset, factors, char in (
+            (nabla_multiset(lam), nabla_factors, char_nabla),
+            (delta_multiset(lam), lambda mu: nabla_factors(mu.star_inv()), char_delta),
+        ):
+            once &= multiset[lam] == 1
+            # dimensions from the factor words, not from built comodules; the
+            # builders are checked against factor_dim in the test suite
+            dim, total = 0, {}
+            for mu, k in multiset.items():
+                dim += factor_dim(factors(mu)) * k
+                accumulate(total, ((w, k * m) for w, m in char(mu).items()))
+                order &= mu == lam or mu.lt1(lam)
+            dims &= dim == m_dim
+            chars &= total == target
     out.append(_result(f"top-multiplicity-one-len{n}", once, f"{count} words"))
     out.append(_result(f"dimension-audit-len{n}", dims, f"{count} words"))
     out.append(_result(f"character-audit-len{n}", chars, f"{count} words"))

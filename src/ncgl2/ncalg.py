@@ -733,12 +733,14 @@ class ExprSyntaxError(ValueError):
 _TOKEN = re.compile(
     r"\s+|(?P<num>[0-9]+)|(?P<op>[-+*^()/])|(?P<letter>%s)" % "|".join(sorted(LETTERS, key=len, reverse=True))
 )
+# the parser recurses four calls deep per parenthesis level
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
     """(kind, text, column) tokens: kind is 'num', 'letter' or the operator."""
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         match = _TOKEN.match(text, i)
         if match is None:
@@ -747,6 +749,9 @@ def _tokenize(text: str):
             raise ExprSyntaxError(_OVERLONG, i + 1)
         if match.lastgroup:
             kind = match[0] if match.lastgroup == "op" else match.lastgroup
+            depth += (kind == "(") - (kind == ")")
+            if depth > _MAX_DEPTH:
+                raise ExprSyntaxError(f"more than {_MAX_DEPTH} nested parentheses", i + 1)
             tokens.append((kind, match[0], i + 1))
         i = match.end()
     tokens.append(("end", "", len(text) + 1))
@@ -877,7 +882,8 @@ def parse_expression(text: str) -> NCElement:
     A product or power past _MAX_TERMS or _MAX_LETTERS is a syntax error
     at its operator, raised before it is expanded, and so is a sum, product
     or power with a number of more than _MAX_DIGITS digits, a numerator or
-    a denominator; a longer number literal is a syntax error at its column.
+    a denominator; a longer number literal, or a '(' past _MAX_DEPTH
+    nested levels, is a syntax error at its column.
 
     >>> print(parse_expression("(a + b)^2"))
     b^2 + b*a + a*b + a^2

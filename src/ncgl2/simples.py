@@ -206,33 +206,25 @@ def _classify_segment(z: tuple[int, ...]) -> list[Factor]:
 
 
 def _collapse_empty(factors: tuple[Factor, ...]) -> list[Factor]:
-    """Remove T^0 (which is R, cancelling its two R^-1 flanks) and S^0."""
-    out = list(factors)
-    while True:
-        for i, (kind, exp) in enumerate(out):
-            if kind == "T" and exp == 0:
-                if not (
-                    i > 0
-                    and i + 1 < len(out)
-                    and out[i - 1] == ("R", -1)
-                    and out[i + 1] == ("R", -1)
-                ):
-                    raise ClassifierError(
-                        f"empty T-block not flanked by two R^-1 factors in {out}"
-                    )
-                out[i - 1 : i + 2] = [("R", -1)]
-                break
-            if kind == "S" and exp == 0:
-                if (i > 0 and out[i - 1][0] == "R") or (
-                    i + 1 < len(out) and out[i + 1][0] == "R"
-                ):
-                    raise ClassifierError(
-                        f"empty S-block touching an R factor in {out}"
-                    )
-                del out[i]
-                break
+    """Remove T^0 (which is R, cancelling its two R^-1 flanks) and S^0, in
+    one pass that checks the factors kept so far and the next one."""
+    out: list[Factor] = []
+    for k, factor in enumerate(factors):
+        following = factors[k + 1] if k + 1 < len(factors) else ("", 0)
+        if factor == ("T", 0):
+            if not out or out[-1] != ("R", -1) or following != ("R", -1):
+                raise ClassifierError(
+                    f"empty T-block not flanked by two R^-1 factors in {out + list(factors[k:])}"
+                )
+            out.pop()  # the right R^-1 flank is kept when it comes next
+        elif factor == ("S", 0):
+            if (out and out[-1][0] == "R") or following[0] == "R":
+                raise ClassifierError(
+                    f"empty S-block touching an R factor in {out + list(factors[k:])}"
+                )
         else:
-            return out
+            out.append(factor)
+    return out
 
 
 def transfer_flags(a: int, b: int) -> tuple[bool, bool]:

@@ -1,6 +1,7 @@
 """Triangular quotients, semi-invariants, and truncated induction."""
 
 import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,40 @@ def semi_invariants_full_system(X, quotient, t: Weight) -> list:
         accumulate(rows.setdefault(target, {}), ((j, -1),))
         equations.extend(rows.values())
     return linalg.nullspace_sparse(equations, X.dim)
+
+
+# sha256 of one line per item, computed at commit 530abbd, before the keys
+# were reduced in one pass and the line g_t was built by one helper: the
+# key of each of the 3,963 normal words of length <= 5 and g_t for |i|,
+# |j| <= 6 in both quotients, and the rendered truncated induction on the
+# |i|, |j| <= 2 grid for n <= 5
+KEY_DIGESTS = {
+    "quotients": (2 * 3_963 + 2 * 13 * 13, "cc0f4f2ad3ee93ba9e3264415363ef3d6f90ec7ba74124a51cf851e26c9b07e1"),
+    "induced": (150, "ff560d63c067b91c88d66cad1a57066916488a8ec499c50b18eb129d4cc820ec"),
+}
+
+
+def _key_lines(kind: str) -> list[str]:
+    if kind == "quotients":
+        words = enumerate_basis(5)
+        lines = [f"{Q.name} {w} {Q.project_word(w)}" for Q in QUOTIENTS for w in words]
+        grid = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
+        return lines + [f"{Q.name} {i} {j} {Q.grouplike(Weight(i, j))}" for Q in QUOTIENTS for i, j in grid]
+    return [
+        f"{Weight(i, j)} {n} {[render_element(f) for f in induced_truncated(Weight(i, j), n)]}"
+        for i in range(-2, 3)
+        for j in range(-2, 3)
+        for n in range(6)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(KEY_DIGESTS))
+def test_key_digests_equal_the_earlier_route(kind):
+    count, digest = KEY_DIGESTS[kind]
+    lines = _key_lines(kind)
+    assert len(lines) == count
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestQuotients:
@@ -177,6 +212,12 @@ class TestSemiInvariants:
         monkeypatch.setattr(linalg, "nullspace_sparse", no_system)
         for quotient in QUOTIENTS:
             assert semi_invariants(nab, quotient, t) == []
+
+    def test_unreachable_weight_returns_at_once(self):
+        # no basis vector of nabla(d) has weight a^(10^9), so the line g_t
+        # of that weight is never built
+        nab = build_nabla(parse_lambda("d"))
+        assert semi_invariants(nab, BOREL_UPPER, Weight(10**9, 0)) == []
 
     def test_semi_invariant_vector_d2(self):
         nab = build_nabla(parse_lambda("d^2"))

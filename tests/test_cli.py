@@ -121,6 +121,30 @@ class TestVerbs:
         assert payload["basis"] == ["b", "d"]
         assert payload["dim"] == payload["predictedDim"] == 2
 
+    @pytest.mark.parametrize(
+        "weight",
+        ["a^1000000000", "d^1000000000", "a^-1000000000*d^1000000000"],
+        ids=["a", "d", "a-inverse-d"],
+    )
+    def test_induce_unreachable_weight_returns_at_once(self, weight):
+        # no word of length <= 2 has such a column weight, so the solve
+        # returns before it builds g_t; the timeout fails a regression
+        done = subprocess.run(
+            [sys.executable, "-m", "ncgl2.cli", "induce", "--weight", weight, "--len", "2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ncgl2.__file__).parent.parent)},
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["dim"] == payload["predictedDim"] == 0
+
+    def test_nf_hundred_nested_parentheses(self, capsys):
+        code, payload = run_json(capsys, "nf", "(" * 100 + "a" + ")" * 100)
+        assert code == 0
+        assert payload["normalForm"] == "a"
+
     def test_induce_predicted_only(self, capsys):
         code, payload = run_json(
             capsys, "induce", "--weight", "d", "--len", "2", "--predicted"
@@ -244,6 +268,8 @@ class TestErrors:
             (["nf", "*".join(["2^999"] * 15)], 78),
             (["nf", "((2^999)^999)^999"], 9),
             (["nf", f"1/{'9' * 2_999} + 1/{'9' * 2_998}"], 3_003),
+            # nesting past _MAX_DEPTH, at the '(' that opens level 101
+            (["nf", "(" * 300 + "a" + ")" * 300], 101),
         ],
         ids=[
             "label",
@@ -258,6 +284,7 @@ class TestErrors:
             "product-coefficient",
             "nested-power-coefficient",
             "sum-coefficient",
+            "nesting-depth",
         ],
     )
     def test_oversized_input_exits_two(self, argv, column):

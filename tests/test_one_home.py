@@ -45,7 +45,7 @@ ONE_HOME = {
         "every solve is an intertwining system or a kernel",
     ),
     "_intertwiners": (
-        "comodules:hom_space borel:semi_invariants borel:induced_truncated",
+        "comodules:hom_space borel:_maps_from_line",
         "one builder of intertwining equations",
     ),
     "torus_project": ("comodules:Comodule.weights", "Comodule.weights scans a coaction once and keeps it"),

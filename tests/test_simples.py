@@ -170,6 +170,26 @@ def test_move_digests_equal_the_earlier_route(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _collapse_outcome(factors) -> str:
+    try:
+        return str(simples._collapse_empty(factors))
+    except ClassifierError as exc:
+        return str(exc)
+
+
+def test_collapse_digest_equals_the_earlier_route():
+    # sha256 of the list or the error message of _collapse_empty for every
+    # factor list of length <= 5 over T^0..2, S^0..2, R^-1 and R^2,
+    # computed at commit 530abbd, before the collapse became one pass
+    alphabet = [("T", e) for e in range(3)] + [("S", e) for e in range(3)] + [RI, ("R", 2)]
+    lists = [f for length in range(6) for f in product(alphabet, repeat=length)]
+    assert len(lists) == 37_449
+    text = "\n".join(f"{f} {_collapse_outcome(f)}" for f in lists)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "55a8e0b7cdfff68c160db93c27241f3e1bccbe18c624abc39143fc87d703318d"
+    )
+
+
 class TestClassifier:
     # canonical block expressions and dimensions, frozen from the
     # greedy reduction plus exchange-move normalization
