@@ -91,7 +91,9 @@ def _suite_hopf(bounds: dict) -> list[dict]:
             conv = False
         if multiply_legs(antipode_leg(two, 1, s_memo)) != eps:
             conv = False
-        if antipode_inv(antipode(el)) != el or antipode(antipode_inv(el)) != el:
+        # S(w) through s_memo, which the convolution checks above filled
+        s_el = NCElement._raw({v: c for (v,), c in antipode_leg({(w,): 1}, 0, s_memo).items()})
+        if antipode_inv(s_el) != el or antipode(antipode_inv(el)) != el:
             inv = False
     out = [
         _result("coassociativity", coassoc, f"basis length <= {n}"),
@@ -192,20 +194,17 @@ def _suite_multisets(bounds: dict) -> list[dict]:
 
 
 def _suite_simples(bounds: dict) -> list[dict]:
-    from .comodules import hom_space
-    from .standard import build_delta, build_nabla
+    from .standard import build_nabla, hom_from_delta
     from .weights import enumerate_lambda
 
     n = bounds.get("len", 2)
     words = list(enumerate_lambda(n))
-    deltas = {lam: build_delta(lam) for lam in words}
-    nablas = {lam: build_nabla(lam) for lam in words}
-    ok = True
-    for lam in words:
-        for mu in words:
-            d = len(hom_space(deltas[lam], nablas[mu]))
-            if d != (1 if lam == mu else 0):
-                ok = False
+    homs = hom_from_delta(words, [build_nabla(mu) for mu in words])
+    ok = all(
+        len(maps) == (s == t)
+        for s, per_target in enumerate(homs)
+        for t, maps in enumerate(per_target)
+    )
     return [
         _result(
             f"hom-delta-nabla-diagonal-len{n}",

@@ -209,16 +209,15 @@ def _run(args, config) -> tuple[dict, int]:
 
     if args.verb == "hom":
         from .comodules import hom_space
-        from .standard import build_delta, build_nabla
+        from .standard import build_nabla, hom_from_delta
 
         lam1 = parse_lambda(args.lam1)
         lam2 = parse_lambda(args.lam2)
+        ((delta_nabla,),) = hom_from_delta([lam1], [build_nabla(lam2)])
         return {
             "lambda1": str(lam1),
             "lambda2": str(lam2),
-            "dimHomDeltaNabla": len(
-                hom_space(build_delta(lam1), build_nabla(lam2))
-            ),
+            "dimHomDeltaNabla": len(delta_nabla),
             "dimHomNablaNabla": len(
                 hom_space(build_nabla(lam1), build_nabla(lam2))
             ),

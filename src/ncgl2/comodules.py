@@ -22,8 +22,11 @@ sparse vector {k: F[k][i]}; only f.matrix writes out the dense F, and
 no function here reads it.
 _intertwiners solves the intertwining equations of hom_space,
 borel.semi_invariants and borel.induced_truncated exactly, in the matrix
-entries that pair basis vectors of equal weight.  standard.canonical_map
-needs no solve: it reads its map off the top row of Delta(lam).
+entries that pair basis vectors of equal weight.  hom_from_generators
+reads Hom(X, Y) off the row of a generating vector v of X instead, with
+one small solve in the coordinates of F(v), and standard.canonical_map
+needs no solve: it reads its map off the top row of Delta(lam).  Both
+check generation through one owner table, generator_owners.
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -43,6 +46,7 @@ from typing import Callable, Iterable, Sequence
 from . import linalg
 from .linalg import accumulate
 from .ncalg import (
+    Coeff,
     NCElement,
     coproduct,
     counit,
@@ -63,6 +67,8 @@ __all__ = [
     "left_dual",
     "torus_project",
     "hom_space",
+    "generator_owners",
+    "hom_from_generators",
     "are_isomorphic",
     "subspace_comodule",
     "quotient",
@@ -424,6 +430,119 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
         X.weights, Y.weights, enumerate(X.coaction), lambda k: enumerate(Y.coaction[k])
     )
     return [ComoduleMap(X, Y, columns) for columns in solutions]
+
+
+def generator_owners(
+    row: Sequence[NCElement], what: Callable[[], str]
+) -> dict[tuple, tuple[int, Coeff]]:
+    """The owner table of a generating row: w_j -> (j, c_j) for each entry c_j w_j.
+
+    The row is row v of a coaction, and a_w is the coefficient vector of
+    the normal word w in it; the a_w span the subcomodule that v generates.
+    Each entry j must be one term c_j w_j, and no word may appear twice.
+    Then a_{w_j} = c_j e_j, so the a_w span the whole comodule and v
+    generates it (standard.canonical_map, hom_from_generators).  Otherwise
+    VerificationError is raised, its message starting with what(), which
+    is called only then.
+    """
+    owner: dict[tuple, tuple[int, Coeff]] = {}
+    for j, entry in enumerate(row):
+        if len(entry.items()) == 1:
+            ((w, c),) = entry.items()
+            owner[w] = j, c
+    if len(owner) != len(row):
+        raise VerificationError(
+            f"{what()}, or its row is not {len(row)} entries of one distinct word each"
+        )
+    return owner
+
+
+def hom_from_generators(
+    sources: Sequence[tuple[Comodule, int]], targets: Sequence[Comodule]
+) -> list[list[list[ComoduleMap]]]:
+    """Basis of Hom(X, Y) for each source (X, v) and target Y, read off row v of X.
+
+    Returns maps[s][t], the basis of the maps from source s to target t.
+    Row v of each X must show that v generates X (generator_owners); it is
+    read once, before any target.  Each target's basis is indexed by
+    weight once, and only its rows at a weight wt(v) of some source are
+    read, each at most once; they are dropped before the next target's.
+    hom_space solves the same spaces from every row of X.
+
+    - A comodule map F is fixed by y = F(v), since v generates X, and y
+      lies in Y's weight-wt(v) space, since F keeps torus weights.  So the
+      unknowns are the coordinates s_u of y = sum_u s_u e_u over the basis
+      vectors u of Y of weight wt(v).
+    - Let a_w and b_w(y) be the coefficient vectors of the normal word w
+      in the coaction rows of v and of y, b_w(y)[m] = sum_u s_u (coefficient
+      of w in C_Y[u][m]).  The intertwining condition at v reads F a_w =
+      b_w(y) for every w.  At the word w_j owned by entry j it reads c_j
+      F[m][j] = b_{w_j}(y)[m], which must vanish when wt(m) != wt(j); at a
+      word with no owner it reads 0 = b_w(y).  So there is one equation
+      sum_u s_u (coefficient of w in C_Y[u][m]) = 0 for each (m, w) where w
+      has no owner or its owner j has wt(j) != wt(m), and each solution s
+      gives the map F[m][j] = b_{w_j}(y)[m] / c_j.  On comodules the
+      equations of owned words follow from the others, since the proof
+      below needs only those and a comodule map keeps weights; they stay
+      as a check that the map is weight-blocked.
+
+    Why each solution is a comodule map: standard.canonical_map's proof
+    with s w+ replaced by y.  A comodule is a module over the dual algebra
+    O*, and a linear map of comodules is a comodule map exactly when it
+    commutes with every psi in O*.  With delta_w dual to the normal word w,
+    a_w = delta_w . v and b_w(y) = delta_w . y, so the equations say
+    F(phi . v) = phi . y for every phi in O*.  For x = phi . v,
+    coassociativity gives psi . x = (psi phi) . v, hence F(psi . x) =
+    (psi phi) . y = psi . F(x), and these x span X.  So X and Y must be
+    comodules (standard.comodule_certificate shows it for Delta, nabla and
+    M), and F -> F(v) is one-to-one, so the maps are a basis.
+
+    >>> from .ncalg import gen
+    >>> V = Comodule(((gen("a"), gen("b")), (gen("c"), gen("d"))))
+    >>> [[f.columns for f in maps] for (maps,) in hom_from_generators([(V, 0), (V, 1)], [V])]
+    [[({0: Fraction(1, 1)}, {1: Fraction(1, 1)})], [({0: Fraction(1, 1)}, {1: Fraction(1, 1)})]]
+    """
+    owners = [
+        generator_owners(X.row(v), lambda: f"{X!r} is not generated by basis vector {v}")
+        for X, v in sources
+    ]
+    maps: list[list[list[ComoduleMap]]] = [[] for _ in sources]
+    # target-major, so that only one target's rows are held at a time
+    for Y in targets:
+        wy = Y.weights
+        by_weight: dict[Weight, list[int]] = {}
+        for k, w in enumerate(wy):
+            by_weight.setdefault(w, []).append(k)
+        terms: dict[int, list[tuple]] = {}  # k -> the terms (m, w, c) of row k of C_Y
+        for (X, v), owner, per_source in zip(sources, owners, maps):
+            wx = X.weights
+            vectors = by_weight.get(wx[v])
+            if vectors is None:
+                per_source.append([])
+                continue
+            equations: dict[tuple, dict[int, Coeff]] = {}
+            read_off = []
+            for n, u in enumerate(vectors):
+                row = terms.get(u)
+                if row is None:
+                    row = terms[u] = [
+                        (m, w, c) for m, entry in enumerate(Y.row(u)) for w, c in entry.items()
+                    ]
+                for m, w, c in row:
+                    hit = owner.get(w)
+                    if hit is not None and wx[hit[0]] == wy[m]:
+                        read_off.append((n, hit[0], m, Fraction(c, hit[1])))
+                    else:
+                        accumulate(equations.setdefault((m, w), {}), ((n, c),))
+            per_target = []
+            for solution in linalg.nullspace_sparse(list(equations.values()), len(vectors)):
+                columns: list[dict[int, Fraction]] = [{} for _ in wx]
+                for n, j, m, x in read_off:
+                    if n in solution:
+                        accumulate(columns[j], ((m, solution[n] * x),))
+                per_target.append(ComoduleMap(X, Y, columns))
+            per_source.append(per_target)
+    return maps
 
 
 def are_isomorphic(X: Comodule, Y: Comodule) -> bool:

@@ -70,6 +70,8 @@ from .comodules import (
     char_mul,
     comodule_axiom_failures,
     generated_subcomodule,
+    generator_owners,
+    hom_from_generators,
     image,
     left_dual,
     tensor,
@@ -85,6 +87,7 @@ __all__ = [
     "build_nabla",
     "build_delta",
     "canonical_map",
+    "hom_from_delta",
     "comodule_certificate",
     "build_L",
     "nabla_multiset",
@@ -427,6 +430,34 @@ def _weight_index(X: Comodule, target: Weight) -> int:
     return hits[0]
 
 
+def _require_certificate() -> None:
+    """Raise VerificationError unless comodule_certificate passes."""
+    failures = comodule_certificate()
+    if failures:
+        raise VerificationError("comodule certificate fails: " + "; ".join(failures))
+
+
+def hom_from_delta(
+    lams: Sequence[LambdaWord], targets: Sequence[Comodule]
+) -> list[list[list[ComoduleMap]]]:
+    """Basis of Hom(Delta(lam), Y) for each label and target, read off Delta's top rows.
+
+    comodules.hom_from_generators at the top weight vector v+ of each
+    Delta(lam), whose row shows that v+ generates Delta(lam), as in
+    canonical_map; only that row of Delta(lam) is computed.  The read-off
+    holds on comodules, so comodule_certificate runs first (it covers
+    every nabla(lam), M(lam) and Delta(lam)).  Returns maps[s][t] for the
+    s-th label and the t-th target.  Raises VerificationError when the
+    certificate or a generation check fails.
+    """
+    _require_certificate()
+    sources = []
+    for lam in lams:
+        Delta = build_delta(lam)
+        sources.append((Delta, _weight_index(Delta, lam.wt())))
+    return hom_from_generators(sources, targets)
+
+
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
@@ -448,9 +479,9 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam).  No
       echelon is needed: each entry j of the row of v+ must be one term
-      c_j w_j, and no word may appear twice.  Then w_j has the owner j,
-      a_{w_j} is c_j times the unit vector at j, and the a_w span
-      Delta(lam).  So F is fixed by s, and dim Hom <= 1.
+      c_j w_j, and no word may appear twice (comodules.generator_owners).
+      Then w_j has the owner j, a_{w_j} is c_j times the unit vector at j,
+      and the a_w span Delta(lam).  So F is fixed by s, and dim Hom <= 1.
     - The intertwining condition at v+ reads F a_w = s b_w for every w,
       in the unknowns F[m][j] that pair basis vectors of equal weight
       (a comodule map keeps torus weights).  w+ is the only basis vector
@@ -487,25 +518,14 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
     VerificationError when the certificate fails, when the row of v+ does
     not show that v+ generates Delta(lam), or when the solution space is 0.
     """
-    failures = comodule_certificate()
-    if failures:
-        raise VerificationError("comodule certificate fails: " + "; ".join(failures))
+    _require_certificate()
     Delta, Nabla = build_delta(lam), build_nabla(lam)
     weights, target_weights = Delta.weights, Nabla.weights
     top = lam.wt()
     v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
-    # owner[w] = (j, c) for the entry c w at j: Delta.dim words exactly
-    # when every entry is one term and no word appears twice
-    owner: dict[tuple, tuple] = {}
-    for j, entry in enumerate(Delta.row(v_plus)):
-        if len(entry.items()) == 1:
-            ((w, c),) = entry.items()
-            owner[w] = j, c
-    if len(owner) != Delta.dim:
-        raise VerificationError(
-            f"Delta({lam}) is not generated by its top weight line,"
-            f" or its top row is not {Delta.dim} entries of one distinct word each"
-        )
+    owner = generator_owners(
+        Delta.row(v_plus), lambda: f"Delta({lam}) is not generated by its top weight line"
+    )
     columns: list[dict[int, Fraction]] = [{} for _ in range(Delta.dim)]
     for m, entry in enumerate(Nabla.row(w_plus)):
         for w, coeff in entry.items():

@@ -95,6 +95,13 @@ def test_criterion_05_hom_delta_nabla_is_diagonal():
             "28x28 pairs, dim Hom = [lam == mu]",
         ),
     ]
+    assert suite_results(["simples"], 5) == [
+        (
+            "simples.hom-delta-nabla-diagonal-len5",
+            True,
+            "168x168 pairs, dim Hom = [lam == mu]",
+        ),
+    ]
 
 
 def test_criterion_06_unique_semi_invariant_line():

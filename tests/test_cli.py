@@ -110,6 +110,28 @@ class TestVerbs:
         assert code == 0
         assert payload["dimHomDeltaNabla"] == 0
 
+    def test_hom_reads_delta_off_its_top_row(self):
+        # Delta(d^10) has 1,024 basis vectors; the read-off computes one of
+        # its rows, while a solve over all of them builds the whole
+        # coaction and runs past the timeout; the child runs under a 400 MB
+        # address-space limit, so a regression cannot take the machine's memory
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))\n"
+            "from ncgl2.cli import main\n"
+            "sys.exit(main(['hom', 'd^10', 'd^10']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ncgl2.__file__).parent.parent)},
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["dimHomDeltaNabla"] == payload["dimHomNablaNabla"] == 1
+
     def test_poset_below(self, capsys):
         code, payload = run_json(capsys, "poset-below", "d^3")
         assert code == 0

@@ -9,12 +9,14 @@ import pytest
 from ncgl2.comodules import (
     Comodule,
     ComoduleMap,
+    VerificationError,
     are_isomorphic,
     char_mul,
     comodule_axiom_failures,
     comodule_from_regular,
     generated_subcomodule,
     highest_weight,
+    hom_from_generators,
     hom_space,
     image,
     kernel,
@@ -28,17 +30,19 @@ from ncgl2.comodules import (
 )
 import ncgl2
 from ncgl2 import ncalg
-from ncgl2.linalg import accumulate, nullspace_sparse, rref
+from ncgl2.linalg import Echelon, accumulate, nullspace_sparse, rref
 from ncgl2.ncalg import NCElement, gen, one, parse_expression, render_element
 from ncgl2.standard import (
     build_R,
     build_SymV,
     build_TV,
     build_V,
+    build_M,
     build_delta,
     build_nabla,
     canonical_map,
     factor_comodule,
+    hom_from_delta,
 )
 from ncgl2.weights import Weight, enumerate_lambda, parse_lambda
 from test_linalg import dense_nullspace, dense_rows, mat_vec
@@ -472,6 +476,76 @@ class TestHom:
         assert all(f.rank() == 2 for f in maps)
         with pytest.raises(RuntimeError, match="inconclusive"):
             are_isomorphic(X, Y)
+
+
+def flat_span(maps) -> list[dict]:
+    """The reduced basis of the span of the maps, each flattened to {(k, i): F[k][i]}."""
+    return Echelon(
+        {(k, i): x for i, column in enumerate(f.columns) for k, x in column.items()} for f in maps
+    ).basis()
+
+
+class TestHomFromGenerators:
+    @pytest.mark.parametrize("build", [build_nabla, build_M], ids=["nabla", "M"])
+    def test_read_off_matches_hom_space_through_ell_4(self, build):
+        # every pair with ell <= 4: the same dimension and span as the full
+        # solve, and each returned map intertwines
+        labels = list(enumerate_lambda(4))
+        targets = [build(mu) for mu in labels]
+        homs = hom_from_delta(labels, targets)
+        nonzero = 0
+        for lam, per_target in zip(labels, homs):
+            delta = build_delta(lam)
+            for mu, Y, maps in zip(labels, targets, per_target):
+                expected = hom_space(delta, Y)
+                assert len(maps) == len(expected), (str(lam), str(mu))
+                assert flat_span(maps) == flat_span(expected), (str(lam), str(mu))
+                assert all(f.is_intertwiner() for f in maps), (str(lam), str(mu))
+                nonzero += bool(maps)
+        assert (len(labels), nonzero) == (69, {build_nabla: 69, build_M: 100}[build])
+
+    def test_two_dimensional_hom(self):
+        # nabla(lam) # k^2 holds two copies of nabla(lam), so Hom has two
+        # dimensions, spread over two target vectors of the top weight
+        l = parse_lambda("d^2.Di.d")
+        Y = tensor(build_nabla(l), direct_sum(trivial(), trivial()))
+        ((maps,),) = hom_from_delta([l], [Y])
+        assert len(maps) == 2
+        assert all(f.is_intertwiner() for f in maps)
+        assert flat_span(maps) == flat_span(hom_space(build_delta(l), Y))
+
+    def test_reads_rows_without_building_a_coaction(self):
+        l = parse_lambda("d^6")
+        ((maps,),) = hom_from_delta([l], [build_nabla(l)])
+        (f,) = maps
+        assert f == canonical_map(l)
+        assert callable(f.source._coaction) and callable(f.target._coaction)
+
+    def test_owned_word_at_another_weight_is_an_equation(self):
+        # a stand-in target, not a comodule, whose row at the weight of a
+        # holds V's word a in both entries: reading it off would pair two
+        # weights, so the equation at the second entry leaves no map (on
+        # comodules these equations follow from the others)
+        a, c, d = gen("a"), gen("c"), gen("d")
+        Y = Comodule(((a, a), (c, d)), (Weight(1, 0), Weight(0, 1)))
+        assert hom_from_generators([(V, 0)], [Y]) == [[[]]]
+
+    def test_source_with_a_two_term_entry_raises(self):
+        # nabla(d^2) = S^2 V: the row of its top vector holds a two-word entry
+        N = build_nabla(parse_lambda("d^2"))
+        top = N.weights.index(Weight(2, 0))
+        assert any(len(entry.items()) > 1 for entry in N.row(top))
+        with pytest.raises(VerificationError, match="is not generated by basis vector"):
+            hom_from_generators([(N, top)], [N])
+
+    def test_source_whose_row_repeats_a_word_raises(self):
+        # the row of the first basis vector of nabla(d.Di.d) is one word per
+        # entry, but its two middle entries are the same word a Di b
+        N = build_nabla(parse_lambda("d.Di.d"))
+        words = [next(iter(entry.items()))[0] for entry in N.row(0)]
+        assert len(words) == N.dim and len(set(words)) == N.dim - 1
+        with pytest.raises(VerificationError, match="one distinct word each"):
+            hom_from_generators([(N, 0)], [N])
 
 
 class TestDuals:

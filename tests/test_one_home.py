@@ -41,8 +41,12 @@ ONE_HOME = {
     "lru_cache": ("standard:comodule_certificate", "_NF_CACHE is the one cache; the certificate runs once"),
     "_map_leg": (_LEG_MAPS, "one leg map applies every Hopf map to one leg of a tensor"),
     "nullspace_sparse": (
-        "comodules:_intertwiners comodules:kernel",
-        "every solve is an intertwining system or a kernel",
+        "comodules:_intertwiners comodules:kernel comodules:hom_from_generators",
+        "every solve is an intertwining system, a kernel, or the equations of a generating row",
+    ),
+    "generator_owners": (
+        "standard:canonical_map comodules:hom_from_generators",
+        "one owner table shows that a row's vector generates its comodule",
     ),
     "_intertwiners": (
         "comodules:hom_space borel:_maps_from_line",
