@@ -534,8 +534,10 @@ def hom_from_generators(
                         read_off.append((n, hit[0], m, Fraction(c, hit[1])))
                     else:
                         accumulate(equations.setdefault((m, w), {}), ((n, c),))
+            # each equation once, as in _intertwiners; one that cancelled to {} says nothing
+            distinct = {frozenset(e.items()): e for e in equations.values() if e}
             per_target = []
-            for solution in linalg.nullspace_sparse(list(equations.values()), len(vectors)):
+            for solution in linalg.nullspace_sparse(list(distinct.values()), len(vectors)):
                 columns: list[dict[int, Fraction]] = [{} for _ in wx]
                 for n, j, m, x in read_off:
                     if n in solution:

@@ -60,6 +60,7 @@ from .ncalg import (
     counit,
     enumerate_basis,
     gen,
+    is_normal_word,
     render_word,
 )
 from .weights import LambdaWord, Weight
@@ -340,16 +341,71 @@ def _row_product(pairs: Sequence[tuple[int, Sequence[NCElement]]]) -> dict[int, 
     pairs holds the (stride_t, rows[t]) of each factor, so the key does not
     depend on the order of the pairs.  Row k of a tensor product of
     comodules, with factor t at row i_t, holds these products of the factor
-    rows.  They are folded left to right, one factor row at a time,
-    starting from the first row itself; zero entries are skipped.
-    pairs is not empty.
+    rows.  When there are two factors or more and _seam_row certifies
+    that no product rewrites, they are concatenations of signed words;
+    otherwise they are folded left to right, one factor row at a time,
+    starting from the first row itself, which is the whole row of a single
+    factor.  Zero entries are skipped.  pairs is not empty.
     """
     (stride, first), *rest = pairs
+    row = _seam_row(pairs) if rest else None
+    if row is not None:
+        return row
     row = {j * stride: e for j, e in enumerate(first) if not e.is_zero()}
     for stride, factor_row in rest:
         entries = [(j * stride, e) for j, e in enumerate(factor_row) if not e.is_zero()]
         row = {key + j: element * e for key, element in row.items() for j, e in entries}
     return row
+
+
+def _seam_row(pairs: Sequence[tuple[int, Sequence[NCElement]]]) -> dict[int, NCElement] | None:
+    """_row_product's row by concatenation, or None if a product may rewrite.
+
+    pairs holds two factors or more.  The row is certified when every
+    nonzero entry of every factor row is one term c w, and no rule's left
+    side crosses a seam of any concatenation w_1 ... w_n of the rows'
+    words, in multiplication order.  Then each product is
+    c_1 ... c_n w_1 ... w_n.  Why: the rules are confluent
+    (ncalg.check_confluence), so nf is a homomorphism and
+    nf(c_1 w_1 ... c_n w_n) = c_1 ... c_n nf(w_1 ... w_n).  Every left side
+    has 2 or 3 letters, and none lies inside a normal w_t, so w_1 ... w_n
+    is normal exactly when no left side crosses a seam.  Such a left side
+    ends within the first two letters of the word after the seam, and
+    begins within the last two letters of the concatenation before it,
+    which may reach back over a one-letter or empty word.  So the check
+    keeps the set of those last two letters over all choices so far,
+    starting from the first row's words, and requires every state s
+    followed by the first two letters of each next word to be normal
+    (ncalg.is_normal_word, the one test of normality): at most
+    sum_t |states| |row_t| windows, with at most 43 states (the words of
+    at most two letters), not prod_t |row_t| products.  Each entry is
+    keyed by its column, as the fold keys it; generator_owners still
+    checks that the words of a generating row are distinct.
+    """
+    factors = []
+    for stride, factor_row in pairs:
+        entries = []
+        for j, e in enumerate(factor_row):
+            terms = e.items()
+            if len(terms) > 1:
+                return None
+            for w, c in terms:
+                entries.append((j * stride, w, c))
+        factors.append(entries)
+    first, *rest = factors
+    states = {w[-2:] for _, w, _ in first}
+    for entries in rest:
+        after = set()
+        for s in states:
+            for _, w, _ in entries:
+                if not is_normal_word(s + w[:2]):
+                    return None
+                after.add((s + w)[-2:])
+        states = after
+    row = {key: (w, c) for key, w, c in first}
+    for entries in rest:
+        row = {key + j: (w + v, c * d) for key, (w, c) in row.items() for j, v, d in entries}
+    return {key: NCElement._raw({w: c}) for key, (w, c) in row.items()}
 
 
 def _factor_row(part: Part, i: int) -> list[NCElement]:
@@ -473,8 +529,11 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
 
     - Each row is a product of one row of each part, as the builders
       compute it: the bases, the strides and Delta's reversed
-      multiplication order live there.  The S^-1 rewrites of Delta's row
-      do not grow the normal-form cache.
+      multiplication order live there.  Delta's top row takes
+      _row_product's seam route (for all 33,460 labels with ell <= 11):
+      its entries are concatenations of signed words, so none of its
+      products rewrites or enters the normal-form cache, and the S^-1
+      rewrites of the dual part entries do not enter it either.
     - Let a_w and b_w be the coefficient vectors of the normal word w in
       the coaction rows of v+ and w+.  The span of the a_w is the
       subcomodule generated by v+; it must be all of Delta(lam).  No
@@ -527,13 +586,18 @@ def canonical_map(lam: LambdaWord) -> ComoduleMap:
         Delta.row(v_plus), lambda: f"Delta({lam}) is not generated by its top weight line"
     )
     columns: list[dict[int, Fraction]] = [{} for _ in range(Delta.dim)]
+    # Fractions are immutable, so the few distinct ratios are made once and shared
+    ratios: dict[tuple, Fraction] = {}
     for m, entry in enumerate(Nabla.row(w_plus)):
         for w, coeff in entry.items():
             hit = owner.get(w)
             if hit is None or weights[hit[0]] != target_weights[m]:
                 raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
             j, c = hit
-            columns[j][m] = Fraction(coeff, c)
+            x = ratios.get((coeff, c))
+            if x is None:
+                x = ratios[coeff, c] = Fraction(coeff, c)
+            columns[j][m] = x
     if columns[v_plus].get(w_plus) != 1:
         raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
     return ComoduleMap(Delta, Nabla, columns)

@@ -68,6 +68,10 @@ ONE_HOME = {
     "_merged": ("standard:_factor_parts", "a line merges into the factor beside it in one place"),
     "_factor_parts": (_PRODUCTS, "nabla, M, Delta and the classifier's blocks read the same parts"),
     "_row_product": (_PRODUCTS, "canonical_map reads rows of the product comodules, not their parts"),
+    "_seam_row": (
+        "standard:_row_product",
+        "a product row is concatenated only where its seams are certified, and folded otherwise",
+    ),
     "_dual": ("standard:build_delta", "Delta's dual parts have one home"),
     "_factor_row": ("standard:_product_comodule", "part rows are read only inside a product comodule"),
     "_power_word": (

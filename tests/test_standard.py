@@ -634,53 +634,142 @@ class TestStreamedRows:
         # the 65,536 columns of the d^16 map hold one sparse entry each, and
         # no basis vector keeps a digit tuple: the bound lies between the
         # peak RSS of a dense matrix over a digit-tuple basis (151 MB) and
-        # that of the sparse columns (119-123 MB); the child reports its own
-        # peak RSS, in kB on Linux
-        code = (
-            "import resource\n"
-            "from ncgl2.standard import canonical_map\n"
-            "from ncgl2.weights import parse_lambda\n"
-            "f = canonical_map(parse_lambda('d^16'))\n"
-            "print(f.rank(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-        )
-        src = str(Path(ncgl2.standard.__file__).parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=600,
-        )
-        assert done.returncode == 0, done.stderr
-        rank, peak_kb = map(int, done.stdout.split())
+        # that of the sparse columns (119-123 MB)
+        rank, peak_kb = map(int, run_child("f = canonical_map(parse_lambda('d^16'))\nprint(f.rank())"))
         assert rank == 17
         assert peak_kb < 140 * 1024
 
     @pytest.mark.slow
+    def test_d18_map_stays_within_its_memory_bound(self):
+        # Delta's top row is concatenated from signed words (_seam_row), so
+        # the 262,144 products fill no normal-form cache: 235-247 MB, where
+        # the fold of NCElement products peaked at 300 MB
+        rank, peak_kb = map(int, run_child("f = canonical_map(parse_lambda('d^18'))\nprint(f.rank())"))
+        assert rank == 19
+        assert peak_kb < 280 * 1024
+
+    @pytest.mark.slow
     def test_d10_certificate_checks_delta_row_by_row_in_bounded_memory(self):
         # is_intertwiner reads the 1,024 rows of Delta(d^10) one at a time
-        # and never builds its coaction; the child reports its own peak
-        # RSS, in kB on Linux
-        code = (
-            "import resource\n"
-            "from ncgl2.standard import canonical_map\n"
-            "from ncgl2.weights import parse_lambda\n"
+        # and never builds its coaction
+        verdict, lazy, peak_kb = run_child(
             "f = canonical_map(parse_lambda('d^10'))\n"
-            "print(f.is_intertwiner(), callable(f.source._coaction),"
-            " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(f.is_intertwiner(), callable(f.source._coaction))"
         )
-        src = str(Path(ncgl2.standard.__file__).parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=600,
-        )
-        assert done.returncode == 0, done.stderr
-        verdict, lazy, peak_kb = done.stdout.split()
         assert (verdict, lazy) == ("True", "True")
         assert int(peak_kb) < 250 * 1024
+
+
+def run_child(code: str) -> list[str]:
+    """The words that a fresh interpreter prints running code, then its peak RSS.
+
+    code may use canonical_map and parse_lambda.  The child prints its own
+    peak RSS last, in kB on Linux.
+    """
+    code = (
+        "import resource\n"
+        "from ncgl2.standard import canonical_map\n"
+        "from ncgl2.weights import parse_lambda\n"
+        f"{code}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(ncgl2.standard.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def plain_fold(pairs) -> dict:
+    """The nonzero products rows[0][j_1] * ... * rows[-1][j_n], one NCElement product each."""
+    row = {0: one()}
+    for stride, factor_row in pairs:
+        row = {key + j * stride: x * e for key, x in row.items() for j, e in enumerate(factor_row)}
+    return {key: e for key, e in row.items() if not e.is_zero()}
+
+
+class TestSeamRows:
+    """_row_product concatenates the rows that _seam_row certifies and folds the rest."""
+
+    def test_every_row_through_ell_5_equals_the_plain_fold(self, monkeypatch):
+        # a route is True when _seam_row concatenated the row, False when
+        # it fell back to the fold, None for a row of one factor
+        real_row_product, real_seam_row = ncgl2.standard._row_product, ncgl2.standard._seam_row
+        routes = []
+
+        def seam_row(pairs):
+            row = real_seam_row(pairs)
+            routes[-1] = row is not None
+            return row
+
+        def checked(pairs):
+            routes.append(None)
+            row = real_row_product(pairs)
+            assert {key: e for key, e in row.items() if not e.is_zero()} == plain_fold(pairs)
+            return row
+
+        monkeypatch.setattr(ncgl2.standard, "_seam_row", seam_row)
+        monkeypatch.setattr(ncgl2.standard, "_row_product", checked)
+        top_routes, other_routes = [], []
+        for l in enumerate_lambda(5):
+            delta = build_delta(l)
+            top = delta.weights.index(l.wt())
+            for X in (delta, build_nabla(l), build_M(l)):
+                for k in range(X.dim):
+                    X.row(k)
+                    (route,) = routes
+                    (top_routes if X is delta and k == top else other_routes).append(route)
+                    routes.clear()
+        assert len(top_routes) == len(enumerate_lambda(5))
+        assert False not in top_routes and True in top_routes
+        assert True in other_routes and False in other_routes
+
+    def test_rewriting_seams_of_v_tensor_v_fall_back(self):
+        # row (1, 0) of V # V multiplies (c, d) by (a, b): c.a, c.b, d.a
+        # and d.b all rewrite
+        c, d, a, b = map(gen, "cdab")
+        pairs = [(2, [c, d]), (1, [a, b])]
+        assert ncgl2.standard._seam_row(pairs) is None
+        expected = {0: c * a, 1: c * b, 2: d * a, 3: d * b}
+        assert ncgl2.standard._row_product(pairs) == expected
+        assert factor_comodule((("S", 1), ("S", 1))).row(2) == [c * a, c * b, d * a, d * b]
+        assert expected[0] != NCElement._raw({("c", "a"): 1})
+
+    @pytest.mark.parametrize(
+        "words",
+        [[("b",), ("Di",), ("a",)], [("b",), (), ("Di", "a")]],
+        ids=["one-letter-middle", "empty-middle"],
+    )
+    def test_a_window_across_three_factors_falls_back(self, words):
+        # b.Di.a is a left side, though each seam alone joins normal words
+        rows = [[NCElement._raw({w: 1})] for w in words]
+        for t in range(len(rows) - 1):
+            assert ncgl2.standard._seam_row([(1, rows[t]), (1, rows[t + 1])]) is not None
+        pairs = [(1, row) for row in rows]
+        assert ncgl2.standard._seam_row(pairs) is None
+        assert ncgl2.standard._row_product(pairs) == {0: gen("a") * gen("Di") * gen("b")}
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_canonical_map_of_d_power_makes_at_most_2k_rewrites(self, k, monkeypatch):
+        # the 2^k products of Delta's top row are concatenations; the 2k
+        # left are the merged R^-1 # V entries of the dual parts
+        comodule_certificate()
+        real, calls = ncgl2.ncalg._product, []
+
+        def counted(left, right):
+            calls.append(left + right)
+            return real(left, right)
+
+        monkeypatch.setattr(ncgl2.ncalg, "_product", counted)
+        before = len(ncgl2.ncalg._NF_CACHE)
+        assert canonical_map(lam(f"d^{k}")).rank() == k + 1
+        assert len(calls) <= 2 * k
+        assert len(ncgl2.ncalg._NF_CACHE) - before <= 4
 
 
 def test_canonical_map_builds_only_inside_its_lazy_coactions():
