@@ -24,9 +24,9 @@ _intertwiners solves the intertwining equations of hom_space,
 borel.semi_invariants and borel.induced_truncated exactly, in the matrix
 entries that pair basis vectors of equal weight.  hom_from_generators
 reads Hom(X, Y) off the row of a generating vector v of X instead, with
-one small solve in the coordinates of F(v), and standard.canonical_map
-needs no solve: it reads its map off the top row of Delta(lam).  Both
-check generation through one owner table, generator_owners.
+one small solve in the coordinates of F(v); every Hom out of Delta(lam),
+standard.canonical_map's included, is read through it off Delta's top
+row (standard.hom_from_delta).
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
@@ -59,6 +59,7 @@ from .weights import Weight, weight_key
 
 __all__ = [
     "VerificationError",
+    "NotGenerated",
     "Comodule",
     "ComoduleMap",
     "comodule_axiom_failures",
@@ -67,7 +68,6 @@ __all__ = [
     "left_dual",
     "torus_project",
     "hom_space",
-    "generator_owners",
     "hom_from_generators",
     "are_isomorphic",
     "subspace_comodule",
@@ -89,6 +89,14 @@ class VerificationError(ValueError):
     A ValueError subclass, so callers that catch ValueError still do; the
     command line tool exits 1 on it, not 2 as on a usage error.
     """
+
+
+class NotGenerated(VerificationError):
+    """Row v of hom_from_generators' source (X, v) at .source does not show that v generates X."""
+
+    def __init__(self, message: str, source: int):
+        super().__init__(message)
+        self.source = source
 
 
 class Comodule:
@@ -432,80 +440,71 @@ def hom_space(X: Comodule, Y: Comodule) -> list[ComoduleMap]:
     return [ComoduleMap(X, Y, columns) for columns in solutions]
 
 
-def generator_owners(
-    row: Sequence[NCElement], what: Callable[[], str]
-) -> dict[tuple, tuple[int, Coeff]]:
-    """The owner table of a generating row: w_j -> (j, c_j) for each entry c_j w_j.
-
-    The row is row v of a coaction, and a_w is the coefficient vector of
-    the normal word w in it; the a_w span the subcomodule that v generates.
-    Each entry j must be one term c_j w_j, and no word may appear twice.
-    Then a_{w_j} = c_j e_j, so the a_w span the whole comodule and v
-    generates it (standard.canonical_map, hom_from_generators).  Otherwise
-    VerificationError is raised, its message starting with what(), which
-    is called only then.
-    """
-    owner: dict[tuple, tuple[int, Coeff]] = {}
-    for j, entry in enumerate(row):
-        if len(entry.items()) == 1:
-            ((w, c),) = entry.items()
-            owner[w] = j, c
-    if len(owner) != len(row):
-        raise VerificationError(
-            f"{what()}, or its row is not {len(row)} entries of one distinct word each"
-        )
-    return owner
-
-
 def hom_from_generators(
     sources: Sequence[tuple[Comodule, int]], targets: Sequence[Comodule]
 ) -> list[list[list[ComoduleMap]]]:
     """Basis of Hom(X, Y) for each source (X, v) and target Y, read off row v of X.
 
     Returns maps[s][t], the basis of the maps from source s to target t.
-    Row v of each X must show that v generates X (generator_owners); it is
-    read once, before any target.  Each target's basis is indexed by
-    weight once, and only its rows at a weight wt(v) of some source are
-    read, each at most once; they are dropped before the next target's.
-    hom_space solves the same spaces from every row of X.
+    Row v of each X is read once, before any target.  Each target's basis
+    is indexed by weight once, and only its rows at a weight wt(v) of some
+    source are read, each at most once; they are dropped before the next
+    target's.  hom_space solves the same spaces from every row of X.
 
-    - A comodule map F is fixed by y = F(v), since v generates X, and y
-      lies in Y's weight-wt(v) space, since F keeps torus weights.  So the
-      unknowns are the coordinates s_u of y = sum_u s_u e_u over the basis
-      vectors u of Y of weight wt(v).
-    - Let a_w and b_w(y) be the coefficient vectors of the normal word w
-      in the coaction rows of v and of y, b_w(y)[m] = sum_u s_u (coefficient
-      of w in C_Y[u][m]).  The intertwining condition at v reads F a_w =
-      b_w(y) for every w.  At the word w_j owned by entry j it reads c_j
-      F[m][j] = b_{w_j}(y)[m], which must vanish when wt(m) != wt(j); at a
-      word with no owner it reads 0 = b_w(y).  So there is one equation
-      sum_u s_u (coefficient of w in C_Y[u][m]) = 0 for each (m, w) where w
-      has no owner or its owner j has wt(j) != wt(m), and each solution s
-      gives the map F[m][j] = b_{w_j}(y)[m] / c_j.  On comodules the
-      equations of owned words follow from the others, since the proof
-      below needs only those and a comodule map keeps weights; they stay
-      as a check that the map is weight-blocked.
+    - Let a_w be the coefficient vector of the normal word w in row v of
+      X; the a_w span the subcomodule that v generates.  Each entry j of
+      the row must be one term c_j w_j, with no word twice: then w_j has
+      the owner j, a_{w_j} = c_j e_j, and v generates X.  Otherwise
+      NotGenerated is raised, its .source the index of the source.
+    - A comodule map F is fixed by y = F(v), and y lies in Y's
+      weight-wt(v) space, since F keeps torus weights.  So the unknowns
+      are the coordinates s_u of y = sum_u s_u e_u there.
+    - Let b_w(y)[m] = sum_u s_u (coefficient of w in C_Y[u][m]).  The
+      intertwining condition at v reads F a_w = b_w(y) for every w.  At
+      w_j it reads c_j F[m][j] = b_{w_j}(y)[m], which must vanish when
+      wt(m) != wt(j); at a word with no owner it reads 0 = b_w(y).  So each
+      (m, w) where w has no owner, or its owner j has wt(j) != wt(m), gives
+      one equation in s, and each solution gives F[m][j] = b_{w_j}(y)[m] /
+      c_j.  On comodules the equations of owned words follow from the
+      others, since the proof below needs only those; they stay as a check
+      that the map is weight-blocked.
+    - The read-off is linear in s: one pass over row u makes it at y = e_u,
+      each distinct ratio made once.  A solution e_u takes those columns
+      as they are; any other combines them.
 
-    Why each solution is a comodule map: standard.canonical_map's proof
-    with s w+ replaced by y.  A comodule is a module over the dual algebra
-    O*, and a linear map of comodules is a comodule map exactly when it
-    commutes with every psi in O*.  With delta_w dual to the normal word w,
-    a_w = delta_w . v and b_w(y) = delta_w . y, so the equations say
-    F(phi . v) = phi . y for every phi in O*.  For x = phi . v,
-    coassociativity gives psi . x = (psi phi) . v, hence F(psi . x) =
-    (psi phi) . y = psi . F(x), and these x span X.  So X and Y must be
-    comodules (standard.comodule_certificate shows it for Delta, nabla and
-    M), and F -> F(v) is one-to-one, so the maps are a basis.
+    Why each solution is a comodule map.  A comodule is a module over the
+    dual algebra O*, by psi . x = sum psi(C[i][j]) x_j for x = x_i
+    (Jantzen, Representations of Algebraic Groups, I.2; Montgomery, Hopf
+    Algebras and Their Actions on Rings, 1.6), and a linear map between
+    comodules is a comodule map exactly when it commutes with every psi
+    in O*, since O* separates the points of O.  With delta_w in O* dual to
+    the normal word w, a_w = delta_w . v and b_w(y) = delta_w . y, so the
+    equations say F(phi . v) = phi . y for every phi in O*.  For
+    x = phi . v, coassociativity gives psi . x = (psi phi) . v, hence
+    F(psi . x) = (psi phi) . y = psi . F(x), and these x span X.  So X
+    and Y must be comodules (standard.comodule_certificate shows it for
+    Delta, nabla and M), and F -> F(v) is one-to-one, so the maps are a
+    basis.  With phi the counit, F(v) = y: column v of the map is y.
 
     >>> from .ncalg import gen
     >>> V = Comodule(((gen("a"), gen("b")), (gen("c"), gen("d"))))
     >>> [[f.columns for f in maps] for (maps,) in hom_from_generators([(V, 0), (V, 1)], [V])]
     [[({0: Fraction(1, 1)}, {1: Fraction(1, 1)})], [({0: Fraction(1, 1)}, {1: Fraction(1, 1)})]]
     """
-    owners = [
-        generator_owners(X.row(v), lambda: f"{X!r} is not generated by basis vector {v}")
-        for X, v in sources
-    ]
+    owners: list[dict[tuple, tuple[int, Coeff]]] = []
+    for index, (X, v) in enumerate(sources):
+        owner: dict[tuple, tuple[int, Coeff]] = {}
+        for j, entry in enumerate(X.row(v)):
+            if len(entry.items()) == 1:
+                ((w, c),) = entry.items()
+                owner[w] = j, c
+        if len(owner) != X.dim:
+            raise NotGenerated(
+                f"{X!r} is not generated by basis vector {v}, "
+                f"or its row is not {X.dim} entries of one distinct word each",
+                index,
+            )
+        owners.append(owner)
     maps: list[list[list[ComoduleMap]]] = [[] for _ in sources]
     # target-major, so that only one target's rows are held at a time
     for Y in targets:
@@ -513,7 +512,7 @@ def hom_from_generators(
         by_weight: dict[Weight, list[int]] = {}
         for k, w in enumerate(wy):
             by_weight.setdefault(w, []).append(k)
-        terms: dict[int, list[tuple]] = {}  # k -> the terms (m, w, c) of row k of C_Y
+        rows: dict[int, Sequence[NCElement]] = {}
         for (X, v), owner, per_source in zip(sources, owners, maps):
             wx = X.weights
             vectors = by_weight.get(wx[v])
@@ -521,27 +520,37 @@ def hom_from_generators(
                 per_source.append([])
                 continue
             equations: dict[tuple, dict[int, Coeff]] = {}
-            read_off = []
+            ratios: dict[tuple, Fraction] = {}
+            read_off = []  # read_off[n]: the columns of F at y = e_u, u = vectors[n]
             for n, u in enumerate(vectors):
-                row = terms.get(u)
+                row = rows.get(u)
                 if row is None:
-                    row = terms[u] = [
-                        (m, w, c) for m, entry in enumerate(Y.row(u)) for w, c in entry.items()
-                    ]
-                for m, w, c in row:
-                    hit = owner.get(w)
-                    if hit is not None and wx[hit[0]] == wy[m]:
-                        read_off.append((n, hit[0], m, Fraction(c, hit[1])))
-                    else:
-                        accumulate(equations.setdefault((m, w), {}), ((n, c),))
+                    row = rows[u] = Y.row(u)
+                columns: list[dict[int, Fraction]] = [{} for _ in wx]
+                for m, entry in enumerate(row):
+                    for w, c in entry.items():
+                        hit = owner.get(w)
+                        if hit is None or wx[hit[0]] != wy[m]:
+                            accumulate(equations.setdefault((m, w), {}), ((n, c),))
+                            continue
+                        j, c_j = hit
+                        x = ratios.get((c, c_j))
+                        if x is None:
+                            x = ratios[c, c_j] = Fraction(c, c_j)
+                        columns[j][m] = x
+                read_off.append(columns)
             # each equation once, as in _intertwiners; one that cancelled to {} says nothing
             distinct = {frozenset(e.items()): e for e in equations.values() if e}
             per_target = []
             for solution in linalg.nullspace_sparse(list(distinct.values()), len(vectors)):
-                columns: list[dict[int, Fraction]] = [{} for _ in wx]
-                for n, j, m, x in read_off:
-                    if n in solution:
-                        accumulate(columns[j], ((m, solution[n] * x),))
+                if len(solution) == 1 and 1 in solution.values():
+                    (n,) = solution
+                    columns = read_off[n]
+                else:
+                    columns = [{} for _ in wx]
+                    for n, s in solution.items():
+                        for column, part in zip(columns, read_off[n]):
+                            accumulate(column, ((m, s * x) for m, x in part.items()))
                 per_target.append(ComoduleMap(X, Y, columns))
             per_source.append(per_target)
     return maps
@@ -675,8 +684,8 @@ def image(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
 def image_character(f: ComoduleMap) -> dict[Weight, int]:
     """The character of image(f), from the ranks of f's weight blocks.
 
-    f must be a comodule map (standard.canonical_map certifies its
-    result), so its image is a subcomodule and nothing is closed under
+    f must be a comodule map (hom_from_generators proves canonical_map's
+    is one), so its image is a subcomodule and nothing is closed under
     the coaction.  A comodule map preserves torus weights, so F is block
     diagonal by weight: the multiplicity of weight t in the image is the
     rank of the columns of F at the source vectors of weight t, and the

@@ -19,8 +19,8 @@ and _dual dualizes a part.  Four interpreters read them: factor_comodule
 (for nabla, M and the classifier's blocks) and build_delta (on the dual
 parts) give comodules whose rows are products of part rows, computed only
 when read, and factor_char and factor_dim read characters and dimensions
-without building anything.  canonical_map reads one row of Delta(lam)
-and one of nabla(lam) from those builders.
+without building anything.  hom_from_delta, and canonical_map through
+it, read one row of Delta(lam) and of each target.
 
 Everything is indexed by words lam in the weight monoid of `weights`.  The
 factor word of nabla(lam) (nabla_factors) sends delta^x to R^x and each run
@@ -45,7 +45,6 @@ canonical map Delta(lam) -> nabla(lam) exist.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache, partial
 from math import prod
 from itertools import combinations
@@ -67,11 +66,11 @@ from .weights import LambdaWord, Weight
 from .comodules import (
     Comodule,
     ComoduleMap,
+    NotGenerated,
     VerificationError,
     char_mul,
     comodule_axiom_failures,
     generated_subcomodule,
-    generator_owners,
     hom_from_generators,
     image,
     left_dual,
@@ -379,7 +378,7 @@ def _seam_row(pairs: Sequence[tuple[int, Sequence[NCElement]]]) -> dict[int, NCE
     (ncalg.is_normal_word, the one test of normality): at most
     sum_t |states| |row_t| windows, with at most 43 states (the words of
     at most two letters), not prod_t |row_t| products.  Each entry is
-    keyed by its column, as the fold keys it; generator_owners still
+    keyed by its column, as the fold keys it; hom_from_generators still
     checks that the words of a generating row are distinct.
     """
     factors = []
@@ -486,121 +485,62 @@ def _weight_index(X: Comodule, target: Weight) -> int:
     return hits[0]
 
 
-def _require_certificate() -> None:
-    """Raise VerificationError unless comodule_certificate passes."""
-    failures = comodule_certificate()
-    if failures:
-        raise VerificationError("comodule certificate fails: " + "; ".join(failures))
-
-
 def hom_from_delta(
     lams: Sequence[LambdaWord], targets: Sequence[Comodule]
 ) -> list[list[list[ComoduleMap]]]:
     """Basis of Hom(Delta(lam), Y) for each label and target, read off Delta's top rows.
 
     comodules.hom_from_generators at the top weight vector v+ of each
-    Delta(lam), whose row shows that v+ generates Delta(lam), as in
-    canonical_map; only that row of Delta(lam) is computed.  The read-off
-    holds on comodules, so comodule_certificate runs first (it covers
-    every nabla(lam), M(lam) and Delta(lam)).  Returns maps[s][t] for the
-    s-th label and the t-th target.  Raises VerificationError when the
-    certificate or a generation check fails.
+    Delta(lam), which generates it: Delta(lam) has simple head L(lam) in a
+    highest-weight category (Cline, Parshall and Scott, J. reine angew.
+    Math. 391, 1988; Jantzen, Representations of Algebraic Groups, II.4).
+    Only that row of Delta(lam) is computed, by _row_product's seam route
+    (for all 33,460 labels with ell <= 11), so none of its products
+    rewrites.  The read-off holds on comodules, so comodule_certificate
+    runs first (it covers every nabla(lam), M(lam) and Delta(lam)).
+    Returns maps[s][t] for the s-th label and the t-th target.  Raises
+    VerificationError when the certificate or a generation check fails.
     """
-    _require_certificate()
+    failures = comodule_certificate()
+    if failures:
+        raise VerificationError("comodule certificate fails: " + "; ".join(failures))
     sources = []
     for lam in lams:
         Delta = build_delta(lam)
         sources.append((Delta, _weight_index(Delta, lam.wt())))
-    return hom_from_generators(sources, targets)
+    try:
+        return hom_from_generators(sources, targets)
+    except NotGenerated as error:
+        raise VerificationError(
+            f"Delta({lams[error.source]}) is not generated by its top weight line, "
+            f"or its row is not {sources[error.source][0].dim} entries of one distinct word each"
+        ) from None
 
 
 def canonical_map(lam: LambdaWord) -> ComoduleMap:
     """The canonical map Delta(lam) -> nabla(lam), normalized on the top line.
 
-    The map is read off two coaction rows: Delta.row(v+) of
-    Delta = build_delta(lam), at its top weight vector v+, and
-    Nabla.row(w+) of Nabla = build_nabla(lam), at its top weight vector
-    w+.  Both builders compute only the rows that are read, so neither
-    comodule is built here.  In a highest-weight category Delta(lam) has
-    simple head L(lam) (Cline, Parshall and Scott, J. reine angew. Math.
-    391, 1988; Jantzen, Representations of Algebraic Groups, II.4), so v+
-    generates it, and a comodule map F is fixed by F(v+), which lies in the
-    one dimensional weight-wt(lam) space of nabla(lam): F(v+) = s w+.
-
-    - Each row is a product of one row of each part, as the builders
-      compute it: the bases, the strides and Delta's reversed
-      multiplication order live there.  Delta's top row takes
-      _row_product's seam route (for all 33,460 labels with ell <= 11):
-      its entries are concatenations of signed words, so none of its
-      products rewrites or enters the normal-form cache, and the S^-1
-      rewrites of the dual part entries do not enter it either.
-    - Let a_w and b_w be the coefficient vectors of the normal word w in
-      the coaction rows of v+ and w+.  The span of the a_w is the
-      subcomodule generated by v+; it must be all of Delta(lam).  No
-      echelon is needed: each entry j of the row of v+ must be one term
-      c_j w_j, and no word may appear twice (comodules.generator_owners).
-      Then w_j has the owner j, a_{w_j} is c_j times the unit vector at j,
-      and the a_w span Delta(lam).  So F is fixed by s, and dim Hom <= 1.
-    - The intertwining condition at v+ reads F a_w = s b_w for every w,
-      in the unknowns F[m][j] that pair basis vectors of equal weight
-      (a comodule map keeps torus weights).  w+ is the only basis vector
-      of nabla(lam) of v+'s weight, so s is the unknown F[w+][v+].  At
-      the word w_j the condition reads c_j F[m][j] = s b_w[m] where
-      wt(m) = wt(j), and 0 = s b_w[m] elsewhere; at a word with no owner
-      it reads 0 = s b_w.  So if every word of every entry m of the row
-      of w+ has an owner j with wt(j) = wt(m), the solutions are s times
-      F[m][j] = b_{w_j}[m] / c_j, read off by one lookup per word, and
-      otherwise s = 0.  The read-off F[w+][v+] must then equal 1, since
-      s = s F[w+][v+]; the counit makes it 1 whenever the rest holds.
-
-    Why the solution is a comodule map.  comodule_certificate shows that
-    Delta(lam) and nabla(lam) are comodules.  A comodule is a module over
-    the dual algebra O*, by psi . x = sum psi(C[i][j]) x_j for x = x_i
-    (Jantzen, Representations of Algebraic Groups, I.2; Montgomery, Hopf
-    Algebras and Their Actions on Rings, 1.6), and a linear map between
-    comodules is a comodule map exactly when it commutes with every psi
-    in O*, since O* separates the points of O.  Let delta_w in O* be the
-    functional dual to the normal word w.  Then a_w = delta_w . v+ and
-    b_w = delta_w . w+, so the equations say F(delta_w . v+) =
-    s delta_w . w+ for every w, and by linearity F(phi . v+) = s phi . w+
-    for every phi in O*.  For x = phi . v+, coassociativity along the top
-    rows gives psi . x = (psi phi) . v+, hence
-    F(psi . x) = s (psi phi) . w+ = psi . (s phi . w+) = psi . F(x).  By
-    the generation check these x span Delta(lam), so F commutes with all
-    of O*.
-
-    The result is the generator of Hom(Delta(lam), nabla(lam)) whose
-    coefficient between the two weight-wt(lam) basis vectors is 1: the
-    counit turns F a_w = s b_w into F v+ = s w+.  Its image is the simple
-    socle L(lam).  Its source and target are build_delta(lam) and
-    build_nabla(lam), whose coactions are built on first read.  Raises
-    VerificationError when the certificate fails, when the row of v+ does
-    not show that v+ generates Delta(lam), or when the solution space is 0.
+    The one basis map of hom_from_delta([lam], [build_nabla(lam)]): the
+    weight-wt(lam) space of nabla(lam) is the line of its top vector w+,
+    so the read-off solves for one unknown, with no equation whenever the
+    map exists.  Source and target build their coactions on first read.
+    By the counit the map sends v+ to w+, so its entry at (w+, v+) must be
+    1, or else Hom is 0.  Its image is the simple socle L(lam).  Raises
+    VerificationError when the certificate or the generation check fails,
+    or when Hom(Delta(lam), nabla(lam)) is not the line of such a map.
     """
-    _require_certificate()
-    Delta, Nabla = build_delta(lam), build_nabla(lam)
-    weights, target_weights = Delta.weights, Nabla.weights
+    Nabla = build_nabla(lam)
+    ((maps,),) = hom_from_delta([lam], [Nabla])
+    if len(maps) != 1:
+        raise VerificationError(
+            f"Hom(Delta, nabla) for {lam} has dimension {len(maps)}, expected 1"
+        )
+    (f,) = maps
     top = lam.wt()
-    v_plus, w_plus = _weight_index(Delta, top), _weight_index(Nabla, top)
-    owner = generator_owners(
-        Delta.row(v_plus), lambda: f"Delta({lam}) is not generated by its top weight line"
-    )
-    columns: list[dict[int, Fraction]] = [{} for _ in range(Delta.dim)]
-    # Fractions are immutable, so the few distinct ratios are made once and shared
-    ratios: dict[tuple, Fraction] = {}
-    for m, entry in enumerate(Nabla.row(w_plus)):
-        for w, coeff in entry.items():
-            hit = owner.get(w)
-            if hit is None or weights[hit[0]] != target_weights[m]:
-                raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
-            j, c = hit
-            x = ratios.get((coeff, c))
-            if x is None:
-                x = ratios[coeff, c] = Fraction(coeff, c)
-            columns[j][m] = x
-    if columns[v_plus].get(w_plus) != 1:
+    v_plus = f.source.weights.index(top)  # the one such vector, as hom_from_delta checked
+    if f.columns[v_plus].get(_weight_index(Nabla, top)) != 1:
         raise VerificationError(f"Hom(Delta, nabla) for {lam} has dimension 0, expected 1")
-    return ComoduleMap(Delta, Nabla, columns)
+    return f
 
 
 def build_L(lam: LambdaWord):

@@ -514,6 +514,26 @@ class TestHomFromGenerators:
         assert all(f.is_intertwiner() for f in maps)
         assert flat_span(maps) == flat_span(hom_space(build_delta(l), Y))
 
+    def test_mixed_top_weight_basis_combines_the_read_offs(self):
+        # nabla(D.d) (+) nabla(d.D) on the basis that replaces nabla(D.d)'s
+        # top vector w by w + z, z being nabla(d.D)'s vector of the same
+        # weight; Hom(Delta(D.d), nabla(d.D)) = 0, so the maps send v+ to
+        # the multiples of w = (w + z) - z, two nonzero coordinates
+        l = parse_lambda("D.d")
+        Y = direct_sum(build_nabla(l), build_nabla(parse_lambda("d.D")))
+        w, z = [k for k, t in enumerate(Y.weights) if t == l.wt()]
+        rows = [list(row) for row in Y.coaction]
+        rows[w] = [x + y for x, y in zip(rows[w], rows[z])]
+        for row in rows:
+            row[z] = row[z] - row[w]
+        mixed = Comodule(rows)
+        ((maps,),) = hom_from_delta([l], [mixed])
+        (f,) = maps
+        delta = build_delta(l)
+        assert f.columns[delta.weights.index(l.wt())] == {w: -1, z: 1}
+        assert f.is_intertwiner()
+        assert flat_span(maps) == flat_span(hom_space(delta, mixed))
+
     def test_reads_rows_without_building_a_coaction(self):
         l = parse_lambda("d^6")
         ((maps,),) = hom_from_delta([l], [build_nabla(l)])

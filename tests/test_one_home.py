@@ -44,10 +44,6 @@ ONE_HOME = {
         "comodules:_intertwiners comodules:kernel comodules:hom_from_generators",
         "every solve is an intertwining system, a kernel, or the equations of a generating row",
     ),
-    "generator_owners": (
-        "standard:canonical_map comodules:hom_from_generators",
-        "one owner table shows that a row's vector generates its comodule",
-    ),
     "_intertwiners": (
         "comodules:hom_space borel:_maps_from_line",
         "one builder of intertwining equations",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import ncgl2.linalg
 import ncgl2.ncalg
 import ncgl2.standard
 from ncgl2.cli import main
@@ -51,6 +52,7 @@ from ncgl2.standard import (
     factor_char,
     factor_comodule,
     factor_dim,
+    hom_from_delta,
     layer_dimension,
     monoid_factors,
     nabla_factors,
@@ -446,14 +448,30 @@ class TestSimpleQuotients:
         self._edit_delta_row(monkeypatch, 1, lambda e: e + e)
         assert canonical_map(lam("d")).matrix == ((0, Fraction(-1, 2)), (1, 0))
 
-    def test_canonical_map_runs_no_linear_solve(self):
-        # the map is read off Delta's top row by word lookups: no echelon,
-        # no intertwining system
-        tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
-        (function,) = [n for n in tree.body if getattr(n, "name", None) == "canonical_map"]
-        names = {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
-        assert names.isdisjoint({"Echelon", "_intertwiners", "nullspace_sparse"})
+    def test_delta_row_that_is_not_one_word_per_entry_raises_through_hom_from_delta(
+        self, monkeypatch, capsys
+    ):
+        # criterion 05 and `ncgl2 hom` name the label whose Delta fails
+        self._edit_delta_row(monkeypatch, 1, lambda e: e + gen("d"))
+        with pytest.raises(VerificationError, match=r"^Delta\(d\) is not generated by its top weight line"):
+            hom_from_delta([lam("D"), lam("d")], [build_nabla(lam("d"))])
+        assert main(["hom", "d", "d"]) == 1
+        assert "Delta(d) is not generated by its top weight line" in capsys.readouterr().err
+
+    def test_canonical_map_solves_one_unknown_and_no_equation(self, monkeypatch):
+        # nabla's weight-wt(lam) space is one line, and every word of its
+        # top row is owned at its weight: the read-off's one solve is empty
+        real, calls = ncgl2.linalg.nullspace_sparse, []
+
+        def counted(equations, nvars):
+            calls.append((len(equations), nvars))
+            return real(equations, nvars)
+
+        monkeypatch.setattr(ncgl2.linalg, "nullspace_sparse", counted)
+        for l in [*enumerate_lambda(6), lam("d^7"), lam("d^12")]:
+            calls.clear()
+            canonical_map(l)
+            assert calls == [(0, 1)], str(l)
 
     @pytest.mark.parametrize(
         "labels",
@@ -774,10 +792,11 @@ class TestSeamRows:
 
 def test_canonical_map_builds_only_inside_its_lazy_coactions():
     # the builders are the one home of the bases, the strides and Delta's
-    # reversed multiplication order; canonical_map reads one row of each
-    # of their lazy comodules and runs no echelon (tests/test_one_home.py
-    # keeps the parts, the row products and the solvers out of it); a
-    # basis index is never spelt as a tuple of digits
+    # reversed multiplication order; canonical_map takes the lazy nabla and
+    # reads its map through hom_from_delta, which reads one row of each
+    # side, so it reads no coaction and runs no echelon
+    # (tests/test_one_home.py keeps the parts, the row products and the
+    # solvers out of it); a basis index is never spelt as a tuple of digits
     tree = ast.parse(Path(ncgl2.standard.__file__).read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
 
@@ -788,14 +807,9 @@ def test_canonical_map_builds_only_inside_its_lazy_coactions():
     function = functions["canonical_map"]
     assert names(function).isdisjoint({"coaction", "Echelon"})
     calls = [n.func for n in ast.walk(function) if isinstance(n, ast.Call)]
-    assert sorted(f.id for f in calls if isinstance(f, ast.Name) and f.id.startswith("build_")) == [
-        "build_delta",
-        "build_nabla",
-    ]
-    assert [f.value.id for f in calls if isinstance(f, ast.Attribute) and f.attr == "row"] == [
-        "Delta",
-        "Nabla",
-    ]
+    assert sorted(
+        f.id for f in calls if isinstance(f, ast.Name) and f.id.startswith(("build_", "hom_"))
+    ) == ["build_nabla", "hom_from_delta"]
     assert "_built" not in functions and "reduce" not in names(tree)
     assert "_factor_basis" not in functions and "product" not in names(tree)
     imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
