@@ -352,8 +352,7 @@ def _suite_sl2(bounds: dict) -> list[dict]:
 
 
 def _suite_poset(bounds: dict) -> list[dict]:
-    from .comodules import hom_space
-    from .standard import build_nabla
+    from .standard import build_delta, hom_from_delta
     from .weights import LambdaWord, enumerate_lambda, is_saturated, pi_below
 
     n = bounds.get("len", 4)
@@ -379,14 +378,12 @@ def _suite_poset(bounds: dict) -> list[dict]:
         ),
     ]
     hom_n = min(n, 3)
-    hom_ok = True
     words = list(enumerate_lambda(hom_n))
-    nablas = {lam: build_nabla(lam) for lam in words}
-    for zeta in words:
-        for eta in words:
-            if len(hom_space(nablas[zeta], nablas[eta])) > 0:
-                if not eta.le1(zeta):
-                    hom_ok = False
+    # by duality, dim Hom(nabla(zeta), nabla(eta)) = dim Hom(Delta(eta*), Delta(zeta*))
+    homs = hom_from_delta([eta.star() for eta in words], [build_delta(zeta.star()) for zeta in words])
+    hom_ok = all(
+        eta.le1(zeta) for eta, per_zeta in zip(words, homs) for zeta, maps in zip(words, per_zeta) if maps
+    )
     out.append(
         _result(
             f"hom-implies-order-len{hom_n}",

@@ -208,19 +208,18 @@ def _run(args, config) -> tuple[dict, int]:
         return payload, 0 if report["consistent"] else 1
 
     if args.verb == "hom":
-        from .comodules import hom_space
-        from .standard import build_nabla, hom_from_delta
+        from .standard import build_delta, build_nabla, hom_from_delta
 
         lam1 = parse_lambda(args.lam1)
         lam2 = parse_lambda(args.lam2)
         ((delta_nabla,),) = hom_from_delta([lam1], [build_nabla(lam2)])
+        # Hom(nabla(lam1), nabla(lam2)) by duality, as in the poset suite
+        ((nabla_nabla,),) = hom_from_delta([lam2.star()], [build_delta(lam1.star())])
         return {
             "lambda1": str(lam1),
             "lambda2": str(lam2),
             "dimHomDeltaNabla": len(delta_nabla),
-            "dimHomNablaNabla": len(
-                hom_space(build_nabla(lam1), build_nabla(lam2))
-            ),
+            "dimHomNablaNabla": len(nabla_nabla),
         }, 0
 
     if args.verb == "multiset":

@@ -24,15 +24,18 @@ _intertwiners solves the intertwining equations of hom_space,
 borel.semi_invariants and borel.induced_truncated exactly, in the matrix
 entries that pair basis vectors of equal weight.  hom_from_generators
 reads Hom(X, Y) off the row of a generating vector v of X instead, with
-one small solve in the coordinates of F(v); every Hom out of Delta(lam),
-standard.canonical_map's included, is read through it off Delta's top
-row (standard.hom_from_delta).
+one small solve in the coordinates of F(v).  Every Hom on a run path is
+read through it off Delta's top row (standard.hom_from_delta), Hom
+between costandards by duality.  Every linalg.nullspace_sparse call is
+_intertwiners' or hom_from_generators'.  hom_space, which solves on every
+row of X, is the oracle the read-off is tested against; no run path
+calls it.
 
 One closure routine, _close, builds every subcomodule: it grows an
 Echelon until the coaction components of each basis row lie in the span,
 then reads the coaction off at the leading columns.  The subspace, image,
-kernel, generated, quotient and regular cases differ only in the span
-they start from and in how a vector's coaction splits into components.
+generated, quotient and regular cases differ only in the span they start
+from and in how a vector's coaction splits into components.
 image_character reads the character of an image without building it,
 from the ranks of the map's weight blocks.
 """
@@ -74,7 +77,6 @@ __all__ = [
     "quotient",
     "image",
     "image_character",
-    "kernel",
     "generated_subcomodule",
     "comodule_from_regular",
     "weight_decomposition",
@@ -704,16 +706,6 @@ def image_character(f: ComoduleMap) -> dict[Weight, int]:
         if column:
             blocks.setdefault(wx[i], []).append(column)
     return {t: linalg.rank(columns) for t, columns in blocks.items()}
-
-
-def kernel(f: ComoduleMap) -> tuple[Comodule, ComoduleMap]:
-    """The kernel subcomodule of the source, with its inclusion."""
-    # one equation per target index k, the row {i: F[k][i]}
-    rows: list[dict] = [{} for _ in range(f.target.dim)]
-    for i, column in enumerate(f.columns):
-        for k, x in column.items():
-            rows[k][i] = x
-    return subspace_comodule(f.source, linalg.nullspace_sparse(rows, f.source.dim))
 
 
 def generated_subcomodule(X: Comodule, vector: Sequence | dict) -> tuple[Comodule, ComoduleMap]:

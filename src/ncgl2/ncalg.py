@@ -62,7 +62,6 @@ __all__ = [
     "antipode_inv",
     "antipode_leg",
     "multiply_legs",
-    "grouplike_words",
     "one",
     "gen",
 ]
@@ -703,18 +702,6 @@ def multiply_legs(tensor: Mapping[tuple, Coeff]) -> NCElement:
         for key, coeff in tensor.items()
         for nw, c in _product(key[0] if key else (), sum(key[1:], ())).items()
     )))
-
-
-def grouplike_words(max_len: int) -> list[Word]:
-    """Normal words g with coproduct g # g and counit 1."""
-    found = []
-    for word in enumerate_basis(max_len):
-        el = NCElement._raw({word: 1})
-        if counit(el) != 1:
-            continue
-        if coproduct(el) == {(word, word): 1}:
-            found.append(word)
-    return found
 
 
 # ---------------------------------------------------------------------------

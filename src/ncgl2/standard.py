@@ -500,6 +500,13 @@ def hom_from_delta(
     runs first (it covers every nabla(lam), M(lam) and Delta(lam)).
     Returns maps[s][t] for the s-th label and the t-th target.  Raises
     VerificationError when the certificate or a generation check fails.
+
+    Hom between costandards is read by duality: a linear map F: X -> Y is
+    a comodule map exactly when its transpose is one from the left dual
+    of Y to that of X (the dual's entries are S^-1 of the transposed
+    entries, and S^-1 is linear and bijective), and Delta(lam) is the
+    left dual of nabla(star_inv(lam)).  So dim Hom(nabla(zeta),
+    nabla(eta)) = dim Hom(Delta(star(eta)), Delta(star(zeta))).
     """
     failures = comodule_certificate()
     if failures:

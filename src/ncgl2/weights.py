@@ -36,7 +36,6 @@ __all__ = [
     "parse_weight",
     "render_weight",
     "weight_star",
-    "weight_sigma",
     "weight_key",
     "is_dominant",
     "enumerate_lambda",
@@ -70,10 +69,6 @@ def weight_key(w: Weight) -> tuple[int, int]:
 
 def weight_star(w: Weight) -> Weight:
     return Weight(-w.j, -w.i)
-
-
-def weight_sigma(w: Weight) -> Weight:
-    return Weight(w.j, w.i)
 
 
 def is_dominant(w: Weight) -> bool:

@@ -110,6 +110,15 @@ class TestVerbs:
         assert code == 0
         assert payload["dimHomDeltaNabla"] == 0
 
+    def test_hom_between_nablas_points_down_the_order(self, capsys):
+        # nabla(d.Di.d) maps onto the line nabla(1), and nothing maps back
+        code, payload = run_json(capsys, "hom", "d.Di.d", "1")
+        assert code == 0
+        assert (payload["dimHomDeltaNabla"], payload["dimHomNablaNabla"]) == (0, 1)
+        code, payload = run_json(capsys, "hom", "1", "d.Di.d")
+        assert code == 0
+        assert (payload["dimHomDeltaNabla"], payload["dimHomNablaNabla"]) == (0, 0)
+
     def test_hom_reads_delta_off_its_top_row(self):
         # Delta(d^10) has 1,024 basis vectors; the read-off computes one of
         # its rows, while a solve over all of them builds the whole

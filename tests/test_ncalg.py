@@ -30,7 +30,6 @@ from ncgl2.ncalg import (
     enumerate_basis,
     enumerate_basis_by_pattern,
     gen,
-    grouplike_words,
     is_normal_word,
     multiply_legs,
     normal_form,
@@ -342,10 +341,6 @@ class TestHopf:
             assert dict(coproduct(el).items()) == {
                 ((letter,), (letter,)): Fraction(1)
             }
-
-    def test_grouplikes(self):
-        # the only group-like normal words up to length 2
-        assert grouplike_words(2) == [(), ("Di",), ("D",), ("Di", "Di"), ("D", "D")]
 
     @pytest.mark.parametrize("word", enumerate_basis(2))
     def test_axioms_per_word(self, word):

@@ -8,7 +8,8 @@ read is the Load of an ast.Name that its module binds at top level (by
 def, class, assignment or import) or imports anywhere, or of an
 ast.Attribute; so a local of the same name, such as the `tensor`
 parameter of the ncalg leg maps or the `cache` local of ncalg._reduce,
-is not a read.
+is not a read.  UNREAD names the top-level definitions that no package
+code reads, each with the reason it stays.
 """
 
 import ast
@@ -41,12 +42,16 @@ ONE_HOME = {
     "lru_cache": ("standard:comodule_certificate", "_NF_CACHE is the one cache; the certificate runs once"),
     "_map_leg": (_LEG_MAPS, "one leg map applies every Hopf map to one leg of a tensor"),
     "nullspace_sparse": (
-        "comodules:_intertwiners comodules:kernel comodules:hom_from_generators",
-        "every solve is an intertwining system, a kernel, or the equations of a generating row",
+        "comodules:_intertwiners comodules:hom_from_generators",
+        "every solve is an intertwining system or the equations of a generating row",
     ),
     "_intertwiners": (
         "comodules:hom_space borel:_maps_from_line",
         "one builder of intertwining equations",
+    ),
+    "hom_space": (
+        "comodules:are_isomorphic",
+        "run paths read Homs off a generating row; hom_space is the tests' oracle",
     ),
     "torus_project": ("comodules:Comodule.weights", "Comodule.weights scans a coaction once and keeps it"),
     "matrix": ("", "maps are sparse columns; only callers outside the package read .matrix"),
@@ -128,15 +133,55 @@ def _reads():
 READS = list(_reads())
 
 
+def _within(path: str, owner: str) -> bool:
+    """Whether the read at path lies in the owner, a module or a definition."""
+    return path == owner or path.startswith((owner + ".", owner + ":"))
+
+
 @pytest.mark.parametrize("name", ONE_HOME)
 def test_name_is_read_only_at_its_home(name):
     owners, reason = ONE_HOME[name]
     strays = [
         f"{path} (line {line})"
         for read, path, line in READS
-        if read == name and not any(path == o or path.startswith((o + ".", o + ":")) for o in owners.split())
+        if read == name and not any(_within(path, o) for o in owners.split())
     ]
     assert strays == [], reason
+
+
+# the top-level definitions that no package code reads, and why each stays
+UNREAD = {
+    "psi": "the diagram flip a <-> d, b <-> c; tests and demos/borel_induction.py show it",
+    "are_isomorphic": "the tests' isomorphism oracle, over hom_space",
+    "comodule_from_regular": "subcomodules of O itself; tests build their oracles from it",
+    "highest_weight": "the tests' reading of a comodule's top weight and its multiplicity",
+    "trivial": "the trivial comodule, a building block of the tests",
+    "quotient": "a quotient comodule with its projection; tests build S^y V by it",
+    "rref": "the dense oracle of linalg's tests, spanned by perfbench/tracer.py",
+    "build_L": "L(lam) as a subcomodule of nabla(lam), the oracle of the classifier's tests",
+    "build_M": "the monoid comodule, whose Homs from Delta the tests check",
+    "build_TV": "the factor table's oracle",
+    "weight_star": "the star involution on torus weights, public and tested",
+}
+
+
+def test_every_unread_definition_states_why():
+    # a top-level definition that nothing in the package reads, outside
+    # __init__ and outside itself, is dead code unless UNREAD says why
+    unread = {
+        name
+        for module, tree in TREES.items()
+        if module != "__init__"
+        for statement in tree.body
+        if not isinstance(statement, (ast.Import, ast.ImportFrom))
+        for name in _bound(statement)
+        if not name.startswith("__")
+        and not any(
+            read == name and not _within(path, "__init__") and not _within(path, f"{module}:{name}")
+            for read, path, _ in READS
+        )
+    }
+    assert unread == set(UNREAD)
 
 
 def test_every_row_names_a_bound_name():

@@ -19,7 +19,6 @@ from ncgl2.weights import (
     parse_weight,
     pi_below,
     render_weight,
-    weight_sigma,
     weight_star,
 )
 
@@ -204,7 +203,6 @@ class TestWeights:
     def test_sigma_and_star(self):
         w = Weight(1, 4)
         assert weight_star(w) == Weight(-4, -1)
-        assert weight_sigma(w) == Weight(4, 1)
         assert weight_star(weight_star(w)) == w
 
 
